@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -54,7 +53,6 @@ class RunConfig:
     require_positive: bool = False
     variant: str = "classic"
     sizes: tuple = field(default_factory=tuple)
-    threads: int = 1
 
 
 def _read(path):
@@ -93,19 +91,6 @@ def _failure_payload(err: ReconstructionError):
         "witness": _jsonable(err.witness),
         "message": str(err),
     }
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("TREEWEIGHTS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"TREEWEIGHTS_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise _UsageError("TREEWEIGHTS_THREADS must be >= 1")
-    return value
 
 
 # --------------------------------------------------------------------- #
@@ -366,7 +351,7 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command, threads=_threads_from_env())
+    cfg = RunConfig(command=args.command)
     for name in (
         "input_path",
         "output_path",

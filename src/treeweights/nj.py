@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InstanceTooSmallError
-from .numeric import HALF
+from .numeric import half
 from .reconstruct import Pseudobell, _derived_single, prune_triples
 from .tree import WeightedTree, contract_zero_internal_edges
 from .weights import DoubleWeights, TripleWeights, star_condition_triples
@@ -112,7 +112,7 @@ def _classic_join(d: DoubleWeights):
     labels = d.labels
     i, j = s_matrix(d).argmin_pair()
     x = next(g for g in labels if g not in (i, j))
-    a_i = HALF * (d.value(i, j) + d.value(i, x) - d.value(j, x))
+    a_i = half(d.value(i, j) + d.value(i, x) - d.value(j, x))
     a_j = d.value(i, j) - a_i
     z = max(labels) + 1
     survivors = [g for g in labels if g not in (i, j)]
@@ -120,7 +120,7 @@ def _classic_join(d: DoubleWeights):
     for a, b in combinations(survivors, 2):
         vals[(a, b)] = d.value(a, b)
     for y in survivors:
-        vals[(y, z)] = HALF * (-d.value(i, j) + d.value(i, y) + d.value(j, y))
+        vals[(y, z)] = half(-d.value(i, j) + d.value(i, y) + d.value(j, y))
     reduced = DoubleWeights(vals, labels=survivors + [z])
     return reduced, (z, [(i, a_i), (j, a_j)])
 
@@ -303,7 +303,7 @@ def _bell_twigs(d: DoubleWeights, members):
     for m_ in members:
         partner = members[0] if m_ != members[0] else members[1]
         x = next(g for g in d.labels if g not in (m_, partner))
-        twigs[m_] = HALF * (
+        twigs[m_] = half(
             d.value(m_, partner) + d.value(m_, x) - d.value(partner, x)
         )
     return twigs
@@ -430,7 +430,7 @@ def nj_from_triples(t: TripleWeights, eps=0) -> WeightedTree:
         i, j = pick
         d_ij = _derived_single(current, i, j)
         x, y = [g for g in current.labels if g not in (i, j)][:2]
-        a_i = HALF * (d_ij + current.value(i, x, y) - current.value(j, x, y))
+        a_i = half(d_ij + current.value(i, x, y) - current.value(j, x, y))
         a_j = d_ij - a_i
         pb = Pseudobell(members=(i, j), twig_lengths={i: a_i, j: a_j})
         current, level = prune_triples(current, [pb], tol=math.inf)

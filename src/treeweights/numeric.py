@@ -3,7 +3,8 @@
 Weights are plain Python numbers.  Exact mode uses :class:`fractions.Fraction`
 (plain ints are accepted and stay exact); float mode uses built-in floats.
 The constants below are Fractions, so ``HALF * x`` keeps a Fraction exact and
-degrades to float for float input — the same formula serves both modes.
+degrades to float for float input.  :func:`half` multiplies floats by 0.5
+directly (bitwise the same value) rather than through ``Fraction.__mul__``.
 """
 
 from __future__ import annotations
@@ -45,20 +46,33 @@ def parse_number(token: str, mode: str):
     """Parse a numeric token as ``p/q``, decimal or scientific notation.
 
     Returns a Fraction in rational mode and a float in float mode.
-    Raises ValueError on malformed tokens or unknown mode.
+    Raises ValueError on malformed tokens, a zero denominator, infinities,
+    values beyond the float range in float mode, or an unknown mode.
     """
     if mode not in MODES:
         raise ValueError(f"unknown arithmetic mode {mode!r}")
     token = token.strip()
     if "/" in token:
         num, _, den = token.partition("/")
-        value = Fraction(int(num), int(den))
+        try:
+            value = Fraction(int(num), int(den))
+        except ValueError as exc:
+            raise ValueError(f"bad numeric token {token!r}") from exc
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {token!r}") from None
     else:
         try:
             value = Fraction(Decimal(token))
         except (InvalidOperation, ValueError) as exc:
             raise ValueError(f"bad numeric token {token!r}") from exc
-    return value if mode == "rational" else float(value)
+        except OverflowError:
+            raise ValueError(f"non-finite numeric token {token!r}") from None
+    if mode == "rational":
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{token!r} is out of the float range") from None
 
 
 def format_number(value) -> str:
@@ -70,6 +84,11 @@ def format_number(value) -> str:
     return str(int(value))
 
 
+def half(x):
+    """``x / 2``: exact for ints and Fractions, ``0.5 * x`` for floats."""
+    return 0.5 * x if isinstance(x, float) else HALF * x
+
+
 def midrange(lo, hi):
     """Midpoint of an observed [lo, hi] spread; minimises worst-case error."""
-    return HALF * (lo + hi)
+    return half(lo + hi)

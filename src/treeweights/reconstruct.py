@@ -19,13 +19,18 @@ solve, positivity certificate) is returned alongside the tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
+
 from .errors import InstanceTooSmallError, ReconstructionError
-from .numeric import HALF, THIRD, format_number, midrange
+from .numeric import THIRD, format_number, half, midrange
 from .tree import WeightedTree, contract_zero_internal_edges
 from .weights import (
+    BLOCK_ELEMS,
     DoubleWeights,
     TripleWeights,
     derived_pairwise,
@@ -34,6 +39,8 @@ from .weights import (
     star_table,
     triples_from_doubles,
     triples_of_tree,
+    upper_keys,
+    widen_scale,
 )
 
 
@@ -172,14 +179,14 @@ def twig_length_doubles(d: DoubleWeights, alpha, alpha2, x):
     """(D[a,a'] + D[a,x] - D[a',x]) / 2 — the stalk distance of alpha."""
     if len({alpha, alpha2, x}) != 3:
         raise ValueError("twig length needs three distinct labels")
-    return HALF * (d.value(alpha, alpha2) + d.value(alpha, x) - d.value(alpha2, x))
+    return half(d.value(alpha, alpha2) + d.value(alpha, x) - d.value(alpha2, x))
 
 
 def twig_length_triples(t: TripleWeights, derived: DoubleWeights, alpha, alpha2, x, y):
     """(D'[a,a'] + D[a,x,y] - D[a',x,y]) / 2 with D' the derived pairwise."""
     if len({alpha, alpha2, x, y}) != 4:
         raise ValueError("twig length needs four distinct labels")
-    return HALF * (
+    return half(
         derived.value(alpha, alpha2) + t.value(alpha, x, y) - t.value(alpha2, x, y)
     )
 
@@ -205,6 +212,137 @@ def _retention_guard(bells, size, floor):
     return keep
 
 
+def _inconsistent(key, spread):
+    return ReconstructionError(
+        "prune-inconsistent",
+        f"reduced entry {key} disagrees across representatives (spread {spread})",
+        witness=(key, spread),
+    )
+
+
+def _reduce_loop(container, bells, new_labels, tol):
+    """Reference reduction: every key, every choice of representatives."""
+    by_new = {b.z: b for b in bells}
+
+    def reps(x):
+        b = by_new.get(x)
+        if b is None:
+            return ((x, 0),)
+        return tuple((m, b.twig_lengths[m]) for m in b.members)
+
+    reduced_vals = {}
+    for key in combinations(new_labels, container.order):
+        lo = hi = None
+        for combo in product(*(reps(x) for x in key)):
+            originals = tuple(m for m, _ in combo)
+            drop = sum(tw for _, tw in combo)
+            val = container.value(*originals) - drop
+            if lo is None or val < lo:
+                lo = val
+            if hi is None or val > hi:
+                hi = val
+        if hi - lo > tol:
+            raise _inconsistent(key, hi - lo)
+        reduced_vals[key] = midrange(lo, hi)
+    return reduced_vals
+
+
+def _first_over(spread, tol, wide):
+    """Index of the first spread above tol, or None.
+
+    Int spreads count in units of 1/wide; the comparison stays exact for
+    int, Fraction and float tolerances alike.
+    """
+    if wide is None:
+        if isinstance(tol, float):
+            over = spread > tol
+        else:
+            over = np.array([x > tol for x in spread.tolist()], dtype=bool)
+    elif isinstance(tol, float) and not math.isfinite(tol):
+        over = spread > tol
+    else:
+        limit = math.floor(Fraction(tol) * wide)
+        over = spread > min(max(limit, -(2**62)), 2**62)
+    if not over.any():
+        return None
+    return int(over.argmax())
+
+
+def _reduce_dense(container, groups, twigs, new_labels, tol):
+    """Reduced entries computed on the dense mirror, or None.
+
+    The mirror, less the twig of every index on every axis, is permuted so
+    that each new label's representatives are contiguous; min and max
+    reductions over those segments give every key's window at once.  Rows
+    go in blocks of whole segments, so no temporary outgrows BLOCK_ELEMS
+    by more than one segment.  None (the caller runs the reference loop)
+    when there is no mirror, or the twigs cannot share its arithmetic
+    exactly.
+    """
+    dense = container.dense()
+    if dense is None:
+        return None
+    kind, arr, scale = dense
+    order = container.order
+    index = {lab: i for i, lab in enumerate(container.labels)}
+    perm = np.array([index[lab] for g in groups for lab in g], dtype=np.intp)
+    tw = [twigs.get(lab, 0) for g in groups for lab in g]
+    if kind == "int":
+        units = widen_scale(arr, scale, twigs.values())
+        if units is None:
+            return None
+        factor, wide = units
+        tw = np.array([int(x * wide) for x in tw], dtype=np.int64)
+        first = tw
+    else:
+        if not all(isinstance(x, float) for x in twigs.values()):
+            return None
+        factor, wide = 1, None
+        tw = np.array(tw, dtype=np.float64)
+        # the reference sums 0 + t1 + t2 (+ t3), in key order
+        first = tw + 0.0
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    m2 = len(groups)
+    lo = np.empty((m2,) * order, dtype=arr.dtype)
+    hi = np.empty((m2,) * order, dtype=arr.dtype)
+    rows_per = max(1, BLOCK_ELEMS // len(perm) ** (order - 1))
+    g0 = 0
+    while g0 < m2:
+        g1 = g0 + 1
+        while g1 < m2 and bounds[g1 + 1] - bounds[g0] <= rows_per:
+            g1 += 1
+        r0, r1 = bounds[g0], bounds[g1]
+        block = arr[np.ix_(perm[r0:r1], *(perm,) * (order - 1))]
+        if factor != 1:
+            block = block * factor
+        drop = first[r0:r1]
+        for _ in range(1, order):
+            drop = np.add.outer(drop, tw)
+        block = block - drop
+        mn, mx = block, block
+        for axis in range(order):
+            starts = bounds[g0:g1] - r0 if axis == 0 else bounds[:-1]
+            mn = np.minimum.reduceat(mn, starts, axis=axis)
+            mx = np.maximum.reduceat(mx, starts, axis=axis)
+        lo[g0:g1] = mn
+        hi[g0:g1] = mx
+        g0 = g1
+
+    keys = upper_keys(m2, order)
+    lo, hi = lo[keys], hi[keys]
+    spread = hi - lo
+    bad = _first_over(spread, tol, wide)
+    if bad is not None:
+        key = tuple(new_labels[int(k[bad])] for k in keys)
+        gap = float(spread[bad]) if wide is None else Fraction(int(spread[bad]), wide)
+        raise _inconsistent(key, gap)
+    if wide is None:
+        mids = (0.5 * (lo + hi)).tolist()
+    else:
+        mids = [Fraction(x, 2 * wide) for x in (lo + hi).tolist()]
+    return dict(zip(combinations(new_labels, order), mids))
+
+
 def _prune(container, bells, tol, floor):
     labels = container.labels
     bells = sorted(bells, key=lambda b: b.smallest)
@@ -228,34 +366,11 @@ def _prune(container, bells, tol, floor):
 
     survivors = [lab for lab in labels if lab not in owner]
     new_labels = sorted(survivors + [b.z for b in bells])
-    by_new = {b.z: b for b in bells}
-
-    def reps(x):
-        b = by_new.get(x)
-        if b is None:
-            return ((x, 0),)
-        return tuple((m, b.twig_lengths[m]) for m in b.members)
-
-    order = container.order
-    reduced_vals = {}
-    for key in combinations(new_labels, order):
-        lo = hi = None
-        for combo in product(*(reps(x) for x in key)):
-            originals = tuple(m for m, _ in combo)
-            drop = sum(tw for _, tw in combo)
-            val = container.value(*originals) - drop
-            if lo is None or val < lo:
-                lo = val
-            if hi is None or val > hi:
-                hi = val
-        if hi - lo > tol:
-            raise ReconstructionError(
-                "prune-inconsistent",
-                f"reduced entry {key} disagrees across representatives "
-                f"(spread {hi - lo})",
-                witness=(key, hi - lo),
-            )
-        reduced_vals[key] = midrange(lo, hi)
+    groups = [(lab,) for lab in survivors] + [b.members for b in bells]
+    twigs = {m: b.twig_lengths[m] for b in bells for m in b.members}
+    reduced_vals = _reduce_dense(container, groups, twigs, new_labels, tol)
+    if reduced_vals is None:
+        reduced_vals = _reduce_loop(container, bells, new_labels, tol)
 
     cls = type(container)
     reduced = cls(reduced_vals, labels=new_labels)
@@ -312,9 +427,9 @@ def base_case_doubles(d: DoubleWeights, tol=0) -> WeightedTree:
         c = fresh
         return WeightedTree(
             [
-                (i, c, HALF * (d.value(i, j) + d.value(i, k) - d.value(j, k))),
-                (j, c, HALF * (d.value(i, j) + d.value(j, k) - d.value(i, k))),
-                (k, c, HALF * (d.value(i, k) + d.value(j, k) - d.value(i, j))),
+                (i, c, half(d.value(i, j) + d.value(i, k) - d.value(j, k))),
+                (j, c, half(d.value(i, j) + d.value(j, k) - d.value(i, k))),
+                (k, c, half(d.value(i, k) + d.value(j, k) - d.value(i, j))),
             ]
         )
 
@@ -324,9 +439,9 @@ def base_case_doubles(d: DoubleWeights, tol=0) -> WeightedTree:
         _fail_base(f"no star pair among {labels}; not realisable at tol {tol}")
     alpha, alpha2 = pair
     beta, beta2 = [x for x in labels if x not in pair]
-    a = HALF * (d.value(alpha, alpha2) + d.value(alpha, beta) - d.value(alpha2, beta))
+    a = half(d.value(alpha, alpha2) + d.value(alpha, beta) - d.value(alpha2, beta))
     b = d.value(alpha, alpha2) - a
-    dd = HALF * (d.value(beta, beta2) + d.value(alpha, beta) - d.value(alpha, beta2))
+    dd = half(d.value(beta, beta2) + d.value(alpha, beta) - d.value(alpha, beta2))
     e = d.value(beta, beta2) - dd
     f = d.value(alpha, beta) - a - dd
     residual = 0
@@ -590,7 +705,7 @@ def reconstruct_from_triples(t: TripleWeights, tol=0, require_positive=False):
                     d_ab = derived.value(m, partner)
                 else:
                     d_ab = _derived_single(current, m, partner)
-                pb.twig_lengths[m] = HALF * (
+                pb.twig_lengths[m] = half(
                     d_ab
                     + current.value(m, xy[0], xy[1])
                     - current.value(partner, xy[0], xy[1])

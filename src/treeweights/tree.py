@@ -19,10 +19,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .errors import LabelError, ParseError
-from .numeric import HALF, exact_fraction, format_number, parse_number
+from .numeric import exact_fraction, format_number, half, parse_number
 
 
 class WeightedTree:
@@ -372,8 +373,8 @@ def cherries(tree: WeightedTree):
     if tree.n == 2:
         a, b = tree.leaves
         w = tree.weight(a, b)
-        half = HALF * w
-        return [Bell(stalk=None, members=(a, b), twig_lengths={a: half, b: half})]
+        tw = half(w)
+        return [Bell(stalk=None, members=(a, b), twig_lengths={a: tw, b: tw})]
     leafset = set(tree.leaves)
     bells = []
     for s in tree.internal_nodes:
@@ -489,7 +490,15 @@ def random_tree(
 
 
 def _fmt_branch(w) -> str:
-    return f"{float(w):.12g}"
+    try:
+        return f"{float(w):.12g}"
+    except OverflowError:
+        # exact values beyond the float range: round once to 12 digits
+        with localcontext() as ctx:
+            ctx.prec = 12
+            w = exact_fraction(w)
+            dec = (Decimal(w.numerator) / Decimal(w.denominator)).normalize()
+        return f"{dec:.12g}"
 
 
 def to_newick(tree: WeightedTree) -> str:
@@ -502,8 +511,8 @@ def to_newick(tree: WeightedTree) -> str:
     t = canonicalize(tree)
     if t.n == 2:
         a, b = t.leaves
-        half = HALF * t.weight(a, b)
-        return f"({a}:{_fmt_branch(half)},{b}:{_fmt_branch(half)});"
+        tw = _fmt_branch(half(t.weight(a, b)))
+        return f"({a}:{tw},{b}:{tw});"
     root = t._adj[t.leaves[0]][0][0]
     parent, mini = _min_leaf_map(t, root)
 

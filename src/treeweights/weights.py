@@ -12,9 +12,18 @@ enough leaves it holds exactly for the pairs lying in a common bell.
 Values are Fractions (exact mode) or floats.  The heavy scans carry a
 vectorised path: exact containers whose values share a small common
 denominator are mirrored into a scaled int64 numpy array, so the numpy
-results are still exact; float containers use a float64 array; anything
-else falls back to the pure-Python loops, which are the reference
-semantics in all cases.
+results are still exact; float containers use a float64 array.
+
+The star table over all label pairs is one block kernel for both orders
+(:func:`_star_windows`): pairs are taken in blocks of at most
+``BLOCK_ELEMS`` array elements, each block differences the mirror rows of
+its pairs over every completion at once, and the completions that contain
+a pair's own labels are neutralised by overwriting them in place.  The
+pruning reduction in :mod:`treeweights.reconstruct` uses the same mirror
+and block budget.  The pure-Python loops run only for containers without a
+mirror (a denominator LCM past ``_DENSE_LCM_CAP`` or a magnitude past
+``_DENSE_MAG_CAP``); they define the semantics, and the tests hold the
+kernels to them result for result, bitwise for floats.
 """
 
 from __future__ import annotations
@@ -30,10 +39,10 @@ import numpy as np
 from . import tree as tree_mod
 from .errors import InstanceTooSmallError, LabelError, ParseError
 from .numeric import (
-    HALF,
     THIRD,
     TWO_THIRDS,
     format_number,
+    half,
     is_exact,
     midrange,
     parse_number,
@@ -83,6 +92,29 @@ def _dense_from_items(labels, items, order):
     for perm in permutations(range(order)):
         arr[tuple(cols[k] for k in perm)] = fill
     return kind, arr, (scale if kind == "int" else None)
+
+
+def widen_scale(arr, scale, values):
+    """(factor, wide) putting an int mirror and exact *values* on one scale.
+
+    ``wide`` is the LCM of the mirror's scale and the denominators of
+    *values*; ``arr * factor`` and ``value * wide`` are then exact int64
+    units.  Returns None when a value is not exact, or when ``wide`` or the
+    rescaled magnitudes would leave the headroom the dense caps keep.
+    """
+    wide = scale
+    for v in values:
+        if not is_exact(v):
+            return None
+        wide = math.lcm(wide, Fraction(v).denominator)
+        if wide > _DENSE_LCM_CAP:
+            return None
+    factor = wide // scale
+    if int(np.abs(arr).max(initial=0)) * factor >= _DENSE_MAG_CAP:
+        return None
+    if any(abs(v) * wide >= _DENSE_MAG_CAP for v in values):
+        return None
+    return factor, wide
 
 
 class DoubleWeights:
@@ -243,7 +275,7 @@ def triples_of_tree(tree) -> TripleWeights:
         return pairs[(a, b) if a < b else (b, a)]
 
     vals = {
-        (i, j, k): HALF * (d(i, j) + d(i, k) + d(j, k))
+        (i, j, k): half(d(i, j) + d(i, k) + d(j, k))
         for i, j, k in combinations(tree.leaves, 3)
     }
     return TripleWeights(vals, labels=tree.leaves)
@@ -322,66 +354,126 @@ def star_condition_triples(t: TripleWeights, alpha, alpha2, tol=0) -> StarResult
 
 @lru_cache(maxsize=64)
 def _upper_pairs(m):
-    idx = np.array(list(combinations(range(m), 2)), dtype=np.intp)
-    return idx[:, 0], idx[:, 1]
+    return np.triu_indices(m, 1)  # row-major, i.e. combinations order
 
 
 @lru_cache(maxsize=64)
 def _upper_triples(m):
-    idx = np.array(list(combinations(range(m), 3)), dtype=np.intp)
+    idx = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
     return idx[:, 0], idx[:, 1], idx[:, 2]
+
+
+def upper_keys(m, order):
+    """Index arrays of every sorted key over range(m), in combinations order."""
+    return _upper_pairs(m) if order == 2 else _upper_triples(m)
+
+
+# Largest temporary the block kernels build, in array elements (8 MB of
+# int64 or float64); a block always holds at least one pair or label.
+BLOCK_ELEMS = 1 << 20
+
+
+@lru_cache(maxsize=64)
+def _completion_layout(m):
+    """Completions g1 < g2 of a triple star window over range(m).
+
+    Returns (cols, touch, rank): ``cols`` are the flat positions g1*m + g2
+    in the (m, m*m) view of a mirror, in combinations order; ``touch[g]``
+    the indices into ``cols`` of the m - 1 completions containing g; and
+    ``rank[g1, g2]`` the index of completion (g1, g2).
+    """
+    g1, g2 = _upper_pairs(m)
+    rank = np.zeros((m, m), dtype=np.intp)
+    rank[g1, g2] = rank[g2, g1] = np.arange(len(g1))
+    touch = rank[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    return g1 * m + g2, touch, rank
+
+
+def _skip(g, ia, ib):
+    """Smallest index >= g outside {ia, ib}, elementwise; needs ia < ib."""
+    g = g + (g == ia)
+    return g + (g == ib)
+
+
+def _star_windows(arr, order):
+    """(lo, hi) of every label pair's star window, in combinations order.
+
+    One block kernel for both orders: a pair (a, b) differences row a
+    against row b of the mirror over every completion (a label g, or a
+    pair g1 < g2).  The completions that contain a or b are overwritten
+    with the difference at a completion free of both, which leaves the
+    window's min and max unchanged without a per-pair index list.
+    """
+    m = arr.shape[0]
+    ia, ib = _upper_pairs(m)
+    flat = arr.reshape(m, -1)
+    free = _skip(np.zeros_like(ia), ia, ib)
+    if order == 2:
+        width = m
+        touch = np.arange(m)[:, None]
+    else:
+        cols, touch, rank = _completion_layout(m)
+        width = len(cols)
+        free = rank[free, _skip(free + 1, ia, ib)]
+    lo = np.empty(len(ia), dtype=arr.dtype)
+    hi = np.empty(len(ia), dtype=arr.dtype)
+    step = max(1, BLOCK_ELEMS // width)
+    for s in range(0, len(ia), step):
+        a, b = ia[s : s + step], ib[s : s + step]
+        if order == 2:
+            diff = flat[a] - flat[b]
+        else:
+            diff = flat[a[:, None], cols] - flat[b[:, None], cols]
+        rows = np.arange(len(a))
+        keep = diff[rows, free[s : s + step]][:, None]
+        diff[rows[:, None], touch[a]] = keep
+        diff[rows[:, None], touch[b]] = keep
+        lo[s : s + step] = diff.min(axis=1)
+        hi[s : s + step] = diff.max(axis=1)
+    return lo, hi
 
 
 def star_table(w, tol=0):
     """StarResult for every label pair at once.
 
-    Semantically identical to looping the single-pair queries; containers
-    with a dense mirror take a vectorised path.
+    Semantically identical to looping the single-pair queries.  Containers
+    with a dense mirror take the block kernel; the results are built in
+    bulk (int windows become Fractions over the mirror's scale).
     """
-    dense = w.dense()
     labels = w.labels
-    out = {}
-    if dense is None:
-        window = (
-            _star_window_doubles if isinstance(w, DoubleWeights) else _star_window_triples
+    order = w.order
+    if w.n < order + 1:
+        raise InstanceTooSmallError(
+            f"star table needs n >= {order + 1} for order {order}",
+            required=order + 1,
+            got=w.n,
         )
-        for a, b in combinations(labels, 2):
-            lo, hi = window(w, a, b)
-            spread = hi - lo
-            out[(a, b)] = StarResult(spread <= tol, midrange(lo, hi), spread)
-        return out
+    dense = w.dense()
+    if dense is None:
+        return _star_table_loop(w, tol)
 
     kind, arr, scale = dense
-    m = len(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-
-    def wrap(lo, hi):
-        if kind == "int":
-            lo = Fraction(int(lo), scale)
-            hi = Fraction(int(hi), scale)
-        else:
-            lo = float(lo)
-            hi = float(hi)
-        spread = hi - lo
-        return StarResult(spread <= tol, midrange(lo, hi), spread)
-
-    if isinstance(w, DoubleWeights):
-        for a, b in combinations(labels, 2):
-            ia, ib = index[a], index[b]
-            comp = np.array(
-                [index[g] for g in labels if g != a and g != b], dtype=np.intp
-            )
-            diffs = arr[ia, comp] - arr[ib, comp]
-            out[(a, b)] = wrap(diffs.min(), diffs.max())
+    lo, hi = _star_windows(arr, order)
+    if kind == "int":
+        spreads = [Fraction(x, scale) for x in (hi - lo).tolist()]
+        mids = [Fraction(x, 2 * scale) for x in (lo + hi).tolist()]
     else:
-        for a, b in combinations(labels, 2):
-            ia, ib = index[a], index[b]
-            comp = np.array(
-                [index[g] for g in labels if g != a and g != b], dtype=np.intp
-            )
-            g1, g2 = _upper_pairs(m - 2)
-            diffs = arr[ia, comp[g1], comp[g2]] - arr[ib, comp[g1], comp[g2]]
-            out[(a, b)] = wrap(diffs.min(), diffs.max())
+        spreads = (hi - lo).tolist()
+        mids = (0.5 * (lo + hi)).tolist()
+    return {
+        key: StarResult(spread <= tol, mid, spread)
+        for key, spread, mid in zip(combinations(labels, 2), spreads, mids)
+    }
+
+
+def _star_table_loop(w, tol):
+    """Reference star table: one pure-Python window per label pair."""
+    window = _star_window_doubles if w.order == 2 else _star_window_triples
+    out = {}
+    for a, b in combinations(w.labels, 2):
+        lo, hi = window(w, a, b)
+        spread = hi - lo
+        out[(a, b)] = StarResult(spread <= tol, midrange(lo, hi), spread)
     return out
 
 
@@ -502,7 +594,7 @@ def triples_from_doubles(d: DoubleWeights) -> TripleWeights:
             "triples_from_doubles needs n >= 3", required=3, got=d.n
         )
     vals = {
-        (i, j, k): HALF * (d.value(i, j) + d.value(i, k) + d.value(j, k))
+        (i, j, k): half(d.value(i, j) + d.value(i, k) + d.value(j, k))
         for i, j, k in combinations(d.labels, 3)
     }
     return TripleWeights(vals, labels=d.labels)

@@ -7,10 +7,19 @@ All expected values in the tests were computed by hand from these.
 """
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from treeweights import WeightedTree, doubles_of_tree, triples_of_tree
+from treeweights import (
+    DoubleWeights,
+    TripleWeights,
+    WeightedTree,
+    doubles_of_tree,
+    random_tree,
+    triples_of_tree,
+)
 
 
 def make_caterpillar():
@@ -100,3 +109,60 @@ def steiner_brute(tree, subset):
             if best is None or total < best:
                 best = total
     return best
+
+
+# --------------------------------------------------------------------- #
+# Cross-path cases: block kernels against the reference loops            #
+# --------------------------------------------------------------------- #
+
+CROSS_PATH_SEEDS = range(12)
+
+
+def no_mirror(w):
+    """Copy of container *w* without a dense mirror: the reference loops run."""
+    twin = type(w)(dict(w.items()), labels=w.labels)
+    twin._dense_cache = None
+    return twin
+
+
+def exact_or_float(x):
+    """Comparison key: floats bitwise (by repr), exact values by value."""
+    return ("float", repr(x)) if isinstance(x, float) else ("exact", Fraction(x))
+
+
+def cross_path_cases(seed, order):
+    """(name, container, tol) over one random tree of the given order.
+
+    Three arithmetic paths: exact data (int64 mirror), float data (float64
+    mirror), and exact data on a denominator past the mirror's LCM cap (no
+    mirror).  Each is given as realisable, with two entries perturbed, and
+    with every entry jittered within a positive tolerance.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(5, 12 if order == 2 else 8)
+    multi = seed % 3 == 0
+    of_tree = doubles_of_tree if order == 2 else triples_of_tree
+    cls = DoubleWeights if order == 2 else TripleWeights
+    exact = dict(of_tree(random_tree(n, seed, binary_only=not multi)).items())
+    floats = dict(
+        of_tree(random_tree(n, seed, binary_only=not multi, mode="float")).items()
+    )
+    # a scaled tree is still a tree; this denominator is past the LCM cap
+    unmirrored = {k: v * Fraction(10**9 + 7, 10**9 + 9) for k, v in exact.items()}
+    cases = []
+    for name, vals, exact_tol, step, tol in (
+        ("int64", exact, 0, Fraction(1, 3), Fraction(1, 50)),
+        ("float64", floats, 1e-9, 0.3, 0.02),
+        ("no-mirror", unmirrored, 0, Fraction(1, 3), Fraction(1, 50)),
+    ):
+        keys = sorted(vals)
+        bumped = dict(vals)
+        for key in rng.sample(keys, 2):
+            bumped[key] = bumped[key] + step * rng.choice((-2, -1, 1, 2))
+        jitter = {k: v + tol * rng.choice((-1, 0, 1)) / 4 for k, v in vals.items()}
+        cases += [
+            (f"{name}-tree", cls(vals, labels=range(1, n + 1)), exact_tol),
+            (f"{name}-bumped", cls(bumped, labels=range(1, n + 1)), exact_tol),
+            (f"{name}-jitter", cls(jitter, labels=range(1, n + 1)), tol),
+        ]
+    return cases

@@ -93,6 +93,27 @@ class TestCheck:
         )
         assert code == 1 and "line 3" in err
 
+    @pytest.mark.parametrize(
+        "token, mode, reason",
+        [
+            ("3/0", "rational", "zero denominator"),
+            ("inf", "rational", "non-finite"),
+            ("-inf", "float", "non-finite"),
+            ("Infinity", "rational", "non-finite"),
+            ("1e400", "float", "float range"),
+        ],
+    )
+    def test_bad_value_is_clean_parse_error(self, capsys, monkeypatch, token, mode, reason):
+        code, out, err = run_cli(
+            capsys,
+            ["check", "--order", "2", "--mode", mode],
+            stdin=f"3\n1 2 1\n1 3 {token}\n2 3 1\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("treeweights: line 3: ") and reason in err
+        assert "Traceback" not in err
+
     def test_unrealizable_triples_exit_2(self, capsys, monkeypatch):
         # caterpillar triples with one constrained entry perturbed
         lines = ["5", "1 2 3 12", "1 2 4 21", "1 2 5 21", "1 3 4 21", "1 3 5 22",
@@ -153,6 +174,17 @@ class TestReconstructCommand:
         payload = json.loads(out)
         assert payload["verdict"] == "not-realizable"
         assert payload["failure"]["kind"] == "base-case"
+
+    def test_branch_beyond_float_range(self, capsys, monkeypatch):
+        # exact values past the float range print as 12 significant digits
+        code, out, _ = run_cli(
+            capsys,
+            ["reconstruct", "--order", "2"],
+            stdin="2\n1 2 1e400\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out == "(1:5e+399,2:5e+399);\n"
 
     def test_require_positive(self, capsys, monkeypatch):
         text = "4\n1 2 3\n1 3 1\n1 4 2\n2 3 2\n2 4 3\n3 4 1\n"
@@ -254,14 +286,6 @@ class TestBench:
 
 
 class TestConfigPlumbing:
-    def test_threads_env_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("TREEWEIGHTS_THREADS", "banana")
-        code, _, err = run_cli(capsys, ["gen", "--leaves", "4"])
-        assert code == 1 and "TREEWEIGHTS_THREADS" in err
-        monkeypatch.setenv("TREEWEIGHTS_THREADS", "4")
-        code, out, _ = run_cli(capsys, ["gen", "--leaves", "4"])
-        assert code == 0
-
     def test_usage_error_exit_1(self, capsys):
         code, _, err = run_cli(capsys, ["reconstruct", "--order", "7"])
         assert code == 1

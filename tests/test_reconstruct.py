@@ -1,9 +1,15 @@
 """Pseudobell machinery, base cases, full reconstruction round trips."""
 
+import json
+import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from treeweights import reconstruct as reconstruct_mod
+from treeweights import weights as weights_mod
 from treeweights import (
     DoubleWeights,
     InstanceTooSmallError,
@@ -11,6 +17,7 @@ from treeweights import (
     ReconstructionError,
     TripleWeights,
     WeightedTree,
+    nj_from_triples,
     base_case_doubles,
     base_case_triples_5,
     buneman_check,
@@ -23,11 +30,53 @@ from treeweights import (
     reconstruct_from_doubles,
     reconstruct_from_doubles_via_triples,
     reconstruct_from_triples,
+    to_newick,
     tree_equal,
     triples_of_tree,
     twig_length_doubles,
     twig_length_triples,
 )
+from conftest import (
+    CROSS_PATH_SEEDS,
+    QUARTET_DOUBLES,
+    cross_path_cases,
+    exact_or_float,
+    no_mirror,
+)
+
+
+def _prune_outcome(w, bells, tol):
+    """Reduced labels, values and merges of a prune, or its failure."""
+    prune = prune_doubles if w.order == 2 else prune_triples
+    bells = [Pseudobell(members=m, twig_lengths=dict(t)) for m, t in bells]
+    try:
+        reduced, level = prune(w, bells, tol)
+    except ReconstructionError as err:
+        key, spread = err.witness
+        return ("fail", err.kind, key, exact_or_float(spread), str(err))
+    return (
+        level.labels_after,
+        [(k, exact_or_float(v)) for k, v in reduced.items()],
+        [(pb.members, pb.z) for pb in level.pseudobells],
+    )
+
+
+def _trial_bells(w, rng):
+    """Random disjoint label groups with random twigs in w's arithmetic."""
+    labels = list(w.labels)
+    rng.shuffle(labels)
+    bells, at = [], 0
+    while at + 2 <= len(labels) - w.order and rng.random() < 0.8:
+        size = rng.randint(2, 3)
+        members = tuple(sorted(labels[at : at + size]))
+        at += size
+        if isinstance(w.value(*w.labels[: w.order]), float):
+            twigs = {m: rng.uniform(-2, 2) for m in members}
+        else:
+            twigs = {m: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6)))
+                     for m in members}
+        bells.append((members, twigs))
+    return bells or [((labels[0], labels[1]), {labels[0]: 1, labels[1]: 2})]
 
 
 class TestCompletePseudobells:
@@ -166,6 +215,47 @@ class TestPrune:
         _, level = prune_triples(cat_triples, [pb])
         shrink = sum(len(p.members) - 1 for p in level.pseudobells)
         assert len(level.labels_after) == len(level.labels_before) - shrink
+
+    def test_block_kernel_matches_loop(self):
+        # the reduction on the mirror against the reference loop on a
+        # mirror-less copy: the same values (bitwise for floats), or the
+        # same first failing key with the same spread and message
+        kinds = set()
+        for order, seed in product((2, 3), CROSS_PATH_SEEDS):
+            rng = random.Random(seed)
+            for name, w, tol in cross_path_cases(seed, order):
+                for _ in range(3):
+                    bells = _trial_bells(w, rng)
+                    for t in (tol, math.inf):
+                        fast = _prune_outcome(w, bells, t)
+                        assert fast == _prune_outcome(no_mirror(w), bells, t), (
+                            name, seed, bells, t
+                        )
+                        kinds.add(fast[0] == "fail")
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize(
+        "data, twig_den",
+        [
+            # the twig denominator widens the scale past the LCM cap
+            ({k: v + Fraction(1, 10**6) for k, v in QUARTET_DOUBLES.items()}, 11),
+            # within the LCM cap, but the widened magnitudes would wrap int64
+            ({k: v * 2**50 for k, v in QUARTET_DOUBLES.items()}, 100003),
+        ],
+    )
+    def test_twig_units_past_the_caps_take_the_loop(self, monkeypatch, data, twig_den):
+        loops = []
+        loop = reconstruct_mod._reduce_loop
+        monkeypatch.setattr(
+            reconstruct_mod, "_reduce_loop", lambda *a: loops.append(a) or loop(*a)
+        )
+        w = DoubleWeights(data)
+        assert w.dense() is not None
+        bells = [((1, 2), {1: Fraction(1, twig_den), 2: Fraction(-2, twig_den)})]
+        fast = _prune_outcome(w, bells, math.inf)
+        assert len(loops) == 1
+        assert fast == _prune_outcome(no_mirror(w), bells, math.inf)
+        assert fast[1][0] == ((3, 4), ("exact", Fraction(data[(3, 4)])))
 
     def test_requires_twigs_and_disjointness(self, cat_triples):
         with pytest.raises(ValueError):
@@ -456,3 +546,34 @@ class TestTraceConsistency:
         report = trace.to_report()
         json.dumps(report)
         assert report["all_twigs_positive"] is True
+
+
+class TestCrossPath:
+    """Reconstruction and triple NJ with and without dense mirrors."""
+
+    @staticmethod
+    def _outcome(w, tol):
+        runner = reconstruct_from_doubles if w.order == 2 else reconstruct_from_triples
+        try:
+            tree, trace = runner(w, tol=tol)
+        except ReconstructionError as err:
+            return ("fail", err.kind, err.level, repr(err.witness), str(err))
+        report = json.dumps(trace.to_report(), sort_keys=True)
+        nj = to_newick(nj_from_triples(w, tol)) if w.order == 3 else None
+        return (to_newick(tree), report, nj)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_reconstruct_outcomes_match_reference_loops(self, monkeypatch, order):
+        # the star tables and prunes of the slow run take the reference
+        # loops; every other step runs as in the fast one
+        kinds = set()
+        for seed in CROSS_PATH_SEEDS:
+            for name, w, tol in cross_path_cases(seed, order):
+                fast = self._outcome(w, tol)
+                with monkeypatch.context() as m:
+                    m.setattr(reconstruct_mod, "star_table", weights_mod._star_table_loop)
+                    m.setattr(reconstruct_mod, "_reduce_dense", lambda *a: None)
+                    slow = self._outcome(w, tol)
+                assert fast == slow, (name, seed)
+                kinds.add(fast[0] == "fail")
+        assert kinds == {True, False}

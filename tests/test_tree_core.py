@@ -244,6 +244,13 @@ class TestNewick:
         t = WeightedTree([(1, 2, 1.0000000000001)])  # 13 significant digits
         assert to_newick(t) == "(1:0.5,2:0.5);"
 
+    def test_branch_beyond_float_range(self):
+        big = WeightedTree([(1, 4, 10**400), (2, 4, Fraction(-(2**1100), 3)), (3, 4, 1)])
+        assert to_newick(big) == "(1:1e+400,2:-4.5276617635e+330,3:1);"
+        # values inside the float range keep the float formatting
+        near = WeightedTree([(1, 4, Fraction(10**300, 3)), (2, 4, 2), (3, 4, 1)])
+        assert to_newick(near) == f"(1:{10**300 / 3:.12g},2:2,3:1);"
+
     def test_parse_rooted_binary(self):
         t = parse_newick("((1:1,2:2):3,3:4);", "rational")
         assert pairwise_weight(t, 1, 3) == 8
@@ -256,6 +263,8 @@ class TestNewick:
             "(x:1,2:2);",  # non-integer label
             "(1:1,1:2);",  # duplicate labels
             "(1:1,2:2));",  # unbalanced
+            "(1:1/0,2:2);",  # zero denominator
+            "(1:inf,2:2);",  # infinite branch length
         ],
     )
     def test_parse_errors(self, bad):

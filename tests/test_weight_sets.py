@@ -1,7 +1,7 @@
 """Weight containers, star condition, derived values, four-point check, IO."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +31,14 @@ from treeweights import (
     triples_from_doubles,
     triples_of_tree,
 )
-from conftest import CATERPILLAR_TRIPLES, QUARTET_DOUBLES
+from conftest import (
+    CATERPILLAR_TRIPLES,
+    CROSS_PATH_SEEDS,
+    QUARTET_DOUBLES,
+    cross_path_cases,
+    exact_or_float,
+    no_mirror,
+)
 
 
 def test_reference_values(cat_triples, quartet_doubles):
@@ -116,6 +123,23 @@ class TestStarCondition:
         for pair, res in table.items():
             single = star_condition_triples(bumpy, *pair)
             assert res.max_spread == single.max_spread
+        # the block kernel on int64/float64 mirrors against the reference
+        # loops on a mirror-less copy, entry by entry, bitwise for floats
+        for order, seed in product((2, 3), CROSS_PATH_SEEDS):
+            single = star_condition_doubles if order == 2 else star_condition_triples
+            for name, w, tol in cross_path_cases(seed, order):
+                assert (w.dense() is None) == name.startswith("no-mirror"), name
+                fast, slow = star_table(w, tol), star_table(no_mirror(w), tol)
+                assert list(fast) == list(slow) == list(combinations(w.labels, 2))
+                for pair, res in fast.items():
+                    ref = slow[pair]
+                    assert res.holds == ref.holds == single(w, *pair, tol=tol).holds
+                    assert exact_or_float(res.max_spread) == exact_or_float(
+                        ref.max_spread
+                    ), (name, seed, pair)
+                    assert exact_or_float(res.common_difference) == exact_or_float(
+                        ref.common_difference
+                    ), (name, seed, pair)
 
 
 class TestNeighborPairs:
