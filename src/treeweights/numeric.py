@@ -9,6 +9,7 @@ directly (bitwise the same value) rather than through ``Fraction.__mul__``.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -17,6 +18,12 @@ THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
 
 MODES = ("rational", "float")
+
+# Largest decimal magnitude (``Decimal.adjusted``, the exponent of the
+# leading digit) an exact token may carry.  A Fraction of 1e4301 already has
+# more digits than Python writes out by default (4300), and expanding a
+# larger exponent costs time and memory that grow with it.
+EXPONENT_LIMIT = 4300
 
 
 def is_exact(value) -> bool:
@@ -47,7 +54,11 @@ def parse_number(token: str, mode: str):
 
     Returns a Fraction in rational mode and a float in float mode.
     Raises ValueError on malformed tokens, a zero denominator, infinities,
-    values beyond the float range in float mode, or an unknown mode.
+    values beyond the float range in float mode, a rational-mode decimal
+    magnitude beyond 10**±:data:`EXPONENT_LIMIT`, or an unknown mode.
+
+    A float-mode decimal token is read by ``float()``: the same correctly
+    rounded value as the exact route, without expanding the exponent.
     """
     if mode not in MODES:
         raise ValueError(f"unknown arithmetic mode {mode!r}")
@@ -60,10 +71,34 @@ def parse_number(token: str, mode: str):
             raise ValueError(f"bad numeric token {token!r}") from exc
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {token!r}") from None
+    elif mode == "float":
+        try:
+            value = float(token)
+        except ValueError as exc:
+            raise ValueError(f"bad numeric token {token!r}") from exc
+        if math.isnan(value):
+            raise ValueError(f"bad numeric token {token!r}")
+        if math.isinf(value):
+            if token.lstrip("+-").lower() in ("inf", "infinity"):
+                raise ValueError(f"non-finite numeric token {token!r}")
+            raise ValueError(f"{token!r} is out of the float range")
+        if value == 0 and Decimal(token).is_zero():
+            return 0.0  # an exact zero has no sign; "-0" reads as 0.0
+        return value
     else:
         try:
-            value = Fraction(Decimal(token))
-        except (InvalidOperation, ValueError) as exc:
+            dec = Decimal(token)
+        except InvalidOperation as exc:
+            raise ValueError(f"bad numeric token {token!r}") from exc
+        if dec.is_zero():
+            return Fraction(0)  # a zero has no magnitude to bound
+        if abs(dec.adjusted()) > EXPONENT_LIMIT:
+            raise ValueError(
+                f"exponent of {token!r} is beyond the limit of {EXPONENT_LIMIT}"
+            )
+        try:
+            value = Fraction(dec)
+        except ValueError as exc:
             raise ValueError(f"bad numeric token {token!r}") from exc
         except OverflowError:
             raise ValueError(f"non-finite numeric token {token!r}") from None

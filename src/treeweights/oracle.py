@@ -1,10 +1,38 @@
 """Exhaustive ground truth for small instances.
 
 Enumerates every leaf-labelled tree topology (binary counts follow the
-double factorial (2n-5)!!), fits edge weights to a target weight set by
-exact linear algebra, and reports the first realising tree in enumeration
-order.  Everything here is rational arithmetic only: the oracle exists to
-certify the decision procedures and must not inherit float noise.
+double factorial (2n-5)!!) and reports the first one, in enumeration
+order, whose edge weights realise a target weight set exactly.
+
+**Closed-form fit.**  On a topology, an edge weight is a fixed integer
+combination of the pairwise values: a pendant edge to leaf x weighs
+(d(x,p) + d(x,q) - d(p,q)) / 2 and an inner edge (u, v) weighs
+(d(a,b) + d(a',b') - d(a,a') - d(b,b')) / 2, where p, q (or a, a') and
+b, b' are the smallest leaves of two neighbour subtrees at the inner ends.
+For triples on n >= 5 labels each pairwise value is first recovered from
+the triples around it and one fixed {r, s, u}:
+
+    3 d(i,j) = 2 (D_ijr + D_ijs + D_iju + D_rsu)
+             - (D_irs + D_iru + D_isu + D_jrs + D_jru + D_jsu)
+
+so the triple fit is the pair fit composed with that map.  Either way the
+topology gets an integer matrix c·L (c = 2 for pairs, 6 for triples) with
+L·A = I for its 0/1 incidence matrix A.  Every enumerated topology has
+full column rank here, so a realisation is unique, and x = L·b realises
+b exactly when A·x == b.  Triples on 3 or 4 labels, where the formula
+does not apply and the binary shapes are rank-deficient, keep exact row
+reduction (:func:`_solve_general`).
+
+**Stacks.**  For each (n, order), A and c·L of every topology are stacked
+in enumeration order as int8 arrays, zero-padded to the largest edge
+count.  A query scales b to integers and decides a chunk of topologies
+per batched product, returning at the first chunk with a hit.  When
+|b| · (row L1 norm of c·L) · (edges per row) could reach 2**62 the product
+runs on Python ints (``object`` arrays), so no path can wrap int64.
+
+Everything is rational: the oracle exists to certify the decision
+procedures and must not inherit float noise, and it shares no code with
+them.
 """
 
 from __future__ import annotations
@@ -14,20 +42,23 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from .numeric import is_exact
 from .tree import WeightedTree, contract_zero_internal_edges
 from .weights import DoubleWeights
 
+# array elements (topologies x edges x rows) per chunk of a batched product
+CHUNK_ELEMS = 1 << 20
+
+# int64 products stay below this bound; larger ones run on Python ints
+_INT64_HEADROOM = 1 << 62
+
 
 class Topology:
-    """Unweighted leaf-labelled tree shape; hashable by canonical form.
+    """Unweighted leaf-labelled tree shape; hashable by canonical form."""
 
-    Fit machinery (incidence rows, integer adjugate of the normal matrix)
-    is built lazily per weight order and cached on the instance, so the
-    memoised topology lists amortise the solve cost across targets.
-    """
-
-    __slots__ = ("edges", "leaves", "_adj", "_key", "_solvers")
+    __slots__ = ("edges", "leaves", "_adj", "_key")
 
     def __init__(self, edges):
         adj = {}
@@ -41,7 +72,6 @@ class Topology:
         self._adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
         self.leaves = tuple(sorted(v for v, nb in adj.items() if len(nb) == 1))
         self._key = None
-        self._solvers = {}
 
     @property
     def n(self):
@@ -123,101 +153,195 @@ def enumerate_topologies(n: int, include_multifurcating: bool = False):
 
 
 # --------------------------------------------------------------------- #
-# Exact fitting                                                          #
+# Closed-form fit arrays                                                 #
 # --------------------------------------------------------------------- #
 
 
-def _invert_exact(matrix):
-    """(inverse, det) of a square exact matrix, or None when singular."""
-    n = len(matrix)
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug], det
+def _low_leaf(mask):
+    """Position of the lowest set bit: the smallest leaf of a leaf set."""
+    return (mask & -mask).bit_length() - 1
 
 
-def _build_solver(topo: Topology, order: int):
-    leaves = topo.leaves
-    edges = topo.edges
-    n_edges = len(edges)
-    # leaf set on the smaller-id side of each edge, as a bitmask over leaves
-    leaf_bit = {lab: 1 << i for i, lab in enumerate(leaves)}
-    side = []
-    for u, v in edges:
-        mask = 0
-        stack = [u]
-        seen = {u, v}
-        while stack:
-            x = stack.pop()
-            if x in leaf_bit:
-                mask |= leaf_bit[x]
-            for y in topo._adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        side.append(mask)
-    rows = list(combinations(leaves, order))
-    # an edge joins the minimal subtree of a leaf subset exactly when the
-    # subset has leaves on both sides of it
-    row_edges = []
-    for subset in rows:
-        mask = 0
-        for lab in subset:
-            mask |= leaf_bit[lab]
-        included = []
-        for e in range(n_edges):
-            onside = side[e] & mask
-            if onside != 0 and onside != mask:
-                included.append(e)
-        row_edges.append(included)
+def _sides_and_quartets(topo: Topology, closed: bool):
+    """Leaf bitmasks and pairwise fit terms of one topology's edges.
 
-    ata = [[0] * n_edges for _ in range(n_edges)]
-    at_rows = [[] for _ in range(n_edges)]
-    for r, incl in enumerate(row_edges):
-        for e in incl:
-            at_rows[e].append(r)
-            for f in incl:
-                ata[e][f] += 1
-    inv = _invert_exact(ata)
-    if inv is None:
-        return {"kind": "general", "rows": rows, "row_edges": row_edges, "edges": edges}
-    inverse, det = inv
-    denom = det.denominator  # det of an int matrix is an int
-    assert denom == 1
-    det_i = det.numerator
-    adj = [[int(x * det_i) for x in row] for row in inverse]
-    return {
-        "kind": "normal",
-        "rows": rows,
-        "row_edges": row_edges,
-        "at_rows": at_rows,
-        "adj": adj,
-        "det": det_i,
-        "edges": edges,
+    Bit i stands for ``topo.leaves[i]``.  ``sides[e]`` holds the leaves on
+    the smaller-id end of edge e.  With ``closed``, ``terms[e]`` lists the
+    (i, j, coefficient) of leaf positions whose pairwise values sum to
+    twice the weight of edge e; otherwise ``terms`` is None.
+    """
+    bit = {lab: 1 << i for i, lab in enumerate(topo.leaves)}
+    full = (1 << len(bit)) - 1
+    adj = topo._adj
+    root = topo.leaves[0]
+    parent = {root: None}
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    below = {}
+    for v in reversed(order):
+        mask = bit.get(v, 0)
+        for y in adj[v]:
+            if y != parent[v]:
+                mask |= below[y]
+        below[v] = mask
+
+    def beyond(x, y):
+        """Leaves reached from x through its neighbour y."""
+        return below[y] if parent[y] == x else full ^ below[x]
+
+    sides = [beyond(v, u) for u, v in topo.edges]
+    if not closed:
+        return sides, None
+    # each inner node's neighbour subtrees, ordered by their smallest leaf
+    around = {
+        x: sorted((_low_leaf(beyond(x, y)), y) for y in nb)
+        for x, nb in adj.items()
+        if x not in bit
     }
 
+    def two_reps(x, skip):
+        first, second = [leaf for leaf, y in around[x] if y != skip][:2]
+        return first, second
 
-def _solver(topo: Topology, order: int):
-    if order not in topo._solvers:
-        topo._solvers[order] = _build_solver(topo, order)
-    return topo._solvers[order]
+    terms = []
+    for u, v in topo.edges:
+        if u in bit or v in bit:
+            leaf, inner = (u, v) if u in bit else (v, u)
+            x = _low_leaf(bit[leaf])
+            p, q = two_reps(inner, leaf)
+            terms.append(((x, p, 1), (x, q, 1), (p, q, -1)))
+        else:
+            a, a2 = two_reps(u, v)
+            b, b2 = two_reps(v, u)
+            terms.append(((a, b, 1), (a2, b2, 1), (a, a2, -1), (b, b2, -1)))
+    return sides, terms
+
+
+def _derived_map(n: int):
+    """3 x (pairwise value from triples), as a (pairs x triples) int matrix.
+
+    Row (i, j) uses the three smallest other positions as {r, s, u}.
+    """
+    triple_index = {t: k for k, t in enumerate(combinations(range(n), 3))}
+    pairs = list(combinations(range(n), 2))
+    out = np.zeros((len(pairs), len(triple_index)), dtype=np.int64)
+    for row, (i, j) in enumerate(pairs):
+        r, s, u = [g for g in range(n) if g != i and g != j][:3]
+        for trip in ((i, j, r), (i, j, s), (i, j, u), (r, s, u)):
+            out[row, triple_index[tuple(sorted(trip))]] += 2
+        for x in (i, j):
+            for trip in ((x, r, s), (x, r, u), (x, s, u)):
+                out[row, triple_index[tuple(sorted(trip))]] -= 1
+    return out
+
+
+class _Stack:
+    """Fit arrays of topologies on one leaf set, stacked in order.
+
+    ``inc`` (T x R x E, 0/1) is each topology's incidence matrix: row r
+    (a leaf subset in ``combinations`` order) includes edge e when the
+    subset has leaves on both sides of e.  ``inv`` (T x E x R) holds
+    ``scale`` times a left inverse of it, or is None where the closed form
+    does not apply (pairs on 2 labels, triples on fewer than 5, or a node
+    of degree 2), and rows are then reduced exactly.  Both are int8 and
+    zero-padded to the largest edge count E; ``pad`` marks the padding.
+    ``l1`` is the largest row L1 norm of ``inv``.
+    """
+
+    def __init__(self, topos, order):
+        self.topos = topos
+        n = topos[0].n
+        # the closed form needs every inner node to branch (degree >= 3)
+        closed = (n >= 3 if order == 2 else n >= 5) and all(
+            len(nb) != 2 for topo in topos for nb in topo._adj.values()
+        )
+        rows = list(combinations(range(n), order))
+        row_masks = np.array([sum(1 << i for i in r) for r in rows], dtype=np.int64)
+        pair_index = {p: k for k, p in enumerate(combinations(range(n), 2))}
+        derived = _derived_map(n) if closed and order == 3 else None
+        n_edges = np.array([len(t.edges) for t in topos])
+        e_max = int(n_edges.max())
+        count = len(topos)
+        self.scale = 2 if order == 2 else 6
+        self.inc = np.zeros((count, len(rows), e_max), dtype=np.int8)
+        self.inv = np.zeros((count, e_max, len(rows)), dtype=np.int8) if closed else None
+        self.pad = np.arange(e_max)[None, :] >= n_edges[:, None]
+        self.l1 = 0
+        step = max(1, CHUNK_ELEMS // (e_max * max(len(rows), len(pair_index))))
+        for lo in range(0, count, step):
+            chunk = topos[lo:lo + step]
+            sides = np.zeros((len(chunk), e_max), dtype=np.int64)
+            fit = np.zeros((len(chunk), e_max, len(pair_index) if closed else 0), np.int64)
+            for k, topo in enumerate(chunk):
+                masks, terms = _sides_and_quartets(topo, closed)
+                sides[k, : len(masks)] = masks
+                for e, quartet in enumerate(terms or ()):
+                    for i, j, coef in quartet:
+                        fit[k, e, pair_index[(i, j) if i < j else (j, i)]] = coef
+            onside = sides[:, None, :] & row_masks[None, :, None]
+            self.inc[lo:lo + step] = (onside != 0) & (onside != row_masks[None, :, None])
+            if not closed:
+                continue
+            if derived is not None:
+                fit = fit @ derived
+            self.l1 = max(self.l1, int(np.abs(fit).sum(axis=2).max()))
+            if np.abs(fit).max() > np.iinfo(np.int8).max:
+                raise AssertionError("fit coefficients outside int8")
+            self.inv[lo:lo + step] = fit
+
+    def row_edges(self, t):
+        """Edge indices included by each row of topology t's system."""
+        real = self.inc[t, :, : len(self.topos[t].edges)]
+        return [np.flatnonzero(row).tolist() for row in real]
+
+    def first_fit(self, b, require_positive=False):
+        """(index, exact edge weights) of the first topology realising b.
+
+        ``b`` lists exact values in row order.  With ``require_positive``,
+        realisations with a non-positive edge are skipped.  None when no
+        topology fits.
+        """
+        if self.inv is None:
+            for t, topo in enumerate(self.topos):
+                x = _solve_general(self.row_edges(t), len(topo.edges), b)
+                if x is None or (require_positive and any(not w > 0 for w in x)):
+                    continue
+                return t, x
+            return None
+        den = 1
+        for v in b:
+            den = math.lcm(den, Fraction(v).denominator)
+        ints = [int(v * den) for v in b]
+        count, e_max, n_rows = self.inv.shape
+        wide = max(map(abs, ints), default=0) * self.l1 * e_max >= _INT64_HEADROOM
+        dtype = object if wide else np.int64
+        rhs = np.array(ints, dtype=dtype)
+        want = self.scale * rhs
+        step = max(1, CHUNK_ELEMS // (e_max * n_rows))
+        for lo in range(0, count, step):
+            inv = self.inv[lo:lo + step]
+            inc = self.inc[lo:lo + step]
+            if wide:
+                inv, inc = inv.astype(object), inc.astype(object)
+            y = inv @ rhs
+            ok = ((inc @ y[:, :, None])[:, :, 0] == want).all(axis=1)
+            if require_positive:
+                ok &= ((y > 0) | self.pad[lo:lo + step]).all(axis=1)
+            hits = np.flatnonzero(ok)
+            if hits.size:
+                t = lo + int(hits[0])
+                real = y[hits[0], : len(self.topos[t].edges)]
+                return t, [Fraction(int(v), self.scale * den) for v in real]
+        return None
+
+
+@lru_cache(maxsize=None)
+def _stack(n: int, order: int) -> _Stack:
+    return _Stack(_topology_list(n, True), order)
 
 
 def _solve_general(row_edges, n_edges, b):
@@ -260,6 +384,13 @@ def _solve_general(row_edges, n_edges, b):
     return x
 
 
+def _exact_values(target):
+    b = [v for _, v in target.items()]
+    if not all(is_exact(v) for v in b):
+        raise TypeError("the oracle is exact: weights must be Fractions or ints")
+    return b
+
+
 def fit_weights(topo: Topology, target):
     """Exact edge weights realising *target* on *topo*, or None.
 
@@ -268,29 +399,11 @@ def fit_weights(topo: Topology, target):
     """
     if tuple(sorted(target.labels)) != topo.leaves:
         raise ValueError("target labels do not match the topology's leaves")
-    order = target.order
-    b = [v for _, v in target.items()]
-    if not all(is_exact(v) for v in b):
-        raise TypeError("the oracle is exact: weights must be Fractions or ints")
-    solver = _solver(topo, order)
-    edges = solver["edges"]
-    if solver["kind"] == "general":
-        x = _solve_general(solver["row_edges"], len(edges), b)
-        if x is None:
-            return None
-        return {edges[e]: x[e] for e in range(len(edges))}
-
-    scale = 1
-    for v in b:
-        scale = math.lcm(scale, Fraction(v).denominator)
-    bi = [int(v * scale) for v in b]
-    rhs = [sum(bi[r] for r in rows_of_e) for rows_of_e in solver["at_rows"]]
-    det = solver["det"]
-    y = [sum(a * r for a, r in zip(adj_row, rhs)) for adj_row in solver["adj"]]
-    for incl, target_val in zip(solver["row_edges"], bi):
-        if sum(y[e] for e in incl) != det * target_val:
-            return None
-    return {edges[e]: Fraction(y[e], det * scale) for e in range(len(edges))}
+    b = _exact_values(target)
+    hit = _Stack((topo,), target.order).first_fit(b)
+    if hit is None:
+        return None
+    return dict(zip(topo.edges, hit[1]))
 
 
 def realizable_brute(target, require_positive: bool = False):
@@ -318,19 +431,16 @@ def realizable_brute(target, require_positive: bool = False):
             return None
         tree = WeightedTree([(a, b, w)])
         return tree if back is None else _relabel_tree(tree, back)
-    for topo in _topology_list(n, True):
-        if topo.n != n:
-            continue
-        weights = fit_weights(topo, work)
-        if weights is None:
-            continue
-        if require_positive and any(not w > 0 for w in weights.values()):
-            continue
-        # a binary shape with zero inner edges fits first whenever the data
-        # comes from a multifurcating tree; contract to the unique form
-        tree = contract_zero_internal_edges(topo.with_weights(weights))
-        return tree if back is None else _relabel_tree(tree, back)
-    return None
+    stack = _stack(n, work.order)
+    hit = stack.first_fit(_exact_values(work), require_positive)
+    if hit is None:
+        return None
+    t, weights = hit
+    topo = stack.topos[t]
+    # a binary shape with zero inner edges fits first whenever the data
+    # comes from a multifurcating tree; contract to the unique form
+    tree = contract_zero_internal_edges(topo.with_weights(dict(zip(topo.edges, weights))))
+    return tree if back is None else _relabel_tree(tree, back)
 
 
 def _relabel_tree(tree: WeightedTree, leaf_map):

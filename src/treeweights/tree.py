@@ -326,15 +326,16 @@ def _rooted_form(tree: WeightedTree):
         return (a, None, None, ((a, a, tree.weight(a, b), ()), (b, b, 0, ())))
     root = tree._adj[first][0][0]
     parent, mini = _min_leaf_map(tree, root)
-
-    def build(v, w_in):
-        kids = sorted(
-            (mini[y], y, w) for y, w in tree._adj[v] if y != parent[v]
-        )
+    # preorder with each node's incoming weight; forms are built bottom-up
+    order = [(root, None)]
+    for v, _ in order:
+        order.extend((y, w) for y, w in tree._adj[v] if y != parent[v])
+    form = {}
+    for v, w_in in reversed(order):
+        kids = sorted((mini[y], y) for y, _ in tree._adj[v] if y != parent[v])
         label = v if tree.is_leaf(v) else None
-        return (mini[v], label, w_in, tuple(build(y, w) for _, y, w in kids))
-
-    return build(root, None)
+        form[v] = (mini[v], label, w_in, tuple(form.pop(y) for _, y in kids))
+    return form[root]
 
 
 def tree_equal(t1: WeightedTree, t2: WeightedTree, tol=0) -> bool:
@@ -344,7 +345,9 @@ def tree_equal(t1: WeightedTree, t2: WeightedTree, tol=0) -> bool:
     if a.leaves != b.leaves:
         return False
 
-    def same(x, y):
+    pending = [(_rooted_form(a), _rooted_form(b))]
+    while pending:
+        x, y = pending.pop()
         if x[0] != y[0] or x[1] != y[1]:
             return False
         wx, wy = x[2], y[2]
@@ -354,9 +357,8 @@ def tree_equal(t1: WeightedTree, t2: WeightedTree, tol=0) -> bool:
             return False
         if len(x[3]) != len(y[3]):
             return False
-        return all(same(cx, cy) for cx, cy in zip(x[3], y[3]))
-
-    return same(_rooted_form(a), _rooted_form(b))
+        pending.extend(zip(x[3], y[3]))
+    return True
 
 
 def cherries(tree: WeightedTree):
@@ -515,16 +517,27 @@ def to_newick(tree: WeightedTree) -> str:
         return f"({a}:{tw},{b}:{tw});"
     root = t._adj[t.leaves[0]][0][0]
     parent, mini = _min_leaf_map(t, root)
-
-    def render(v, w_in):
+    out = []
+    # pending items: literal text, or a (node, incoming weight) to render
+    pending = [(root, None)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        v, w_in = item
+        suffix = "" if w_in is None else f":{_fmt_branch(w_in)}"
         kids = sorted((mini[y], y, w) for y, w in t._adj[v] if y != parent[v])
         if not kids:
-            body = str(v)
-        else:
-            body = "(" + ",".join(render(y, w) for _, y, w in kids) + ")"
-        return body if w_in is None else f"{body}:{_fmt_branch(w_in)}"
-
-    return render(root, None) + ";"
+            out.append(f"{v}{suffix}")
+            continue
+        out.append("(")
+        pending.append(")" + suffix)
+        for k in range(len(kids) - 1, -1, -1):
+            pending.append(kids[k][1:])
+            if k:
+                pending.append(",")
+    return "".join(out) + ";"
 
 
 def parse_newick(text: str, mode: str = "float") -> WeightedTree:
@@ -569,43 +582,46 @@ def parse_newick(text: str, mode: str = "float") -> WeightedTree:
         except ValueError:
             raise error(f"bad branch length {token!r}") from None
 
-    # each node: (children list, name, length); leaves have no children
-    def read_node():
-        nonlocal pos
+    # each node: (children list, name, length); leaves have no children.
+    # ``open_`` holds the children lists of the groups not yet closed.
+    open_ = []
+    root = None
+    while root is None:
         skip_ws()
         if pos < len(s) and s[pos] == "(":
             pos += 1
-            children = [read_node()]
+            open_.append([])
+            continue
+        name = read_token()
+        if not name:
+            raise error("expected a leaf name")
+        node = ([], name, read_length())
+        while True:
+            if not open_:
+                root = node
+                break
+            open_[-1].append(node)
             skip_ws()
-            while pos < len(s) and s[pos] == ",":
+            if pos < len(s) and s[pos] == ",":
                 pos += 1
-                children.append(read_node())
-                skip_ws()
+                break
             if pos >= len(s) or s[pos] != ")":
                 raise error("unbalanced parentheses")
             pos += 1
             read_token()  # optional internal name / support — ignored
-            return (children, None, read_length())
-        name = read_token()
-        if not name:
-            raise error("expected a leaf name")
-        return ([], name, read_length())
-
-    root = read_node()
+            node = (open_.pop(), None, read_length())
     skip_ws()
     if pos != len(s):
         raise ParseError(f"trailing characters after tree (at char {pos})")
 
+    # leaves left to right, by a preorder walk
     leaf_names = []
-
-    def collect(node):
-        children, name, _ = node
+    pending = [root]
+    while pending:
+        children, name, _ = pending.pop()
         if not children:
             leaf_names.append(name)
-        for c in children:
-            collect(c)
-
-    collect(root)
+        pending.extend(reversed(children))
     labels = []
     for name in leaf_names:
         try:
@@ -618,24 +634,22 @@ def parse_newick(text: str, mode: str = "float") -> WeightedTree:
     if len(set(labels)) != len(labels):
         raise ParseError("duplicate leaf labels")
 
+    # internal ids in preorder after the largest label
     next_id = max(labels) + 1
     edges = []
-
-    def build(node):
-        nonlocal next_id
-        children, name, _ = node
-        if not children:
-            return int(name)
-        my_id = next_id
-        next_id += 1
-        for child in children:
-            length = child[2]
+    pending = [(root, None)]
+    while pending:
+        (children, name, length), up = pending.pop()
+        if children:
+            me = next_id
+            next_id += 1
+        else:
+            me = int(name)
+        if up is not None:
             if length is None:
                 raise ParseError("missing branch length")
-            edges.append((my_id, build(child), length))
-        return my_id
-
-    build(root)
+            edges.append((up, me, length))
+        pending.extend((child, me) for child in reversed(children))
     return WeightedTree(edges)
 
 

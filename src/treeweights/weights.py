@@ -522,6 +522,11 @@ def derived_pairwise(t: TripleWeights, i, j, r, s, u):
     return TWO_THIRDS * plus - THIRD * minus
 
 
+def _third(x):
+    """``x / 3``: exact for ints and Fractions, ``x / 3.0`` for floats."""
+    return x / 3.0 if isinstance(x, float) else THIRD * x
+
+
 def _derived_detail(t: TripleWeights, tol=0):
     """Per-pair (lo, hi) of derived values over every {r, s, u} choice."""
     if t.n < 5:
@@ -532,16 +537,26 @@ def _derived_detail(t: TripleWeights, tol=0):
     dense = t.dense()
     windows = {}
     if dense is None:
+        # three times the derived value, summed in the mirror branch's order
+        # and divided once at the end, so both branches round alike
+        val = t.value
         for i, j in combinations(labels, 2):
             rest = [g for g in labels if g != i and g != j]
             lo = hi = None
             for r, s, u in combinations(rest, 3):
-                v = derived_pairwise(t, i, j, r, s, u)
-                if lo is None or v < lo:
-                    lo = v
-                if hi is None or v > hi:
-                    hi = v
-            windows[(i, j)] = (lo, hi)
+                v3 = 2 * (val(i, j, r) + val(i, j, s) + val(i, j, u) + val(r, s, u)) - (
+                    val(i, r, s)
+                    + val(i, r, u)
+                    + val(i, s, u)
+                    + val(j, r, s)
+                    + val(j, r, u)
+                    + val(j, s, u)
+                )
+                if lo is None or v3 < lo:
+                    lo = v3
+                if hi is None or v3 > hi:
+                    hi = v3
+            windows[(i, j)] = (_third(lo), _third(hi))
         return windows
 
     kind, arr, scale = dense

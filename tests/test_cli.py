@@ -101,6 +101,10 @@ class TestCheck:
             ("-inf", "float", "non-finite"),
             ("Infinity", "rational", "non-finite"),
             ("1e400", "float", "float range"),
+            ("nan", "float", "bad numeric token"),
+            ("1e10000000", "rational", "beyond the limit"),
+            ("1e-10000000", "rational", "beyond the limit"),
+            ("1e10000000", "float", "float range"),
         ],
     )
     def test_bad_value_is_clean_parse_error(self, capsys, monkeypatch, token, mode, reason):

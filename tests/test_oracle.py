@@ -1,22 +1,94 @@
 """Brute-force topology enumeration and exact weight fitting."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from treeweights import oracle as oracle_mod
 from treeweights import (
     DoubleWeights,
+    ReconstructionError,
     Topology,
     TripleWeights,
     WeightedTree,
+    contract_zero_internal_edges,
     doubles_of_tree,
     enumerate_topologies,
     fit_weights,
+    random_tree,
     realizable_brute,
+    reconstruct_from_doubles,
+    reconstruct_from_triples,
     tree_equal,
     triples_of_tree,
 )
+
+
+def _of_order(order):
+    return doubles_of_tree if order == 2 else triples_of_tree
+
+
+@lru_cache(maxsize=None)
+def _incidence_rows(topo, order):
+    """Edges spanned by each row's leaves, read off unit-weight trees.
+
+    Independent of the oracle's side masks and left inverses.
+    """
+    cols = [
+        [v for _, v in _of_order(order)(
+            topo.with_weights({f: int(f == e) for f in topo.edges})
+        ).items()]
+        for e in topo.edges
+    ]
+    return [[e for e, col in enumerate(cols) if col[r]] for r in range(len(cols[0]))]
+
+
+def _reference_brute(target, require_positive):
+    """``realizable_brute`` by exact elimination on every topology."""
+    n, labels = target.n, target.labels
+    std = tuple(range(1, n + 1))
+    work = target.relabel(dict(zip(labels, std)))
+    b = [v for _, v in work.items()]
+    for topo in enumerate_topologies(n, True):
+        rows = _incidence_rows(topo, work.order)
+        x = oracle_mod._solve_general(rows, len(topo.edges), b)
+        if x is None or (require_positive and any(not w > 0 for w in x)):
+            continue
+        tree = contract_zero_internal_edges(topo.with_weights(dict(zip(topo.edges, x))))
+        return tree if labels == std else oracle_mod._relabel_tree(tree, dict(zip(std, labels)))
+    return None
+
+
+def _random_instance(rng, n, order, shapes=None, hard=True):
+    """Weights of a random shape among the first ``shapes`` topologies.
+
+    Some instances are scaled near 10**17 (past the int64 products) and
+    some are relabelled.  With ``hard``, edges are drawn with zeros and
+    negatives, some instances get one entry perturbed and relabelling
+    permutes the leaves; without it every edge is positive and new labels
+    keep the leaves' order, so the first fit lies no later than the shape.
+    """
+    topos = list(enumerate_topologies(n, True))[:shapes]
+    topo = rng.choice(topos)
+    low = -3 if hard else 1
+    wmap = {e: Fraction(rng.randint(low, 9), rng.choice((1, 1, 2, 3))) for e in topo.edges}
+    if rng.random() < 0.25:
+        wmap = {e: w * 10**17 + rng.randint(0, 9) for e, w in wmap.items()}
+    vals = dict(_of_order(order)(topo.with_weights(wmap)).items())
+    if hard and rng.random() < 0.4:
+        key = rng.choice(sorted(vals))
+        vals[key] += Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 5)))
+    if rng.random() < 0.4:
+        perm = rng.sample(range(1, 30), n)
+        if not hard:
+            perm.sort()
+        vals = {tuple(sorted(perm[x - 1] for x in k)): v for k, v in vals.items()}
+    cls = DoubleWeights if order == 2 else TripleWeights
+    return cls(vals, labels=sorted({x for k in vals for x in k}))
 
 
 class TestEnumeration:
@@ -98,6 +170,14 @@ class TestFitWeights:
         with pytest.raises(TypeError):
             fit_weights(topo, d)
 
+    def test_degree_two_node_takes_elimination(self):
+        # a node on a path has no closed form; exact elimination fits it
+        path = Topology([(1, 9), (9, 10), (2, 10), (3, 10)])
+        d = DoubleWeights({(1, 2): 5, (1, 3): 6, (2, 3): 3})
+        w = fit_weights(path, d)
+        back = doubles_of_tree(path.with_weights(w))
+        assert all(back.value(*k) == v for k, v in d.items())
+
     def test_underdetermined_small_triples(self):
         # 4 labels, triples: a quartet shape has 5 edges but only 4 values;
         # consistency always holds and some realisation comes back
@@ -158,3 +238,119 @@ class TestRealizableBrute:
     def test_two_labels(self):
         assert realizable_brute(DoubleWeights({(1, 2): 7})).edges == ((1, 2, 7),)
         assert realizable_brute(DoubleWeights({(1, 2): -1}), require_positive=True) is None
+
+
+class TestBatchedOracle:
+    """The stacked closed-form fit against exact elimination."""
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_reference_loop(self, n, order):
+        rng = random.Random(100 * n + order)
+        # a reference reject scans every shape by Fraction elimination, for
+        # up to a minute at n = 7, so n = 7 fits positive edges on one of
+        # its first 60 shapes
+        shapes, count, hard = {7: (60, 2, False), 6: (None, 4, True)}.get(n, (None, 12, True))
+        outcomes = set()
+        for _ in range(count):
+            target = _random_instance(rng, n, order, shapes, hard)
+            for positive in (False, True):
+                got = realizable_brute(target, require_positive=positive)
+                want = _reference_brute(target, positive)
+                if want is None:
+                    assert got is None, (target, positive)
+                else:
+                    assert got is not None and got.edges == want.edges, (target, positive)
+                outcomes.add(got is None)
+        assert outcomes == {True, False} or n == 7
+
+    @pytest.mark.parametrize("n,order", [
+        (3, 2), (4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (5, 3), (6, 3), (7, 3), (8, 3),
+    ])
+    def test_left_inverse_identity(self, n, order):
+        stack = oracle_mod._stack(n, order)
+        assert stack.inc.dtype == stack.inv.dtype == np.int8
+        step = 4096
+        l1 = 0
+        for lo in range(0, len(stack.topos), step):
+            inv = stack.inv[lo:lo + step].astype(np.int64)
+            inc = stack.inc[lo:lo + step].astype(np.int64)
+            real = ~stack.pad[lo:lo + step]
+            eye = np.eye(inv.shape[1], dtype=np.int64) * stack.scale
+            want = np.where(real[:, :, None] & real[:, None, :], eye, 0)
+            assert np.array_equal(inv @ inc, want)
+            l1 = max(l1, int(np.abs(inv).sum(axis=2).max()))
+        assert stack.l1 == l1
+
+    def test_incidence_matches_unit_weights(self):
+        for n, order in [(5, 2), (5, 3), (6, 3)]:
+            stack = oracle_mod._stack(n, order)
+            for t, topo in enumerate(stack.topos):
+                assert stack.row_edges(t) == _incidence_rows(topo, order)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_python_int_product_agrees(self, monkeypatch, order):
+        # a zero headroom forces the object-array product on every query
+        rng = random.Random(order)
+        stack = oracle_mod._stack(6, order)
+        targets = [_random_instance(rng, 6, order) for _ in range(8)]
+        fast = [stack.first_fit([v for _, v in t.relabel(
+            dict(zip(t.labels, range(1, 7)))).items()]) for t in targets]
+        monkeypatch.setattr(oracle_mod, "_INT64_HEADROOM", 0)
+        slow = [stack.first_fit([v for _, v in t.relabel(
+            dict(zip(t.labels, range(1, 7)))).items()]) for t in targets]
+        assert fast == slow
+        assert {f is None for f in fast} == {True, False}
+
+    def test_large_values_take_python_ints(self):
+        tree = random_tree(6, 5)
+        big = WeightedTree([(u, v, w * 10**17) for u, v, w in tree.edges])
+        d = doubles_of_tree(big)
+        stack = oracle_mod._stack(6, 2)
+        top = max(abs(v) for _, v in d.items()) * 1000
+        assert top * stack.l1 * stack.inv.shape[1] >= oracle_mod._INT64_HEADROOM
+        assert tree_equal(realizable_brute(d), big, 0)
+        vals = dict(d.items())
+        vals[(1, 2)] += 1
+        bumped = DoubleWeights(vals)
+        got, want = realizable_brute(bumped), _reference_brute(bumped, False)
+        assert (got is None) == (want is None)
+        assert got is None or got.edges == want.edges
+
+
+class TestOracleAgreesWithReconstruction:
+    """At n = 7 and 8 the oracle referees the decision procedures."""
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_sampled_topologies(self, n, order):
+        rng = random.Random(10 * n + order)
+        of = _of_order(order)
+        rebuild = reconstruct_from_doubles if order == 2 else reconstruct_from_triples
+        cls = DoubleWeights if order == 2 else TripleWeights
+        for seed in range(3):
+            tree = random_tree(n, 1000 * n + seed, Fraction(1, 4), 8, binary_only=seed != 2)
+            w = of(tree)
+            assert tree_equal(realizable_brute(w), tree, 0)
+            assert tree_equal(rebuild(w, tol=0)[0], tree, 0)
+            # an entry is constrained when its unit vector lies outside the
+            # column space of the tree's incidence matrix
+            topo = Topology([(u, v) for u, v, _ in tree.edges])
+            rows = _incidence_rows(topo, order)
+            keys = [k for k, _ in w.items()]
+            rng.shuffle(keys)
+            bumped = 0
+            for key in keys:
+                unit = [int(k == key) for k, _ in w.items()]
+                if oracle_mod._solve_general(rows, len(topo.edges), unit) is not None:
+                    continue
+                vals = dict(w.items())
+                vals[key] += Fraction(rng.randint(1, 9), 64)
+                perturbed = cls(vals)
+                assert realizable_brute(perturbed) is None, key
+                with pytest.raises(ReconstructionError):
+                    rebuild(perturbed, tol=0)
+                bumped += 1
+                if bumped == 2:
+                    break
+            assert bumped == 2

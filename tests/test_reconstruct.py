@@ -577,3 +577,19 @@ class TestCrossPath:
                 assert fast == slow, (name, seed)
                 kinds.add(fast[0] == "fail")
         assert kinds == {True, False}
+
+    def test_mirrorless_float_triples_match(self):
+        # condition 2's loop sums and rounds as the mirror branch does, so a
+        # float triple instance without a mirror rebuilds the same tree
+        for seed in CROSS_PATH_SEEDS:
+            for name, w, tol in cross_path_cases(seed, 3):
+                if not name.startswith("float64"):
+                    continue
+                loop = weights_mod._derived_detail(no_mirror(w), tol)
+                kernel = weights_mod._derived_detail(w, tol)
+                assert {k: tuple(map(repr, v)) for k, v in loop.items()} == {
+                    k: tuple(map(repr, v)) for k, v in kernel.items()
+                }, (name, seed)
+        name, w, tol = cross_path_cases(0, 3)[3]
+        assert name == "float64-tree"
+        assert self._outcome(no_mirror(w), tol) == self._outcome(w, tol)

@@ -271,6 +271,23 @@ class TestNewick:
         with pytest.raises(ParseError):
             parse_newick(bad)
 
+    def test_deep_caterpillar_round_trip(self):
+        # the walks are iterative, so depth is not bounded by recursion
+        n = 3000
+        edges = [(1, n + 1, 1), (2, n + 1, 2)]
+        for k in range(3, n):
+            edges += [(n + k - 2, n + k - 1, k), (k, n + k - 1, Fraction(k, 7))]
+        edges.append((n, 2 * n - 2, n))
+        cat = WeightedTree(edges)
+        text = to_newick(cat)
+        assert text.startswith("(1:1,2:2,(3:0.428571428571,(4:0.571428571429,")
+        back = parse_newick(text, "rational")
+        assert to_newick(back) == text
+        assert tree_equal(back, cat, 1e-9)
+        assert tree_equal(cat, cat, 0)
+        heavier = WeightedTree([(u, v, w + (n in (u, v))) for u, v, w in edges])
+        assert not tree_equal(heavier, cat, 0)
+
     @given(st.integers(0, 10**6), st.integers(3, 10))
     @settings(max_examples=40, deadline=None)
     def test_random_round_trip(self, seed, n):

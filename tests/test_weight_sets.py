@@ -1,5 +1,9 @@
 """Weight containers, star condition, derived values, four-point check, IO."""
 
+import random
+import struct
+import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -31,6 +35,7 @@ from treeweights import (
     triples_from_doubles,
     triples_of_tree,
 )
+from treeweights.numeric import EXPONENT_LIMIT, parse_number
 from conftest import (
     CATERPILLAR_TRIPLES,
     CROSS_PATH_SEEDS,
@@ -365,3 +370,61 @@ class TestFiles:
         moved = quartet_doubles.relabel({1: 11, 2: 12, 3: 13, 4: 14})
         with pytest.raises(ValueError):
             emit_doubles(moved)
+
+
+class TestParseNumber:
+    @staticmethod
+    def _exact_route(token):
+        """Float-mode value as read through the exact Fraction."""
+        return float(Fraction(Decimal(token)))
+
+    def test_float_mode_bitwise_as_exact_route(self):
+        rng = random.Random(11)
+        tokens = ["-0", "-0.0", "0e5", "-1e-400", "1e-400", "4.9e-324", "2.5e-324",
+                  "1.7976931348623157e308", "1.7976931348623158e308", "1_000", " 7 "]
+        for _ in range(20000):
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 30)))
+            cut = rng.randint(0, len(digits))
+            token = rng.choice(("", "-", "+")) + digits[:cut] + "." + digits[cut:]
+            if rng.random() < 0.7:
+                token += rng.choice("eE") + str(rng.randint(-345, 310))
+            tokens.append(token)
+        for token in tokens:
+            try:
+                want = self._exact_route(token)
+            except OverflowError:
+                with pytest.raises(ValueError, match="float range"):
+                    parse_number(token, "float")
+                continue
+            got = parse_number(token, "float")
+            assert struct.pack("<d", got) == struct.pack("<d", want), token
+
+    def test_rational_mode_unchanged_within_the_limit(self):
+        rng = random.Random(12)
+        tokens = ["1e300", "-2.5e-17", f"1e{EXPONENT_LIMIT}", f"3e-{EXPONENT_LIMIT}",
+                  "007", "-0", "+12", "1_000", "12.", ".5"]
+        tokens += [str(rng.randint(-10**30, 10**30)) for _ in range(2000)]
+        tokens += [f"{rng.randint(-10**9, 10**9)}.{rng.randint(0, 10**9)}e{rng.randint(-60, 60)}"
+                   for _ in range(2000)]
+        for token in tokens:
+            got = parse_number(token, "rational")
+            assert type(got) is Fraction and got == Fraction(Decimal(token)), token
+
+    @pytest.mark.parametrize("token", ["1e10000000", "-1e-10000000", f"1e{EXPONENT_LIMIT + 1}"])
+    def test_huge_exponent_fails_fast(self, token):
+        started = time.process_time()
+        with pytest.raises(ValueError, match="beyond the limit"):
+            parse_number(token, "rational")
+        assert time.process_time() - started < 0.5
+
+    @pytest.mark.parametrize("token", ["0e-10000000", "-0E4400", "0." + "0" * 5000])
+    def test_zero_has_no_exponent_limit(self, token):
+        assert parse_number(token, "rational") == Fraction(0)
+        assert parse_number(token, "float") == 0.0
+
+    def test_float_mode_reads_huge_exponents_without_expanding(self):
+        started = time.process_time()
+        assert parse_number("-1e-10000000", "float") == 0.0
+        with pytest.raises(ValueError, match="float range"):
+            parse_number("1e10000000", "float")
+        assert time.process_time() - started < 0.5
