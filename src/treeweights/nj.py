@@ -12,8 +12,10 @@ by the star condition on the distance columns (spread <= epsilon), so one
 Theta(n^2) round identifies all bells at once.  All variants always
 return a tree; correctness is only guaranteed for additive input.
 
-Float containers (and exact containers with a small common denominator)
-take vectorised numpy paths; the pure loops are the reference semantics.
+The cherry scan runs on the container's dense mirror (int64, ``object``
+Python ints past the int64 headroom or Fractions past the scale cap, or
+float64), so exact data stays exact; the tests hold it to a pure-Python
+reference loop on exact data.
 """
 
 from __future__ import annotations
@@ -27,9 +29,21 @@ import numpy as np
 
 from .errors import InstanceTooSmallError
 from .numeric import half
-from .reconstruct import Pseudobell, _derived_single, prune_triples
+from .reconstruct import (
+    Pseudobell,
+    bell_twigs_doubles,
+    prune_triples,
+    twig_length_doubles,
+)
 from .tree import WeightedTree, contract_zero_internal_edges
-from .weights import DoubleWeights, TripleWeights, star_condition_triples
+from .weights import (
+    DoubleWeights,
+    TripleWeights,
+    derived_single,
+    exact_scalar,
+    star_condition_triples,
+    upper_keys,
+)
 
 
 @dataclass(frozen=True)
@@ -112,7 +126,7 @@ def _classic_join(d: DoubleWeights):
     labels = d.labels
     i, j = s_matrix(d).argmin_pair()
     x = next(g for g in labels if g not in (i, j))
-    a_i = half(d.value(i, j) + d.value(i, x) - d.value(j, x))
+    a_i = twig_length_doubles(d, i, j, x)
     a_j = d.value(i, j) - a_i
     z = max(labels) + 1
     survivors = [g for g in labels if g not in (i, j)]
@@ -182,70 +196,23 @@ def cherry_scan(d: DoubleWeights, eps=0) -> CherryScanResult:
         raise InstanceTooSmallError("cherry_scan needs n >= 4", required=4, got=d.n)
     labels = d.labels
     m = d.n
-    dense = d.dense()
-    if dense is not None:
-        kind, arr, scale = dense
-        limit = np.iinfo(np.int64).max // (4 * m)
-        if kind == "int" and int(np.abs(arr).max(initial=0)) >= limit:
-            dense = None
-    if dense is None:
-        records = _scan_pure(d, eps)
-    else:
-        records = _scan_dense(d, dense, eps)
-    pairs = sorted(
-        {
-            (min(r.row, r.column), max(r.row, r.column))
-            for r in records
-            if r.confirmed
-        }
-    )
-    return CherryScanResult(pairs=pairs, records=records, entries_examined=_scan_cost(m))
-
-
-def _scan_pure(d: DoubleWeights, eps):
-    labels = d.labels
-    S = s_matrix(d)
-    records = []
-    for j in labels:
-        m_j = None
-        i_j = None
-        for i in labels:
-            if i == j:
-                continue
-            v = S.value(i, j)
-            if m_j is None or v < m_j:
-                m_j = v
-                i_j = i
-        lo = hi = None
-        for g in labels:
-            if g == i_j or g == j:
-                continue
-            diff = d.value(i_j, g) - d.value(j, g)
-            if lo is None or diff < lo:
-                lo = diff
-            if hi is None or diff > hi:
-                hi = diff
-        spread = hi - lo
-        records.append(
-            ScanRecord(
-                column=j, row=i_j, minimum=m_j, spread=spread, confirmed=spread <= eps
-            )
-        )
-    return records
-
-
-def _scan_dense(d: DoubleWeights, dense, eps):
-    kind, arr, scale = dense
-    labels = d.labels
-    m = d.n
+    kind, arr, scale = d.dense()
+    limit = np.iinfo(np.int64).max // (4 * m)
+    if arr.dtype == np.int64 and int(np.abs(arr).max(initial=0)) >= limit:
+        arr = arr.astype(object)  # the row sums and S would pass int64
     row_sum = arr.sum(axis=1)
-    S = (m - 2) * arr - row_sum[:, None] - row_sum[None, :]
     if kind == "int":
-        np.fill_diagonal(S, np.iinfo(np.int64).max)
+        # exact, so S is symmetric: one value per pair
+        iu, ju = upper_keys(m, 2)
+        S = np.empty_like(arr)
+        S[iu, ju] = S[ju, iu] = (m - 2) * arr[iu, ju] - row_sum[iu] - row_sum[ju]
     else:
-        np.fill_diagonal(S, np.inf)
-    rows = S.argmin(axis=0)  # first minimal index per column
-    mins = S[rows, np.arange(m)]
+        S = (m - 2) * arr - row_sum[:, None] - row_sum[None, :]
+    # row j of `off` is column j of S without its diagonal entry
+    off = S.T[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    first = off.argmin(axis=1)  # first minimal index per column
+    rows = first + (first >= np.arange(m))
+    mins = off[np.arange(m), first]
     records = []
     for cj, j in enumerate(labels):
         ci = int(rows[cj])
@@ -255,8 +222,8 @@ def _scan_dense(d: DoubleWeights, dense, eps):
         window = diff[mask]
         lo, hi = window.min(), window.max()
         if kind == "int":
-            spread = Fraction(int(hi - lo), scale)
-            minimum = Fraction(int(mins[cj]), scale)
+            spread = Fraction(exact_scalar(hi - lo), scale)
+            minimum = Fraction(exact_scalar(mins[cj]), scale)
         else:
             spread = float(hi - lo)
             minimum = float(mins[cj])
@@ -269,7 +236,14 @@ def _scan_dense(d: DoubleWeights, dense, eps):
                 confirmed=spread <= eps,
             )
         )
-    return records
+    pairs = sorted(
+        {
+            (min(r.row, r.column), max(r.row, r.column))
+            for r in records
+            if r.confirmed
+        }
+    )
+    return CherryScanResult(pairs=pairs, records=records, entries_examined=_scan_cost(m))
 
 
 def group_bells(pairs):
@@ -298,17 +272,6 @@ def group_bells(pairs):
 # --------------------------------------------------------------------- #
 
 
-def _bell_twigs(d: DoubleWeights, members):
-    twigs = {}
-    for m_ in members:
-        partner = members[0] if m_ != members[0] else members[1]
-        x = next(g for g in d.labels if g not in (m_, partner))
-        twigs[m_] = half(
-            d.value(m_, partner) + d.value(m_, x) - d.value(partner, x)
-        )
-    return twigs
-
-
 def _merge_bells(d: DoubleWeights, bells):
     """Replace every bell by a fresh label; reduced entries average the
     per-member reductions D[m, y] - twig[m] (identical on exact data)."""
@@ -318,7 +281,7 @@ def _merge_bells(d: DoubleWeights, bells):
     merges = []
     twig_of = {}
     for members in bells:
-        twigs = _bell_twigs(d, members)
+        twigs = bell_twigs_doubles(d, members)
         z = next_z
         next_z += 1
         merges.append((z, [(m_, twigs[m_]) for m_ in members]))
@@ -349,7 +312,7 @@ def _merge_bells(d: DoubleWeights, bells):
 def _terminal_star(d: DoubleWeights, merges):
     """All remaining labels form one bell: attach them to a fresh center."""
     center = max(d.labels) + 1
-    twigs = _bell_twigs(d, d.labels)
+    twigs = bell_twigs_doubles(d, d.labels)
     edges = [(m_, center, twigs[m_]) for m_ in d.labels]
     return _assemble(edges, merges)
 
@@ -428,7 +391,7 @@ def nj_from_triples(t: TripleWeights, eps=0) -> WeightedTree:
         if pick is None:
             pick = candidates[0][0]
         i, j = pick
-        d_ij = _derived_single(current, i, j)
+        d_ij = derived_single(current, i, j)
         x, y = [g for g in current.labels if g not in (i, j)][:2]
         a_i = half(d_ij + current.value(i, x, y) - current.value(j, x, y))
         a_j = d_ij - a_i
@@ -440,7 +403,7 @@ def nj_from_triples(t: TripleWeights, eps=0) -> WeightedTree:
     labels = current.labels
     d5 = DoubleWeights(
         {
-            (a, b): _derived_single(current, a, b)
+            (a, b): derived_single(current, a, b)
             for a, b in combinations(labels, 2)
         },
         labels=labels,

@@ -22,25 +22,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .errors import InstanceTooSmallError, ReconstructionError
-from .numeric import THIRD, format_number, half, midrange
+from .numeric import THIRD, format_number, half
 from .tree import WeightedTree, contract_zero_internal_edges
 from .weights import (
-    BLOCK_ELEMS,
     DoubleWeights,
     TripleWeights,
-    derived_pairwise,
     derived_pairwise_consistent,
+    block_elems,
+    derived_single,
     doubles_of_tree,
+    exact_scalar,
+    holds_fractions,
+    int_dtype,
     star_table,
     triples_from_doubles,
     triples_of_tree,
     upper_keys,
-    widen_scale,
 )
 
 
@@ -191,11 +193,16 @@ def twig_length_triples(t: TripleWeights, derived: DoubleWeights, alpha, alpha2,
     )
 
 
-def _derived_single(t: TripleWeights, a, b):
-    """Derived pairwise value with the deterministic smallest-{r,s,u} choice."""
-    rest = [g for g in t.labels if g != a and g != b]
-    r, s, u = rest[:3]
-    return derived_pairwise(t, a, b, r, s, u)
+def bell_twigs_doubles(d: DoubleWeights, members):
+    """Twig length of every member of a bell, by :func:`twig_length_doubles`
+    with the smallest other member as partner and the smallest label
+    outside the pair as x."""
+    twigs = {}
+    for m in members:
+        partner = members[0] if m != members[0] else members[1]
+        x = next(g for g in d.labels if g not in (m, partner))
+        twigs[m] = twig_length_doubles(d, m, partner, x)
+    return twigs
 
 
 # --------------------------------------------------------------------- #
@@ -220,38 +227,12 @@ def _inconsistent(key, spread):
     )
 
 
-def _reduce_loop(container, bells, new_labels, tol):
-    """Reference reduction: every key, every choice of representatives."""
-    by_new = {b.z: b for b in bells}
-
-    def reps(x):
-        b = by_new.get(x)
-        if b is None:
-            return ((x, 0),)
-        return tuple((m, b.twig_lengths[m]) for m in b.members)
-
-    reduced_vals = {}
-    for key in combinations(new_labels, container.order):
-        lo = hi = None
-        for combo in product(*(reps(x) for x in key)):
-            originals = tuple(m for m, _ in combo)
-            drop = sum(tw for _, tw in combo)
-            val = container.value(*originals) - drop
-            if lo is None or val < lo:
-                lo = val
-            if hi is None or val > hi:
-                hi = val
-        if hi - lo > tol:
-            raise _inconsistent(key, hi - lo)
-        reduced_vals[key] = midrange(lo, hi)
-    return reduced_vals
-
-
 def _first_over(spread, tol, wide):
     """Index of the first spread above tol, or None.
 
-    Int spreads count in units of 1/wide; the comparison stays exact for
-    int, Fraction and float tolerances alike.
+    Exact spreads count in units of 1/wide (on a mirror of Fractions they
+    are Fractions, with wide 1); the comparison stays exact for int,
+    Fraction and float tolerances alike.
     """
     if wide is None:
         if isinstance(tol, float):
@@ -261,51 +242,58 @@ def _first_over(spread, tol, wide):
     elif isinstance(tol, float) and not math.isfinite(tol):
         over = spread > tol
     else:
-        limit = math.floor(Fraction(tol) * wide)
-        over = spread > min(max(limit, -(2**62)), 2**62)
+        limit = Fraction(tol) * wide
+        if spread.dtype != object:
+            # an int spread passes the limit iff it passes its floor; int64
+            # spreads stay far below 2**62, and so can the limit
+            limit = min(max(math.floor(limit), -(2**62)), 2**62)
+        elif limit.denominator == 1:
+            limit = limit.numerator  # int against int skips Fraction's Python-level compare
+        over = spread > limit
     if not over.any():
         return None
     return int(over.argmax())
 
 
 def _reduce_dense(container, groups, twigs, new_labels, tol):
-    """Reduced entries computed on the dense mirror, or None.
+    """Reduced entries computed on the dense mirror.
 
     The mirror, less the twig of every index on every axis, is permuted so
     that each new label's representatives are contiguous; min and max
     reductions over those segments give every key's window at once.  Rows
-    go in blocks of whole segments, so no temporary outgrows BLOCK_ELEMS
-    by more than one segment.  None (the caller runs the reference loop)
-    when there is no mirror, or the twigs cannot share its arithmetic
-    exactly.
+    go in blocks of whole segments, so no temporary outgrows the block
+    budget (:func:`~treeweights.weights.block_elems`) by more than one
+    segment.  Twigs take the mirror's arithmetic: on an int mirror the
+    scale widens to their denominators (an int64 mirror turns ``object``
+    when the widened magnitudes pass its headroom), on a mirror of
+    Fractions they are Fractions, on a float mirror floats.
     """
-    dense = container.dense()
-    if dense is None:
-        return None
-    kind, arr, scale = dense
+    kind, arr, scale = container.dense()
     order = container.order
     index = {lab: i for i, lab in enumerate(container.labels)}
     perm = np.array([index[lab] for g in groups for lab in g], dtype=np.intp)
     tw = [twigs.get(lab, 0) for g in groups for lab in g]
-    if kind == "int":
-        units = widen_scale(arr, scale, twigs.values())
-        if units is None:
-            return None
-        factor, wide = units
-        tw = np.array([int(x * wide) for x in tw], dtype=np.int64)
-        first = tw
-    else:
-        if not all(isinstance(x, float) for x in twigs.values()):
-            return None
-        factor, wide = 1, None
+    factor = 1
+    if kind == "float":
+        wide = None
         tw = np.array(tw, dtype=np.float64)
         # the reference sums 0 + t1 + t2 (+ t3), in key order
         first = tw + 0.0
+    elif holds_fractions(arr):
+        wide = scale
+        first = tw = np.array([Fraction(x) for x in tw], dtype=object)
+    else:
+        wide = math.lcm(scale, *(Fraction(v).denominator for v in twigs.values()))
+        factor = wide // scale
+        tw = [int(Fraction(x) * wide) for x in tw]
+        top = max(int(np.abs(arr).max(initial=0)) * factor, *map(abs, tw))
+        arr = arr.astype(int_dtype(top), copy=False)
+        first = tw = np.array(tw, dtype=arr.dtype)
     bounds = np.cumsum([0] + [len(g) for g in groups])
     m2 = len(groups)
     lo = np.empty((m2,) * order, dtype=arr.dtype)
     hi = np.empty((m2,) * order, dtype=arr.dtype)
-    rows_per = max(1, BLOCK_ELEMS // len(perm) ** (order - 1))
+    rows_per = max(1, block_elems(arr, factor) // len(perm) ** (order - 1))
     g0 = 0
     while g0 < m2:
         g1 = g0 + 1
@@ -334,7 +322,7 @@ def _reduce_dense(container, groups, twigs, new_labels, tol):
     bad = _first_over(spread, tol, wide)
     if bad is not None:
         key = tuple(new_labels[int(k[bad])] for k in keys)
-        gap = float(spread[bad]) if wide is None else Fraction(int(spread[bad]), wide)
+        gap = float(spread[bad]) if wide is None else Fraction(exact_scalar(spread[bad]), wide)
         raise _inconsistent(key, gap)
     if wide is None:
         mids = (0.5 * (lo + hi)).tolist()
@@ -369,8 +357,6 @@ def _prune(container, bells, tol, floor):
     groups = [(lab,) for lab in survivors] + [b.members for b in bells]
     twigs = {m: b.twig_lengths[m] for b in bells for m in b.members}
     reduced_vals = _reduce_dense(container, groups, twigs, new_labels, tol)
-    if reduced_vals is None:
-        reduced_vals = _reduce_loop(container, bells, new_labels, tol)
 
     cls = type(container)
     reduced = cls(reduced_vals, labels=new_labels)
@@ -704,7 +690,7 @@ def reconstruct_from_triples(t: TripleWeights, tol=0, require_positive=False):
                 if idx == 0:
                     d_ab = derived.value(m, partner)
                 else:
-                    d_ab = _derived_single(current, m, partner)
+                    d_ab = derived_single(current, m, partner)
                 pb.twig_lengths[m] = half(
                     d_ab
                     + current.value(m, xy[0], xy[1])
@@ -758,10 +744,7 @@ def reconstruct_from_doubles(d: DoubleWeights, tol=0, require_positive=False):
             )
         plan = _prune_plan(bells, current.n, 4)
         for pb in plan:
-            for m in pb.members:
-                partner = pb.members[0] if m != pb.members[0] else pb.members[1]
-                x = next(g for g in current.labels if g not in (m, partner))
-                pb.twig_lengths[m] = twig_length_doubles(current, m, partner, x)
+            pb.twig_lengths = bell_twigs_doubles(current, pb.members)
         try:
             current, level = prune_doubles(current, plan, tol)
         except ReconstructionError as err:

@@ -9,26 +9,31 @@ condition for a label pair (a, a'): the differences
 are all equal (within a tolerance).  On data coming from a tree with
 enough leaves it holds exactly for the pairs lying in a common bell.
 
-Values are Fractions (exact mode) or floats.  The heavy scans carry a
-vectorised path: exact containers whose values share a small common
-denominator are mirrored into a scaled int64 numpy array, so the numpy
-results are still exact; float containers use a float64 array.
+Values are Fractions (exact mode) or floats.  Every container has a dense
+numpy mirror, and every heavy scan runs on it as array operations: exact
+values are scaled by the LCM of their denominators to integers, held as
+int64 while the scaled magnitudes stay under ``_DENSE_MAG_CAP`` and as an
+``object`` array of Python ints past it, so the integer results are exact
+either way.  Past ``_DENSE_SCALE_BITS`` the common scale would make every
+unit longer than the values themselves, so the mirror keeps the values'
+own Fractions (on an ``object`` array, scale 1) and the same kernels run on
+them.  Float containers use a float64 array.
 
 The star table over all label pairs is one block kernel for both orders
-(:func:`_star_windows`): pairs are taken in blocks of at most
-``BLOCK_ELEMS`` array elements, each block differences the mirror rows of
-its pairs over every completion at once, and the completions that contain
-a pair's own labels are neutralised by overwriting them in place.  The
-pruning reduction in :mod:`treeweights.reconstruct` uses the same mirror
-and block budget.  The pure-Python loops run only for containers without a
-mirror (a denominator LCM past ``_DENSE_LCM_CAP`` or a magnitude past
-``_DENSE_MAG_CAP``); they define the semantics, and the tests hold the
-kernels to them result for result, bitwise for floats.
+(:func:`_star_windows`): pairs are taken in blocks of about
+``BLOCK_ELEMS * 8`` bytes (see :func:`block_elems`), each block differences
+the mirror rows of its pairs over every completion at once, and the
+completions that contain a pair's own labels are neutralised by
+overwriting them in place.  The pruning reduction in
+:mod:`treeweights.reconstruct` uses the same mirror and block budget.  The
+single-pair star queries keep their pure-Python windows; the tests hold
+the kernels to reference loops result for result, bitwise for floats.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,8 +53,11 @@ from .numeric import (
     parse_number,
 )
 
-_DENSE_LCM_CAP = 10**7
 _DENSE_MAG_CAP = 2**55  # leaves headroom for the widest formula (14x terms)
+# Exact data whose common scale is longer than this keeps its Fractions:
+# data with a prime denominator per entry would otherwise make every unit
+# about as long as all the denominators together.
+_DENSE_SCALE_BITS = 4096
 
 
 def _validate_labels(labels):
@@ -58,10 +66,22 @@ def _validate_labels(labels):
             raise ValueError(f"labels must be positive ints, got {lab!r}")
 
 
-def _dense_from_items(labels, items, order):
-    """(kind, array, scale) mirror of a container, or None.
+def int_dtype(magnitude):
+    """int64 for scaled magnitudes under ``_DENSE_MAG_CAP``, else ``object``.
 
-    kind "int": ``array * 1/scale`` equals the exact values.
+    An ``object`` array holds Python ints, so the same kernels stay exact
+    however far the scale or the values grow.
+    """
+    return np.int64 if magnitude < _DENSE_MAG_CAP else object
+
+
+def _dense_from_items(labels, items, order):
+    """(kind, array, scale) mirror of a container.
+
+    kind "int": ``array * 1/scale`` equals the exact values; the array is
+    int64 or ``object`` (see :func:`int_dtype`), or, when the scale would
+    pass ``_DENSE_SCALE_BITS``, an ``object`` array of the values' own
+    Fractions with scale 1 (see :func:`holds_fractions`).
     kind "float": float64 values (the container is float-valued).
     """
     from itertools import permutations
@@ -70,21 +90,24 @@ def _dense_from_items(labels, items, order):
     index = {lab: i for i, lab in enumerate(labels)}
     m = len(labels)
     shape = (m,) * order
+    zero = 0
     if all(is_exact(v) for v in values):
         scale = 1
         for v in values:
-            scale = math.lcm(scale, Fraction(v).denominator)
-            if scale > _DENSE_LCM_CAP:
-                return None
-        fill = np.array([int(v * scale) for v in values], dtype=np.int64)
-        if fill.size and int(np.abs(fill).max()) >= _DENSE_MAG_CAP:
-            return None
-        arr = np.zeros(shape, dtype=np.int64)
+            scale = math.lcm(scale, v.denominator)
+            if scale.bit_length() > _DENSE_SCALE_BITS:
+                scale, zero = 1, Fraction(0)
+                fill = np.empty(len(values), dtype=object)
+                fill[:] = [Fraction(x) for x in values]
+                break
+        else:
+            units = [int(v * scale) for v in values]
+            fill = np.array(units, dtype=int_dtype(max(map(abs, units), default=0)))
         kind = "int"
     else:
         fill = np.array([float(v) for v in values], dtype=np.float64)
-        arr = np.zeros(shape, dtype=np.float64)
         kind = "float"
+    arr = np.full(shape, zero, dtype=fill.dtype)
     cols = [
         np.fromiter((index[key[k]] for key, _ in items), dtype=np.intp, count=len(values))
         for k in range(order)
@@ -94,27 +117,16 @@ def _dense_from_items(labels, items, order):
     return kind, arr, (scale if kind == "int" else None)
 
 
-def widen_scale(arr, scale, values):
-    """(factor, wide) putting an int mirror and exact *values* on one scale.
+def exact_scalar(x):
+    """An element of an exact mirror or kernel result as a Python int or
+    Fraction (a numpy int would carry int64 arithmetic into a Fraction)."""
+    return x if isinstance(x, (int, Fraction)) else int(x)
 
-    ``wide`` is the LCM of the mirror's scale and the denominators of
-    *values*; ``arr * factor`` and ``value * wide`` are then exact int64
-    units.  Returns None when a value is not exact, or when ``wide`` or the
-    rescaled magnitudes would leave the headroom the dense caps keep.
-    """
-    wide = scale
-    for v in values:
-        if not is_exact(v):
-            return None
-        wide = math.lcm(wide, Fraction(v).denominator)
-        if wide > _DENSE_LCM_CAP:
-            return None
-    factor = wide // scale
-    if int(np.abs(arr).max(initial=0)) * factor >= _DENSE_MAG_CAP:
-        return None
-    if any(abs(v) * wide >= _DENSE_MAG_CAP for v in values):
-        return None
-    return factor, wide
+
+def holds_fractions(arr):
+    """True for a mirror of the values' own Fractions (scale 1), not of
+    units; every element of such a mirror, the diagonal too, is a Fraction."""
+    return arr.dtype == object and isinstance(arr.flat[0], Fraction)
 
 
 class DoubleWeights:
@@ -373,6 +385,30 @@ def upper_keys(m, order):
 BLOCK_ELEMS = 1 << 20
 
 
+def _object_bytes(x):
+    """Bytes held by one Python int or Fraction, its parts included."""
+    if isinstance(x, Fraction):
+        return sys.getsizeof(x) + sys.getsizeof(x.numerator) + sys.getsizeof(x.denominator)
+    return sys.getsizeof(x)
+
+
+def block_elems(arr, factor=1):
+    """Elements per block temporary, so that a block takes about
+    ``BLOCK_ELEMS * 8`` bytes.
+
+    int64 and float64 elements take 8 bytes.  Each element of an ``object``
+    block is a Python number of its own, a difference or sum of mirror
+    elements (times *factor*): it is counted as a pointer plus twice the
+    largest distinct mirror element and the bytes of *factor*.
+    """
+    if arr.dtype != object:
+        return BLOCK_ELEMS
+    entries = arr[upper_keys(arr.shape[0], arr.ndim)].tolist()
+    item = 8 + 2 * max(map(_object_bytes, entries), default=0)
+    item += 2 * (factor.bit_length() // 8)
+    return max(1, BLOCK_ELEMS * 8 // item)
+
+
 @lru_cache(maxsize=64)
 def _completion_layout(m):
     """Completions g1 < g2 of a triple star window over range(m).
@@ -417,7 +453,7 @@ def _star_windows(arr, order):
         free = rank[free, _skip(free + 1, ia, ib)]
     lo = np.empty(len(ia), dtype=arr.dtype)
     hi = np.empty(len(ia), dtype=arr.dtype)
-    step = max(1, BLOCK_ELEMS // width)
+    step = max(1, block_elems(arr) // width)
     for s in range(0, len(ia), step):
         a, b = ia[s : s + step], ib[s : s + step]
         if order == 2:
@@ -436,9 +472,9 @@ def _star_windows(arr, order):
 def star_table(w, tol=0):
     """StarResult for every label pair at once.
 
-    Semantically identical to looping the single-pair queries.  Containers
-    with a dense mirror take the block kernel; the results are built in
-    bulk (int windows become Fractions over the mirror's scale).
+    Semantically identical to looping the single-pair queries.  The block
+    kernel runs on the dense mirror; the results are built in bulk (int
+    windows become Fractions over the mirror's scale).
     """
     labels = w.labels
     order = w.order
@@ -448,11 +484,7 @@ def star_table(w, tol=0):
             required=order + 1,
             got=w.n,
         )
-    dense = w.dense()
-    if dense is None:
-        return _star_table_loop(w, tol)
-
-    kind, arr, scale = dense
+    kind, arr, scale = w.dense()
     lo, hi = _star_windows(arr, order)
     if kind == "int":
         spreads = [Fraction(x, scale) for x in (hi - lo).tolist()]
@@ -464,17 +496,6 @@ def star_table(w, tol=0):
         key: StarResult(spread <= tol, mid, spread)
         for key, spread, mid in zip(combinations(labels, 2), spreads, mids)
     }
-
-
-def _star_table_loop(w, tol):
-    """Reference star table: one pure-Python window per label pair."""
-    window = _star_window_doubles if w.order == 2 else _star_window_triples
-    out = {}
-    for a, b in combinations(w.labels, 2):
-        lo, hi = window(w, a, b)
-        spread = hi - lo
-        out[(a, b)] = StarResult(spread <= tol, midrange(lo, hi), spread)
-    return out
 
 
 def neighbor_pairs(w, tol=0):
@@ -522,9 +543,11 @@ def derived_pairwise(t: TripleWeights, i, j, r, s, u):
     return TWO_THIRDS * plus - THIRD * minus
 
 
-def _third(x):
-    """``x / 3``: exact for ints and Fractions, ``x / 3.0`` for floats."""
-    return x / 3.0 if isinstance(x, float) else THIRD * x
+def derived_single(t: TripleWeights, a, b):
+    """Derived pairwise value with the deterministic smallest-{r,s,u} choice."""
+    rest = [g for g in t.labels if g != a and g != b]
+    r, s, u = rest[:3]
+    return derived_pairwise(t, a, b, r, s, u)
 
 
 def _derived_detail(t: TripleWeights, tol=0):
@@ -534,32 +557,8 @@ def _derived_detail(t: TripleWeights, tol=0):
             "derived pairwise consistency needs n >= 5", required=5, got=t.n
         )
     labels = t.labels
-    dense = t.dense()
     windows = {}
-    if dense is None:
-        # three times the derived value, summed in the mirror branch's order
-        # and divided once at the end, so both branches round alike
-        val = t.value
-        for i, j in combinations(labels, 2):
-            rest = [g for g in labels if g != i and g != j]
-            lo = hi = None
-            for r, s, u in combinations(rest, 3):
-                v3 = 2 * (val(i, j, r) + val(i, j, s) + val(i, j, u) + val(r, s, u)) - (
-                    val(i, r, s)
-                    + val(i, r, u)
-                    + val(i, s, u)
-                    + val(j, r, s)
-                    + val(j, r, u)
-                    + val(j, s, u)
-                )
-                if lo is None or v3 < lo:
-                    lo = v3
-                if hi is None or v3 > hi:
-                    hi = v3
-            windows[(i, j)] = (_third(lo), _third(hi))
-        return windows
-
-    kind, arr, scale = dense
+    kind, arr, scale = t.dense()
     index = {lab: k for k, lab in enumerate(labels)}
     m = len(labels)
     a_idx, b_idx, c_idx = _upper_triples(m - 2)
@@ -581,7 +580,10 @@ def _derived_detail(t: TripleWeights, tol=0):
         )
         lo, hi = v3.min(), v3.max()
         if kind == "int":
-            windows[(i, j)] = (Fraction(int(lo), 3 * scale), Fraction(int(hi), 3 * scale))
+            windows[(i, j)] = (
+                Fraction(exact_scalar(lo), 3 * scale),
+                Fraction(exact_scalar(hi), 3 * scale),
+            )
         else:
             windows[(i, j)] = (float(lo) / 3.0, float(hi) / 3.0)
     return windows
@@ -714,12 +716,12 @@ def _parse_weight_lines(text, order, mode):
         entry_lines[labs] = lineno
     if n is None:
         raise ParseError("empty input: no label count found")
-    expected = set(combinations(range(1, n + 1), order))
-    missing = sorted(expected - set(entries))
+    # every entry is in range and unique, so the count is the difference,
+    # and the first gap lies within the first len(entries) + 1 keys
+    missing = math.comb(n, order) - len(entries)
     if missing:
-        raise ParseError(
-            f"{len(missing)} entries missing (first: {' '.join(map(str, missing[0]))})"
-        )
+        first = next(k for k in combinations(range(1, n + 1), order) if k not in entries)
+        raise ParseError(f"{missing} entries missing (first: {' '.join(map(str, first))})")
     return n, entries
 
 

@@ -118,13 +118,6 @@ def steiner_brute(tree, subset):
 CROSS_PATH_SEEDS = range(12)
 
 
-def no_mirror(w):
-    """Copy of container *w* without a dense mirror: the reference loops run."""
-    twin = type(w)(dict(w.items()), labels=w.labels)
-    twin._dense_cache = None
-    return twin
-
-
 def exact_or_float(x):
     """Comparison key: floats bitwise (by repr), exact values by value."""
     return ("float", repr(x)) if isinstance(x, float) else ("exact", Fraction(x))
@@ -133,10 +126,14 @@ def exact_or_float(x):
 def cross_path_cases(seed, order):
     """(name, container, tol) over one random tree of the given order.
 
-    Three arithmetic paths: exact data (int64 mirror), float data (float64
-    mirror), and exact data on a denominator past the mirror's LCM cap (no
-    mirror).  Each is given as realisable, with two entries perturbed, and
-    with every entry jittered within a positive tolerance.
+    Five mirrors: exact data (int64), float data (float64), exact data on
+    a wide denominator (int64 on a scale past 10**9), exact data whose
+    scaled magnitudes pass the int64 headroom (``object`` Python ints), and
+    exact data whose scale passes ``_DENSE_SCALE_BITS`` (an ``object``
+    array of Fractions).  Each is given as realisable, with two entries
+    perturbed, and with every entry jittered within a positive tolerance.
+    The name starts with the mirror's dtype, or "wide-scale" for the third
+    and "fractions" for the fifth.
     """
     rng = random.Random(seed)
     n = rng.randint(5, 12 if order == 2 else 8)
@@ -147,13 +144,19 @@ def cross_path_cases(seed, order):
     floats = dict(
         of_tree(random_tree(n, seed, binary_only=not multi, mode="float")).items()
     )
-    # a scaled tree is still a tree; this denominator is past the LCM cap
-    unmirrored = {k: v * Fraction(10**9 + 7, 10**9 + 9) for k, v in exact.items()}
+    # a scaled tree is still a tree: one on a wide scale, one whose scaled
+    # magnitudes (a prime denominator near 2**61) pass int64's headroom
+    wide = {k: v * Fraction(10**9 + 7, 10**9 + 9) for k, v in exact.items()}
+    huge = {k: v * Fraction(2**61 + 1, 2**61 - 1) for k, v in exact.items()}
+    # and one whose common denominator 3**2600 is longer than 4096 bits
+    fracs = {k: v * Fraction(3**2600 + 1, 3**2600) for k, v in exact.items()}
     cases = []
     for name, vals, exact_tol, step, tol in (
         ("int64", exact, 0, Fraction(1, 3), Fraction(1, 50)),
         ("float64", floats, 1e-9, 0.3, 0.02),
-        ("no-mirror", unmirrored, 0, Fraction(1, 3), Fraction(1, 50)),
+        ("wide-scale", wide, 0, Fraction(1, 3), Fraction(1, 50)),
+        ("object", huge, 0, Fraction(1, 3), Fraction(1, 50)),
+        ("fractions", fracs, 0, Fraction(1, 3), Fraction(1, 50)),
     ):
         keys = sorted(vals)
         bumped = dict(vals)

@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes, formats, pipe composition."""
 
 import json
+import time
+from math import comb
 
 import pytest
 
@@ -92,6 +94,27 @@ class TestCheck:
             monkeypatch=monkeypatch,
         )
         assert code == 1 and "line 3" in err
+
+    @pytest.mark.parametrize(
+        "order, text, message",
+        [
+            (2, "4\n1 2 3\n1 4 5\n", "4 entries missing (first: 1 3)"),
+            (2, "100000\n1 2 3\n", f"{comb(10**5, 2) - 1} entries missing (first: 1 3)"),
+            (3, "100000\n1 2 3 4\n2 3 4 5\n",
+             f"{comb(10**5, 3) - 2} entries missing (first: 1 2 4)"),
+        ],
+    )
+    def test_missing_entries_counted_without_listing(
+        self, capsys, monkeypatch, order, text, message
+    ):
+        # a huge label count is rejected at once, not by listing every key
+        start = time.process_time()
+        code, out, err = run_cli(
+            capsys, ["check", "--order", str(order)], stdin=text, monkeypatch=monkeypatch
+        )
+        assert time.process_time() - start < 2
+        assert code == 1 and out == ""
+        assert err == f"treeweights: {message}\n"
 
     @pytest.mark.parametrize(
         "token, mode, reason",

@@ -27,7 +27,8 @@ from treeweights import (
     tree_equal,
     triples_of_tree,
 )
-from treeweights.nj import _scan_pure
+from conftest import CROSS_PATH_SEEDS, cross_path_cases
+from reference_loops import scan_pure
 
 
 def balanced_tree(depth):
@@ -168,10 +169,26 @@ class TestCherryScan:
     def test_dense_and_pure_paths_agree(self, seed):
         d = doubles_of_tree(random_tree(12, seed))
         fast = cherry_scan(d, 0).records
-        slow = _scan_pure(d, 0)
+        slow = scan_pure(d, 0)
         assert [(r.column, r.row, r.minimum, r.spread, r.confirmed) for r in fast] == [
             (r.column, r.row, r.minimum, r.spread, r.confirmed) for r in slow
         ]
+
+    @pytest.mark.parametrize("seed", CROSS_PATH_SEEDS)
+    def test_kernel_matches_loop_on_exact_mirrors(self, seed):
+        # int64, wide-scale and object mirrors, at eps 0 and the case's
+        # tolerance (float S sums round in another order than the loop's)
+        for name, d, tol in cross_path_cases(seed, 2):
+            if name.startswith("float64"):
+                continue
+            for eps in (0, tol):
+                fast = cherry_scan(d, eps).records
+                slow = scan_pure(d, eps)
+                assert [
+                    (r.column, r.row, r.minimum, r.spread, r.confirmed) for r in fast
+                ] == [
+                    (r.column, r.row, r.minimum, r.spread, r.confirmed) for r in slow
+                ], (name, eps)
 
     def test_size_gate(self):
         with pytest.raises(InstanceTooSmallError):

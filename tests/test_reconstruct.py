@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from treeweights import reconstruct as reconstruct_mod
@@ -41,8 +42,8 @@ from conftest import (
     QUARTET_DOUBLES,
     cross_path_cases,
     exact_or_float,
-    no_mirror,
 )
+from reference_loops import derived_detail_loop, reduce_groups_loop, star_table_loop
 
 
 def _prune_outcome(w, bells, tol):
@@ -59,6 +60,13 @@ def _prune_outcome(w, bells, tol):
         [(k, exact_or_float(v)) for k, v in reduced.items()],
         [(pb.members, pb.z) for pb in level.pseudobells],
     )
+
+
+def _loop_prune_outcome(monkeypatch, w, bells, tol):
+    """:func:`_prune_outcome` with the reference loop in the kernel's place."""
+    with monkeypatch.context() as m:
+        m.setattr(reconstruct_mod, "_reduce_dense", reduce_groups_loop)
+        return _prune_outcome(w, bells, tol)
 
 
 def _trial_bells(w, rng):
@@ -216,10 +224,10 @@ class TestPrune:
         shrink = sum(len(p.members) - 1 for p in level.pseudobells)
         assert len(level.labels_after) == len(level.labels_before) - shrink
 
-    def test_block_kernel_matches_loop(self):
-        # the reduction on the mirror against the reference loop on a
-        # mirror-less copy: the same values (bitwise for floats), or the
-        # same first failing key with the same spread and message
+    def test_block_kernel_matches_loop(self, monkeypatch):
+        # the reduction on the mirror against the reference loop: the same
+        # values (bitwise for floats), or the same first failing key with
+        # the same spread and message
         kinds = set()
         for order, seed in product((2, 3), CROSS_PATH_SEEDS):
             rng = random.Random(seed)
@@ -228,7 +236,7 @@ class TestPrune:
                     bells = _trial_bells(w, rng)
                     for t in (tol, math.inf):
                         fast = _prune_outcome(w, bells, t)
-                        assert fast == _prune_outcome(no_mirror(w), bells, t), (
+                        assert fast == _loop_prune_outcome(monkeypatch, w, bells, t), (
                             name, seed, bells, t
                         )
                         kinds.add(fast[0] == "fail")
@@ -237,25 +245,47 @@ class TestPrune:
     @pytest.mark.parametrize(
         "data, twig_den",
         [
-            # the twig denominator widens the scale past the LCM cap
+            # the twig denominator widens the scale to 11 * 10**6: int64
             ({k: v + Fraction(1, 10**6) for k, v in QUARTET_DOUBLES.items()}, 11),
-            # within the LCM cap, but the widened magnitudes would wrap int64
+            # the widened magnitudes would wrap int64: object
             ({k: v * 2**50 for k, v in QUARTET_DOUBLES.items()}, 100003),
         ],
     )
     def test_twig_units_past_the_caps_take_the_loop(self, monkeypatch, data, twig_den):
-        loops = []
-        loop = reconstruct_mod._reduce_loop
+        picked = []
+        pick = reconstruct_mod.int_dtype
         monkeypatch.setattr(
-            reconstruct_mod, "_reduce_loop", lambda *a: loops.append(a) or loop(*a)
+            reconstruct_mod, "int_dtype", lambda top: picked.append(pick(top)) or picked[-1]
         )
         w = DoubleWeights(data)
-        assert w.dense() is not None
+        assert w.dense()[1].dtype == np.int64
         bells = [((1, 2), {1: Fraction(1, twig_den), 2: Fraction(-2, twig_den)})]
         fast = _prune_outcome(w, bells, math.inf)
-        assert len(loops) == 1
-        assert fast == _prune_outcome(no_mirror(w), bells, math.inf)
+        assert picked == [np.int64 if twig_den == 11 else object]
+        assert fast == _loop_prune_outcome(monkeypatch, w, bells, math.inf)
         assert fast[1][0] == ((3, 4), ("exact", Fraction(data[(3, 4)])))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_twigs_take_the_mirrors_arithmetic(self, monkeypatch, order):
+        # hand-made twigs of the other arithmetic are converted before the
+        # kernel: Fractions are read as floats on float data, and floats at
+        # their exact binary value on exact data
+        of_tree = doubles_of_tree if order == 2 else triples_of_tree
+        exact = of_tree(random_tree(7, 5))
+        floats = of_tree(random_tree(7, 5, mode="float"))
+        fraction_twigs = {1: Fraction(1, 3), 2: Fraction(-2, 7), 3: Fraction(5, 11)}
+        float_twigs = {1: 0.1, 2: -0.3, 3: 1 / 3}
+        for w, twigs, read in (
+            (floats, fraction_twigs, float),
+            (exact, float_twigs, Fraction),
+        ):
+            bells = [((1, 2, 3), twigs)]
+            converted = [((1, 2, 3), {m: read(t) for m, t in twigs.items()})]
+            for tol in (0, math.inf):
+                fast = _prune_outcome(w, bells, tol)
+                assert fast == _loop_prune_outcome(monkeypatch, w, converted, tol)
+            kinds = {kind for _, (kind, _) in fast[1]}
+            assert kinds == ({"float"} if read is float else {"exact"})
 
     def test_requires_twigs_and_disjointness(self, cat_triples):
         with pytest.raises(ValueError):
@@ -549,7 +579,7 @@ class TestTraceConsistency:
 
 
 class TestCrossPath:
-    """Reconstruction and triple NJ with and without dense mirrors."""
+    """Reconstruction and triple NJ on the kernels and on the reference loops."""
 
     @staticmethod
     def _outcome(w, tol):
@@ -562,34 +592,38 @@ class TestCrossPath:
         nj = to_newick(nj_from_triples(w, tol)) if w.order == 3 else None
         return (to_newick(tree), report, nj)
 
+    @classmethod
+    def _loop_outcome(cls, monkeypatch, w, tol):
+        """:meth:`_outcome` with the star tables, prunes and condition 2
+        taking the reference loops; every other step runs as in the kernels'."""
+        with monkeypatch.context() as m:
+            m.setattr(reconstruct_mod, "star_table", star_table_loop)
+            m.setattr(reconstruct_mod, "_reduce_dense", reduce_groups_loop)
+            m.setattr(weights_mod, "_derived_detail", derived_detail_loop)
+            return cls._outcome(w, tol)
+
     @pytest.mark.parametrize("order", [2, 3])
     def test_reconstruct_outcomes_match_reference_loops(self, monkeypatch, order):
-        # the star tables and prunes of the slow run take the reference
-        # loops; every other step runs as in the fast one
         kinds = set()
         for seed in CROSS_PATH_SEEDS:
             for name, w, tol in cross_path_cases(seed, order):
                 fast = self._outcome(w, tol)
-                with monkeypatch.context() as m:
-                    m.setattr(reconstruct_mod, "star_table", weights_mod._star_table_loop)
-                    m.setattr(reconstruct_mod, "_reduce_dense", lambda *a: None)
-                    slow = self._outcome(w, tol)
-                assert fast == slow, (name, seed)
+                assert fast == self._loop_outcome(monkeypatch, w, tol), (name, seed)
                 kinds.add(fast[0] == "fail")
         assert kinds == {True, False}
 
-    def test_mirrorless_float_triples_match(self):
-        # condition 2's loop sums and rounds as the mirror branch does, so a
-        # float triple instance without a mirror rebuilds the same tree
+    def test_mirrorless_float_triples_match(self, monkeypatch):
+        # condition 2's loop sums and rounds as the kernel does, so a float
+        # triple instance rebuilds the same tree on the reference loops
         for seed in CROSS_PATH_SEEDS:
             for name, w, tol in cross_path_cases(seed, 3):
                 if not name.startswith("float64"):
                     continue
-                loop = weights_mod._derived_detail(no_mirror(w), tol)
+                loop = derived_detail_loop(w, tol)
                 kernel = weights_mod._derived_detail(w, tol)
                 assert {k: tuple(map(repr, v)) for k, v in loop.items()} == {
                     k: tuple(map(repr, v)) for k, v in kernel.items()
                 }, (name, seed)
         name, w, tol = cross_path_cases(0, 3)[3]
         assert name == "float64-tree"
-        assert self._outcome(no_mirror(w), tol) == self._outcome(w, tol)
+        assert self._loop_outcome(monkeypatch, w, tol) == self._outcome(w, tol)

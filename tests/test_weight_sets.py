@@ -7,6 +7,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,15 +36,17 @@ from treeweights import (
     triples_from_doubles,
     triples_of_tree,
 )
+from treeweights import weights as weights_mod
 from treeweights.numeric import EXPONENT_LIMIT, parse_number
+from treeweights.weights import holds_fractions
 from conftest import (
     CATERPILLAR_TRIPLES,
     CROSS_PATH_SEEDS,
     QUARTET_DOUBLES,
     cross_path_cases,
     exact_or_float,
-    no_mirror,
 )
+from reference_loops import derived_detail_loop, star_table_loop
 
 
 def test_reference_values(cat_triples, quartet_doubles):
@@ -119,22 +122,26 @@ class TestStarCondition:
             assert table[(a, b)].max_spread == single.max_spread
 
     def test_star_table_pure_path_agrees(self, cat_triples):
-        # a huge denominator forces the pure fallback
+        # a denominator of 10**9 stays on an int64 mirror
         vals = {k: v + Fraction(0, 1) for k, v in cat_triples.items()}
         vals[(1, 2, 3)] = Fraction(12 * 10**9 + 1, 10**9)
         bumpy = TripleWeights(vals)
-        assert bumpy.dense() is None
+        assert bumpy.dense()[1].dtype == np.int64 and bumpy.dense()[2] == 10**9
         table = star_table(bumpy)
         for pair, res in table.items():
             single = star_condition_triples(bumpy, *pair)
             assert res.max_spread == single.max_spread
-        # the block kernel on int64/float64 mirrors against the reference
-        # loops on a mirror-less copy, entry by entry, bitwise for floats
+        # the block kernel on int64, float64 and object mirrors (of ints and
+        # of Fractions) against the reference loops, entry by entry, bitwise
+        # for floats
         for order, seed in product((2, 3), CROSS_PATH_SEEDS):
             single = star_condition_doubles if order == 2 else star_condition_triples
             for name, w, tol in cross_path_cases(seed, order):
-                assert (w.dense() is None) == name.startswith("no-mirror"), name
-                fast, slow = star_table(w, tol), star_table(no_mirror(w), tol)
+                prefix = name.rsplit("-", 1)[0]
+                dtype = {"wide-scale": "int64", "fractions": "object"}.get(prefix, prefix)
+                assert w.dense()[1].dtype == np.dtype(dtype), name
+                assert holds_fractions(w.dense()[1]) == (prefix == "fractions"), name
+                fast, slow = star_table(w, tol), star_table_loop(w, tol)
                 assert list(fast) == list(slow) == list(combinations(w.labels, 2))
                 for pair, res in fast.items():
                     ref = slow[pair]
@@ -236,9 +243,12 @@ class TestDerivedPairwise:
         ok_fast, fast = derived_pairwise_consistent(cat_triples)
         vals = {k: Fraction(v * 10**9 + 1, 10**9) for k, v in cat_triples.items()}
         slow_container = TripleWeights(vals)
-        assert slow_container.dense() is None
+        assert slow_container.dense()[1].dtype == np.int64
         ok_slow, slow = derived_pairwise_consistent(slow_container, tol=Fraction(1))
         assert ok_fast and ok_slow
+        assert weights_mod._derived_detail(slow_container) == derived_detail_loop(
+            slow_container
+        )
 
     def test_size_gate(self):
         small = triples_of_tree(random_tree(4, 0))
