@@ -7,11 +7,19 @@ lengths from the affected entries; once the label set is small enough a
 closed-form base case solves the remaining instance, and the recorded
 bells are re-attached in reverse order.
 
+There is one pruning loop, on pairwise data.  Triple data is realisable
+exactly when it is the half-sum lift of one pairwise set d and d is
+realisable, so :func:`reconstruct_from_triples` checks the lift in O(n^3)
+(condition 2, :func:`~treeweights.weights.derived_pairwise_consistent`),
+prunes d down to 5 labels instead of 4, and solves the lift of those 5 by
+the caterpillar system.
+
 Every step doubles as a realisability check and fails fast with a named
-witness (:class:`~treeweights.errors.ReconstructionError`): pruned entries
-must agree across representatives, the base-case linear system must be
-consistent, and the assembled tree must reproduce every input value.
-With exact rational data and tol=0 the accept/reject decision is exact.
+witness (:class:`~treeweights.errors.ReconstructionError`): the data must
+be a lift (triples), pruned entries must agree across representatives,
+the base-case linear system must be consistent, and the assembled tree
+must reproduce every input value.  With exact rational data and tol=0 the
+accept/reject decision is exact.
 
 A full :class:`ReconstructionTrace` (levels, pseudobells, twigs, base-case
 solve, positivity certificate) is returned alongside the tree.
@@ -34,7 +42,6 @@ from .weights import (
     TripleWeights,
     derived_pairwise_consistent,
     block_elems,
-    derived_single,
     doubles_of_tree,
     exact_scalar,
     holds_fractions,
@@ -648,8 +655,69 @@ def _finish(tree, levels, base_record, require_positive):
     return tree, trace
 
 
+def _prune_levels(d: DoubleWeights, tol, floor):
+    """Prune *d* level by level down to *floor* labels.
+
+    Returns the reduced container and the levels; raises with the level
+    index when a level finds no two disjoint star pairs or an inconsistent
+    reduced entry.
+    """
+    levels = []
+    current = d
+    while current.n > floor:
+        idx = len(levels)
+        try:
+            bells = complete_pseudobells(current, tol)
+        except ReconstructionError as err:
+            raise _attach_level(err, idx)
+        if not _has_two_disjoint_pairs(bells):
+            raise ReconstructionError(
+                "no-disjoint-pseudobells",
+                f"need two disjoint star pairs, found {[b.members for b in bells]}",
+                level=idx,
+                witness=tuple(b.members for b in bells),
+            )
+        plan = _prune_plan(bells, current.n, floor)
+        for pb in plan:
+            pb.twig_lengths = bell_twigs_doubles(current, pb.members)
+        try:
+            current, level = prune_doubles(current, plan, tol)
+        except ReconstructionError as err:
+            raise _attach_level(err, idx)
+        levels.append(level)
+    return current, levels
+
+
+def _verified(data, base_tree, base_record, levels, tol, require_positive):
+    """Expand the levels onto the base tree and check it against every
+    input value, within the slack the levels' midranges allow."""
+    tree = contract_zero_internal_edges(_expand_levels(base_tree, levels))
+    slack = tol * (1 + 3 * len(levels))
+    if data.order == 2:
+        what, back = "pair", doubles_of_tree(tree)
+    else:
+        what, back = "triple", triples_of_tree(tree)
+    for key, want in data.items():
+        got = back.value(*key)
+        if abs(got - want) > slack:
+            raise ReconstructionError(
+                "verification",
+                f"assembled tree misses {what} {key}: {got} != {want}",
+                witness=(key, got, want),
+            )
+    return _finish(tree, levels, base_record, require_positive)
+
+
 def reconstruct_from_triples(t: TripleWeights, tol=0, require_positive=False):
     """Decide whether *t* is the triple-weight set of a tree and build it.
+
+    A tree's triple weights are the half-sums of its pairwise weights, so
+    *t* is realisable exactly when it is the lift of one pairwise set d and
+    d is realisable.  Condition 2 (:func:`derived_pairwise_consistent`)
+    fits d and checks the lift in O(n^3); the pairwise pruning loop then
+    prunes d down to 5 labels, the five-leaf caterpillar system solves the
+    lift of what is left, and the expanded tree is checked against every
+    value of *t*.
 
     Returns (tree, trace); raises ReconstructionError with a named kind
     and witness when the data is not realisable at the given tolerance.
@@ -663,62 +731,15 @@ def reconstruct_from_triples(t: TripleWeights, tol=0, require_positive=False):
     if not ok:
         raise ReconstructionError(
             "condition2",
-            "derived pairwise values depend on the choice of {r, s, u}",
+            f"triple values are not the half-sum lift of one pairwise set at tol {tol}",
             level=0,
         )
-
-    levels = []
-    current = t
-    while current.n > 5:
-        idx = len(levels)
-        try:
-            bells = complete_pseudobells(current, tol)
-        except ReconstructionError as err:
-            raise _attach_level(err, idx)
-        if not _has_two_disjoint_pairs(bells):
-            raise ReconstructionError(
-                "no-disjoint-pseudobells",
-                f"need two disjoint star pairs, found {[b.members for b in bells]}",
-                level=idx,
-                witness=tuple(b.members for b in bells),
-            )
-        plan = _prune_plan(bells, current.n, 5)
-        for pb in plan:
-            for m in pb.members:
-                partner = pb.members[0] if m != pb.members[0] else pb.members[1]
-                xy = [g for g in current.labels if g not in (m, partner)][:2]
-                if idx == 0:
-                    d_ab = derived.value(m, partner)
-                else:
-                    d_ab = derived_single(current, m, partner)
-                pb.twig_lengths[m] = half(
-                    d_ab
-                    + current.value(m, xy[0], xy[1])
-                    - current.value(partner, xy[0], xy[1])
-                )
-        try:
-            current, level = prune_triples(current, plan, tol)
-        except ReconstructionError as err:
-            raise _attach_level(err, idx)
-        levels.append(level)
-
+    current, levels = _prune_levels(derived, tol, 5)
     try:
-        base_tree, base_record = _base_case_triples_5_record(current, tol)
+        base_tree, base_record = _base_case_triples_5_record(triples_from_doubles(current), tol)
     except ReconstructionError as err:
         raise _attach_level(err, len(levels))
-
-    tree = contract_zero_internal_edges(_expand_levels(base_tree, levels))
-    slack = tol * (1 + 3 * len(levels))
-    back = triples_of_tree(tree)
-    for key, want in t.items():
-        got = back.value(*key)
-        if abs(got - want) > slack:
-            raise ReconstructionError(
-                "verification",
-                f"assembled tree misses triple {key}: {got} != {want}",
-                witness=(key, got, want),
-            )
-    return _finish(tree, levels, base_record, require_positive)
+    return _verified(t, base_tree, base_record, levels, tol, require_positive)
 
 
 def reconstruct_from_doubles(d: DoubleWeights, tol=0, require_positive=False):
@@ -727,30 +748,7 @@ def reconstruct_from_doubles(d: DoubleWeights, tol=0, require_positive=False):
     Any n >= 2 is accepted; instances with up to 4 labels go straight to
     the closed-form base case.
     """
-    levels = []
-    current = d
-    while current.n > 4:
-        idx = len(levels)
-        try:
-            bells = complete_pseudobells(current, tol)
-        except ReconstructionError as err:
-            raise _attach_level(err, idx)
-        if not _has_two_disjoint_pairs(bells):
-            raise ReconstructionError(
-                "no-disjoint-pseudobells",
-                f"need two disjoint star pairs, found {[b.members for b in bells]}",
-                level=idx,
-                witness=tuple(b.members for b in bells),
-            )
-        plan = _prune_plan(bells, current.n, 4)
-        for pb in plan:
-            pb.twig_lengths = bell_twigs_doubles(current, pb.members)
-        try:
-            current, level = prune_doubles(current, plan, tol)
-        except ReconstructionError as err:
-            raise _attach_level(err, idx)
-        levels.append(level)
-
+    current, levels = _prune_levels(d, tol, 4)
     try:
         base_tree = base_case_doubles(current, tol)
     except ReconstructionError as err:
@@ -762,19 +760,7 @@ def reconstruct_from_doubles(d: DoubleWeights, tol=0, require_positive=False):
         residual=0,
         detail={"shape": f"doubles-{current.n}"},
     )
-
-    tree = contract_zero_internal_edges(_expand_levels(base_tree, levels))
-    slack = tol * (1 + 3 * len(levels))
-    back = doubles_of_tree(tree)
-    for key, want in d.items():
-        got = back.value(*key)
-        if abs(got - want) > slack:
-            raise ReconstructionError(
-                "verification",
-                f"assembled tree misses pair {key}: {got} != {want}",
-                witness=(key, got, want),
-            )
-    return _finish(tree, levels, base_record, require_positive)
+    return _verified(d, base_tree, base_record, levels, tol, require_positive)
 
 
 def reconstruct_from_doubles_via_triples(d: DoubleWeights, tol=0, require_positive=False):

@@ -28,16 +28,22 @@ overwriting them in place.  The pruning reduction in
 :mod:`treeweights.reconstruct` uses the same mirror and block budget.  The
 single-pair star queries keep their pure-Python windows; the tests hold
 the kernels to reference loops result for result, bitwise for floats.
+
+Condition 2 on triples (:func:`derived_pairwise_consistent`) asks whether
+the triples are the half-sum lift T_ijk = (d_ij + d_ik + d_jk) / 2 of one
+pairwise set d.  It fits d from three reductions of the mirror and checks
+the lift residual, O(n^3) in all, the size of the input.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -64,6 +70,24 @@ def _validate_labels(labels):
     for lab in labels:
         if not isinstance(lab, int) or lab <= 0:
             raise ValueError(f"labels must be positive ints, got {lab!r}")
+
+
+def _check_keys(norm, labels, order, what):
+    """Raise unless the sorted keys of *norm* are exactly the combinations
+    of *labels*.
+
+    The keys are distinct and sorted, so the ones over *labels* are counted
+    rather than listed; the first missing keys lie within the first
+    ``len(norm) + 3`` combinations, so a lazy scan names them.
+    """
+    have = sum(map(frozenset(labels).issuperset, norm))
+    missing = math.comb(len(labels), order) - have
+    extra = len(norm) - have
+    if missing or extra:
+        first = list(islice((k for k in combinations(labels, order) if k not in norm), 3))
+        raise ValueError(
+            f"incomplete {what} map: {missing} missing (e.g. {first}), {extra} unexpected"
+        )
 
 
 def int_dtype(magnitude):
@@ -155,15 +179,7 @@ class DoubleWeights:
         _validate_labels(labels)
         if len(labels) < 2:
             raise ValueError("DoubleWeights needs at least 2 labels")
-        expected = set(combinations(labels, 2))
-        have = set(norm)
-        if have != expected:
-            missing = sorted(expected - have)
-            extra = sorted(have - expected)
-            raise ValueError(
-                f"incomplete pair map: {len(missing)} missing "
-                f"(e.g. {missing[:3]}), {len(extra)} unexpected"
-            )
+        _check_keys(norm, labels, 2, "pair")
         self.labels = labels
         self.n = len(labels)
         self._v = norm
@@ -222,15 +238,7 @@ class TripleWeights:
         _validate_labels(labels)
         if len(labels) < 3:
             raise ValueError("TripleWeights needs at least 3 labels")
-        expected = set(combinations(labels, 3))
-        have = set(norm)
-        if have != expected:
-            missing = sorted(expected - have)
-            extra = sorted(have - expected)
-            raise ValueError(
-                f"incomplete triple map: {len(missing)} missing "
-                f"(e.g. {missing[:3]}), {len(extra)} unexpected"
-            )
+        _check_keys(norm, labels, 3, "triple")
         self.labels = labels
         self.n = len(labels)
         self._v = norm
@@ -550,58 +558,53 @@ def derived_single(t: TripleWeights, a, b):
     return derived_pairwise(t, a, b, r, s, u)
 
 
-def _derived_detail(t: TripleWeights, tol=0):
-    """Per-pair (lo, hi) of derived values over every {r, s, u} choice."""
+def derived_pairwise_consistent(t: TripleWeights, tol=0):
+    """Condition 2: is *t*, within tol, the half-sum lift of one pairwise set d?
+
+    d is the least-squares fit from the pair sums P_ij = sum_r T_ijr, the
+    label sums L_i = sum_{j<k} T_ijk and the total S = sum T:
+
+        D = 2S/(n-2),  R_i = (2 L_i - D)/(n-3),  d_ij = (2 P_ij - R_i - R_j)/(n-4)
+
+    On a lift d is the lifted set exactly; it equals :func:`derived_pairwise`
+    for every {r, s, u}.  The check, max |T_ijk - (d_ij + d_ik + d_jk)/2| <=
+    tol, is O(n^3) on the mirror.  At tol 0 it holds exactly when no derived
+    value depends on {r, s, u}; for tol > 0 it bounds the lift residual, not
+    the spread of the derived values.  Every triple set on 5 labels is a lift.
+
+    Returns (True, d as DoubleWeights) or (False, None).
+    """
     if t.n < 5:
         raise InstanceTooSmallError(
             "derived pairwise consistency needs n >= 5", required=5, got=t.n
         )
-    labels = t.labels
-    windows = {}
     kind, arr, scale = t.dense()
-    index = {lab: k for k, lab in enumerate(labels)}
-    m = len(labels)
-    a_idx, b_idx, c_idx = _upper_triples(m - 2)
-    for i, j in combinations(labels, 2):
-        ii, jj = index[i], index[j]
-        comp = np.array(
-            [index[g] for g in labels if g != i and g != j], dtype=np.intp
-        )
-        ca, cb, cc = comp[a_idx], comp[b_idx], comp[c_idx]
-        pv = arr[ii, jj]
-        # three times the derived value, to keep the int path integral
-        v3 = 2 * (pv[ca] + pv[cb] + pv[cc] + arr[ca, cb, cc]) - (
-            arr[ii, ca, cb]
-            + arr[ii, ca, cc]
-            + arr[ii, cb, cc]
-            + arr[jj, ca, cb]
-            + arr[jj, ca, cc]
-            + arr[jj, cb, cc]
-        )
-        lo, hi = v3.min(), v3.max()
-        if kind == "int":
-            windows[(i, j)] = (
-                Fraction(exact_scalar(lo), 3 * scale),
-                Fraction(exact_scalar(hi), 3 * scale),
-            )
-        else:
-            windows[(i, j)] = (float(lo) / 3.0, float(hi) / 3.0)
-    return windows
-
-
-def derived_pairwise_consistent(t: TripleWeights, tol=0):
-    """Check the derived pairwise values do not depend on {r, s, u}.
-
-    Returns (True, DoubleWeights of the per-pair midranges) when every
-    pair's spread is within tol, else (False, None).
-    """
-    windows = _derived_detail(t, tol)
-    values = {}
-    for pair, (lo, hi) in windows.items():
-        if hi - lo > tol:
+    m = t.n
+    if kind == "int" and not holds_fractions(arr):
+        # every term below stays within 48 n^3 max|unit|
+        arr = arr.astype(int_dtype(int(np.abs(arr).max(initial=0)) * 48 * m**3), copy=False)
+    # the sums add in index order, so a loop over the values rounds alike;
+    # the mirror's repeated-index entries are zero
+    pair = reduce(operator.add, arr.transpose(2, 0, 1))  # P_ij
+    row = reduce(operator.add, pair.T)  # 2 L_i
+    # den * d_ij = part_ij + c; c = 12 S, the one term summing every entry
+    # (on a mirror of Fractions the longest), is added once per extreme
+    den = 3 * (m - 2) * (m - 3) * (m - 4)
+    part = 6 * (m - 2) * (m - 3) * pair - 3 * (m - 2) * np.add.outer(row, row)
+    c = 2 * reduce(operator.add, row)
+    i, j, k = _upper_triples(m)
+    gap = 2 * den * arr[i, j, k] - (part[i, j] + part[i, k] + part[j, k])
+    worst = max(gap.max() - 3 * c, 3 * c - gap.min())  # 2 den max |T - lift(d)|
+    iu = _upper_pairs(m)
+    if kind == "int":
+        if not Fraction(exact_scalar(worst), 2 * den * scale) <= tol:
             return False, None
-        values[pair] = midrange(lo, hi)
-    return True, DoubleWeights(values, labels=t.labels)
+        values = [Fraction(x, den * scale) for x in (part[iu] + c).tolist()]
+    else:
+        if not worst / (2 * den) <= tol:
+            return False, None
+        values = ((part[iu] + c) / den).tolist()
+    return True, DoubleWeights(dict(zip(combinations(t.labels, 2), values)), labels=t.labels)
 
 
 def triples_from_doubles(d: DoubleWeights) -> TripleWeights:

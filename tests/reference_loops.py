@@ -7,12 +7,18 @@ the container's values, and define the semantics the kernels are held to:
 result for result, bitwise for floats.  They are test oracles only.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from treeweights.numeric import THIRD, midrange
 from treeweights.nj import ScanRecord, s_matrix
 from treeweights.reconstruct import Pseudobell, _inconsistent
-from treeweights.weights import StarResult, _star_window_doubles, _star_window_triples
+from treeweights.weights import (
+    DoubleWeights,
+    StarResult,
+    _star_window_doubles,
+    _star_window_triples,
+)
 
 
 def star_table_loop(w, tol):
@@ -74,12 +80,11 @@ def _third(x):
 
 
 def derived_detail_loop(t, tol=0):
-    """Reference for ``weights._derived_detail``: per-pair (lo, hi) of the
-    derived values over every {r, s, u} choice."""
+    """Condition 2 by its definition: per-pair (lo, hi) of the derived
+    values over every {r, s, u} choice."""
     labels = t.labels
     windows = {}
-    # three times the derived value, summed in the kernel's order and
-    # divided once at the end, so both round alike
+    # three times the derived value, divided once at the end
     val = t.value
     for i, j in combinations(labels, 2):
         rest = [g for g in labels if g != i and g != j]
@@ -99,6 +104,63 @@ def derived_detail_loop(t, tol=0):
                 hi = v3
         windows[(i, j)] = (_third(lo), _third(hi))
     return windows
+
+
+def derived_common_values(t):
+    """Condition 2 at tol 0 by :func:`derived_detail_loop`: (True, the
+    common derived value of every pair) when no pair's value depends on
+    {r, s, u}, else (False, None)."""
+    windows = derived_detail_loop(t)
+    if any(lo != hi for lo, hi in windows.values()):
+        return False, None
+    return True, {pair: lo for pair, (lo, hi) in windows.items()}
+
+
+def condition2_values(result):
+    """(verdict, {pair: value} or None) of a condition-2 result."""
+    ok, d = result
+    return ok, dict(d.items()) if ok else None
+
+
+def lift_check_loop(t, tol=0):
+    """Reference for ``weights.derived_pairwise_consistent``: the
+    least-squares pairwise fit d and its lift residual, one entry at a time.
+
+    Sums run in label order and every formula is evaluated as the kernel
+    does (den * d_ij = part_ij + c), so float results agree bitwise.
+    """
+    labels = t.labels
+    m = t.n
+
+    def add(terms):
+        total = 0
+        for x in terms:
+            total = total + x
+        return total
+
+    pair = {
+        (i, j): add(t.value(i, j, r) for r in labels if r not in (i, j))
+        for i, j in combinations(labels, 2)
+    }
+    row = {i: add(pair[min(i, j), max(i, j)] for j in labels if j != i) for i in labels}
+    den = 3 * (m - 2) * (m - 3) * (m - 4)
+    part = {
+        (i, j): 6 * (m - 2) * (m - 3) * p - 3 * (m - 2) * (row[i] + row[j])
+        for (i, j), p in pair.items()
+    }
+    c = 2 * add(row[i] for i in labels)
+    gaps = [
+        2 * den * t.value(i, j, k) - (part[i, j] + part[i, k] + part[j, k])
+        for i, j, k in combinations(labels, 3)
+    ]
+    worst = max(max(gaps) - 3 * c, 3 * c - min(gaps))
+    if isinstance(worst, float):
+        worst, d = worst / (2 * den), {key: (v + c) / den for key, v in part.items()}
+    else:
+        worst, d = Fraction(worst, 2 * den), {key: Fraction(v + c, den) for key, v in part.items()}
+    if not worst <= tol:
+        return False, None
+    return True, DoubleWeights(d, labels=labels)
 
 
 def scan_pure(d, eps):

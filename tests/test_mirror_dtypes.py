@@ -14,6 +14,7 @@ to a few times the data's own.
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -35,13 +36,12 @@ from treeweights import (
     prune_doubles,
     prune_triples,
     random_tree,
+    reconstruct_from_triples,
     s_matrix,
     star_table,
     triples_of_tree,
 )
 from treeweights import reconstruct as reconstruct_mod
-from treeweights import weights as weights_mod
-from treeweights.numeric import midrange
 from treeweights.weights import (
     _DENSE_MAG_CAP,
     _DENSE_SCALE_BITS,
@@ -51,7 +51,9 @@ from treeweights.weights import (
 )
 from conftest import QUARTET_DOUBLES, exact_or_float
 from reference_loops import (
-    derived_detail_loop,
+    condition2_values,
+    derived_common_values,
+    lift_check_loop,
     reduce_groups_loop,
     scan_pure,
     star_table_loop,
@@ -170,14 +172,10 @@ class TestKernelsAcrossTheSwitch:
     def test_derived_pairwise_consistent(self, data):
         t = data.draw(scaled_data(3, st.integers(5, 7)))
         tol = Fraction(data.draw(st.integers(0, 20)), data.draw(st.sampled_from(PRIMES)))
-        windows = derived_detail_loop(t, tol)
-        assert weights_mod._derived_detail(t, tol) == windows
-        ok, derived = derived_pairwise_consistent(t, tol)
-        assert ok == all(hi - lo <= tol for lo, hi in windows.values())
-        if ok:
-            assert dict(derived.items()) == {
-                k: midrange(lo, hi) for k, (lo, hi) in windows.items()
-            }
+        assert condition2_values(derived_pairwise_consistent(t, tol)) == condition2_values(
+            lift_check_loop(t, tol)
+        )
+        assert condition2_values(derived_pairwise_consistent(t)) == derived_common_values(t)
 
     @given(st.data())
     @settings(max_examples=15, deadline=None)
@@ -323,7 +321,10 @@ class TestFractionMirror:
                     for r in cherry_scan(w, eps).records
                 ] == [(r.column, r.row, r.minimum, r.spread, r.confirmed) for r in scan_pure(w, eps)]
         else:
-            assert weights_mod._derived_detail(w, tol) == derived_detail_loop(w, tol)
+            assert condition2_values(derived_pairwise_consistent(w, tol)) == condition2_values(
+                lift_check_loop(w, tol)
+            )
+            assert condition2_values(derived_pairwise_consistent(w)) == derived_common_values(w)
 
     @pytest.mark.parametrize("order, n", [(2, 60), (3, 20)])
     def test_memory_stays_near_the_datas_own(self, order, n):
@@ -336,6 +337,19 @@ class TestFractionMirror:
         assert not any(r.holds for r in table.values())
         assert reduced.n == n - 1
         assert peak < 40 * 2**20
+
+    def test_condition2_rejects_before_any_star_window(self):
+        # 20 labels, a coprime denominator per triple, not a lift: the
+        # O(n^3) lift check rejects at level 0 without a star table; the
+        # O(n^5) scan over every {r, s, u} it replaced took about 4 s here
+        w = _own_denominators(3, 20, 0, bits=10, tree=False)
+        w.dense()
+        start = time.process_time()
+        with mock.patch.object(reconstruct_mod, "star_table", side_effect=AssertionError):
+            with pytest.raises(ReconstructionError) as exc:
+                reconstruct_from_triples(w)
+        assert (exc.value.kind, exc.value.level) == ("condition2", 0)
+        assert time.process_time() - start < 2.0
 
     def test_blocks_of_long_units_stay_small(self):
         # one denominator of 4001 bits: every unit takes about 500 bytes, so

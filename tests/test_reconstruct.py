@@ -8,9 +8,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeweights import reconstruct as reconstruct_mod
-from treeweights import weights as weights_mod
 from treeweights import (
     DoubleWeights,
     InstanceTooSmallError,
@@ -23,6 +24,7 @@ from treeweights import (
     base_case_triples_5,
     buneman_check,
     complete_pseudobells,
+    contract_zero_internal_edges,
     derived_pairwise_consistent,
     doubles_of_tree,
     prune_doubles,
@@ -43,7 +45,13 @@ from conftest import (
     cross_path_cases,
     exact_or_float,
 )
-from reference_loops import derived_detail_loop, reduce_groups_loop, star_table_loop
+from reference_loops import (
+    condition2_values,
+    derived_common_values,
+    lift_check_loop,
+    reduce_groups_loop,
+    star_table_loop,
+)
 
 
 def _prune_outcome(w, bells, tol):
@@ -459,6 +467,44 @@ class TestReconstructTriples:
             assert trace.all_twigs_positive == all(w > 0 for _, _, w in tree.edges)
 
 
+class TestDegenerateShapes:
+    """Stars and zero inner edges, exact at tol 0: both routes rebuild the
+    input with its zero inner edges contracted."""
+
+    @staticmethod
+    def _rebuilds(t):
+        want = contract_zero_internal_edges(t)
+        tree, _ = reconstruct_from_doubles(doubles_of_tree(t))
+        assert tree_equal(tree, want, 0)
+        if t.n >= 5:
+            tree, _ = reconstruct_from_triples(triples_of_tree(t))
+            assert tree_equal(tree, want, 0)
+
+    @given(st.integers(0, 10**6), st.integers(3, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_stars(self, seed, n):
+        rng = random.Random(seed)
+        twig = [Fraction(rng.randint(1, 40), rng.randint(1, 4)) for _ in range(n)]
+        self._rebuilds(WeightedTree([(i, n + 1, twig[i - 1]) for i in range(1, n + 1)]))
+
+    @given(st.integers(0, 10**6), st.integers(3, 12), st.booleans(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_zero_inner_edges(self, seed, n, all_zero, binary):
+        rng = random.Random(seed)
+        t = random_tree(n, seed, binary_only=binary)
+        leaves = set(t.leaves)
+        self._rebuilds(
+            WeightedTree(
+                [
+                    (u, v, 0)
+                    if u not in leaves and v not in leaves and (all_zero or rng.random() < 0.5)
+                    else (u, v, w)
+                    for u, v, w in t.edges
+                ]
+            )
+        )
+
+
 class TestReconstructDoubles:
     def test_quartet(self, quartet_doubles, quartet):
         tree, _ = reconstruct_from_doubles(quartet_doubles)
@@ -599,7 +645,7 @@ class TestCrossPath:
         with monkeypatch.context() as m:
             m.setattr(reconstruct_mod, "star_table", star_table_loop)
             m.setattr(reconstruct_mod, "_reduce_dense", reduce_groups_loop)
-            m.setattr(weights_mod, "_derived_detail", derived_detail_loop)
+            m.setattr(reconstruct_mod, "derived_pairwise_consistent", lift_check_loop)
             return cls._outcome(w, tol)
 
     @pytest.mark.parametrize("order", [2, 3])
@@ -614,16 +660,21 @@ class TestCrossPath:
 
     def test_mirrorless_float_triples_match(self, monkeypatch):
         # condition 2's loop sums and rounds as the kernel does, so a float
-        # triple instance rebuilds the same tree on the reference loops
+        # triple instance rebuilds the same tree on the reference loops; on
+        # exact data the tol-0 verdict and d are condition 2's definition
         for seed in CROSS_PATH_SEEDS:
             for name, w, tol in cross_path_cases(seed, 3):
+                ok, d = derived_pairwise_consistent(w, tol)
+                ok_loop, d_loop = lift_check_loop(w, tol)
+                assert ok == ok_loop, (name, seed)
+                if ok:
+                    assert [(k, repr(v)) for k, v in d.items()] == [
+                        (k, repr(v)) for k, v in d_loop.items()
+                    ], (name, seed)
                 if not name.startswith("float64"):
-                    continue
-                loop = derived_detail_loop(w, tol)
-                kernel = weights_mod._derived_detail(w, tol)
-                assert {k: tuple(map(repr, v)) for k, v in loop.items()} == {
-                    k: tuple(map(repr, v)) for k, v in kernel.items()
-                }, (name, seed)
+                    assert condition2_values(derived_pairwise_consistent(w)) == (
+                        derived_common_values(w)
+                    )
         name, w, tol = cross_path_cases(0, 3)[3]
         assert name == "float64-tree"
         assert self._loop_outcome(monkeypatch, w, tol) == self._outcome(w, tol)

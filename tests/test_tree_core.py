@@ -1,5 +1,6 @@
 """Tree data model: weight queries, canonical form, generation, IO."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -287,6 +288,24 @@ class TestNewick:
         assert tree_equal(cat, cat, 0)
         heavier = WeightedTree([(u, v, w + (n in (u, v))) for u, v, w in edges])
         assert not tree_equal(heavier, cat, 0)
+
+    @given(st.integers(1000, 2000), st.integers(0, 10**6))
+    @settings(max_examples=6, deadline=None)
+    def test_deep_caterpillars_round_trip(self, n, seed):
+        # shuffled labels, weights on a quarter grid (exact in 12 digits)
+        rng = random.Random(seed)
+        labels = list(range(1, n + 1))
+        rng.shuffle(labels)
+
+        def w():
+            return Fraction(rng.randint(1, 4000), 4)
+
+        edges = [(labels[0], n + 1, w()), (labels[1], n + 1, w())]
+        for k in range(2, n - 1):
+            edges += [(n + k - 1, n + k, w()), (labels[k], n + k, w())]
+        edges.append((labels[n - 1], 2 * n - 2, w()))
+        cat = WeightedTree(edges)
+        assert tree_equal(parse_newick(to_newick(cat), "rational"), cat, 0)
 
     @given(st.integers(0, 10**6), st.integers(3, 10))
     @settings(max_examples=40, deadline=None)

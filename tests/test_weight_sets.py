@@ -1,8 +1,10 @@
 """Weight containers, star condition, derived values, four-point check, IO."""
 
+import math
 import random
 import struct
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
@@ -36,7 +38,6 @@ from treeweights import (
     triples_from_doubles,
     triples_of_tree,
 )
-from treeweights import weights as weights_mod
 from treeweights.numeric import EXPONENT_LIMIT, parse_number
 from treeweights.weights import holds_fractions
 from conftest import (
@@ -46,7 +47,12 @@ from conftest import (
     cross_path_cases,
     exact_or_float,
 )
-from reference_loops import derived_detail_loop, star_table_loop
+from reference_loops import (
+    condition2_values,
+    derived_common_values,
+    lift_check_loop,
+    star_table_loop,
+)
 
 
 def test_reference_values(cat_triples, quartet_doubles):
@@ -64,6 +70,29 @@ class TestContainers:
         del vals[(2, 4)]
         with pytest.raises(ValueError, match="missing"):
             DoubleWeights(vals, labels=range(1, 5))
+
+    def test_missing_keys_counted_not_listed(self):
+        # C(1500, 2) expected pairs: counting them and scanning lazily for
+        # the first gaps keeps the check within the data's own size
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                DoubleWeights({(1, 2): 1}, labels=range(1, 1501))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            f"incomplete pair map: {math.comb(1500, 2) - 1} missing "
+            "(e.g. [(1, 3), (1, 4), (1, 5)]), 0 unexpected"
+        )
+        assert peak < 2**20
+
+    def test_unexpected_keys_counted(self):
+        vals = {k: 1 for k in combinations(range(1, 6), 3) if k != (3, 4, 5)}
+        vals[(1, 2, 9)] = vals[(4, 6, 7)] = 1
+        with pytest.raises(ValueError) as exc:
+            TripleWeights(vals, labels=range(1, 6))
+        assert str(exc.value) == "incomplete triple map: 1 missing (e.g. [(3, 4, 5)]), 2 unexpected"
 
     def test_duplicate_orientation_rejected(self):
         vals = dict(QUARTET_DOUBLES)
@@ -246,9 +275,10 @@ class TestDerivedPairwise:
         assert slow_container.dense()[1].dtype == np.int64
         ok_slow, slow = derived_pairwise_consistent(slow_container, tol=Fraction(1))
         assert ok_fast and ok_slow
-        assert weights_mod._derived_detail(slow_container) == derived_detail_loop(
-            slow_container
+        assert condition2_values(derived_pairwise_consistent(slow_container)) == (
+            derived_common_values(slow_container)
         )
+        assert dict(slow.items()) == condition2_values(lift_check_loop(slow_container, 1))[1]
 
     def test_size_gate(self):
         small = triples_of_tree(random_tree(4, 0))
