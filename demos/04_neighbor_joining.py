@@ -52,7 +52,8 @@ print("\n20-leaf agreement classic/pruning/reconstruction:",
 print("pruning rounds (size, bells merged):",
       [(r["size"], len(r["bells"])) for r in rounds if not r["fallback"]])
 
-# The triple-weight criterion selects cherries too.
+# The triple-weight criterion selects cherries too: it is an affine image
+# of the pairwise one on condition 2's fit d, and triple NJ joins on d.
 tri = triples_of_tree(random_tree(9, seed=4))
 S3 = s_matrix_triples(tri)
 print("\ntriple S minimum pair:", S3.argmin_pair())

@@ -326,7 +326,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("nj", help="weights file -> neighbor-joining Newick")
     p.add_argument("--order", type=int, choices=(2, 3), default=2)
-    p.add_argument("--variant", choices=("classic", "pruning"), default="classic")
+    p.add_argument("--variant", choices=("classic", "pruning"), default=None)
     p.add_argument("--epsilon", default="0")
     p.add_argument("--in", dest="input_path", default="-")
     add_common(p, "float")
@@ -378,6 +378,10 @@ def _config_from_args(args) -> RunConfig:
         cfg.epsilon = parse_number(args.epsilon, cfg.mode)
         if cfg.epsilon < 0:
             raise _UsageError("--epsilon must be non-negative")
+    if cfg.command == "nj":
+        if cfg.order == 3 and cfg.variant is not None:
+            raise _UsageError("--variant applies to --order 2 only")
+        cfg.variant = cfg.variant or "classic"
     if cfg.command == "gen" and cfg.leaves < 2:
         raise _UsageError("--leaves must be at least 2")
     if cfg.command == "compare":

@@ -12,6 +12,10 @@ by the star condition on the distance columns (spread <= epsilon), so one
 Theta(n^2) round identifies all bells at once.  All variants always
 return a tree; correctness is only guaranteed for additive input.
 
+Triple NJ runs on the pairwise engine too: condition 2's least-squares
+fit d keeps every pair sum of the triples, so the triple criterion is an
+affine image of d's, S_T = (n - 4)/4 * S_d - sum d, and the joins run on d.
+
 The cherry scan runs on the container's dense mirror (int64, ``object``
 Python ints past the int64 headroom or Fractions past the scale cap, or
 float64), so exact data stays exact; the tests hold it to a pure-Python
@@ -29,21 +33,20 @@ import numpy as np
 
 from .errors import InstanceTooSmallError
 from .numeric import half
-from .reconstruct import (
-    Pseudobell,
-    bell_twigs_doubles,
-    prune_triples,
-    twig_length_doubles,
-)
+from .reconstruct import bell_twigs_doubles, twig_length_doubles
 from .tree import WeightedTree, contract_zero_internal_edges
 from .weights import (
     DoubleWeights,
     TripleWeights,
-    derived_single,
+    derived_pairwise_consistent,
     exact_scalar,
-    star_condition_triples,
+    star_condition_doubles,
     upper_keys,
 )
+
+# Unused here, but perfbench's tracer wraps these two names in this module.
+from .reconstruct import prune_triples  # noqa: F401
+from .weights import star_condition_triples  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -89,27 +92,22 @@ def s_matrix_triples(t: TripleWeights) -> SMatrix:
     """Selection matrix from triple values:
 
         S[i, j] = (n-2)/2 * sum_r D[i,j,r] - sum_{r<s} D[i,r,s] - sum_{r<s} D[j,r,s]
+
+    computed as (n-4)/4 * S_d - sum d on condition 2's least-squares fit d,
+    which keeps every pair sum sum_r D[i,j,r], so the identity holds for
+    every *t*, a lift or not.
     """
     if t.n < 5:
         raise InstanceTooSmallError(
             "s_matrix_triples needs n >= 5", required=5, got=t.n
         )
-    labels = t.labels
-    pair_sum = {p: 0 for p in combinations(labels, 2)}
-    label_sum = {a: 0 for a in labels}
-    for (a, b, c), v in t.items():
-        pair_sum[(a, b)] = pair_sum[(a, b)] + v
-        pair_sum[(a, c)] = pair_sum[(a, c)] + v
-        pair_sum[(b, c)] = pair_sum[(b, c)] + v
-        label_sum[a] = label_sum[a] + v
-        label_sum[b] = label_sum[b] + v
-        label_sum[c] = label_sum[c] + v
-    half_n2 = Fraction(t.n - 2, 2)
-    entries = {
-        p: half_n2 * pair_sum[p] - label_sum[p[0]] - label_sum[p[1]]
-        for p in pair_sum
-    }
-    return SMatrix(labels=labels, entries=entries)
+    _, d = derived_pairwise_consistent(t, math.inf)
+    S = s_matrix(d)
+    factor = Fraction(t.n - 4, 4)
+    total = sum(v for _, v in d.items())
+    return SMatrix(
+        labels=S.labels, entries={p: factor * v - total for p, v in S.entries.items()}
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -117,16 +115,12 @@ def s_matrix_triples(t: TripleWeights) -> SMatrix:
 # --------------------------------------------------------------------- #
 
 
-def _classic_join(d: DoubleWeights):
-    """One agglomeration step: join the global-minimum S pair.
+def _classic_join(d: DoubleWeights, i, j, a_i):
+    """One agglomeration step: join i and j, where i's twig is *a_i*.
 
-    Ties break lexicographically; twigs use the smallest third label.
     Returns (reduced container, (z, [(member, twig), (member, twig)])).
     """
     labels = d.labels
-    i, j = s_matrix(d).argmin_pair()
-    x = next(g for g in labels if g not in (i, j))
-    a_i = twig_length_doubles(d, i, j, x)
     a_j = d.value(i, j) - a_i
     z = max(labels) + 1
     survivors = [g for g in labels if g not in (i, j)]
@@ -137,6 +131,14 @@ def _classic_join(d: DoubleWeights):
         vals[(y, z)] = half(-d.value(i, j) + d.value(i, y) + d.value(j, y))
     reduced = DoubleWeights(vals, labels=survivors + [z])
     return reduced, (z, [(i, a_i), (j, a_j)])
+
+
+def _min_join(d: DoubleWeights):
+    """Join the global-minimum S pair; ties break lexicographically, and the
+    twig uses the smallest third label."""
+    i, j = s_matrix(d).argmin_pair()
+    x = next(g for g in d.labels if g not in (i, j))
+    return _classic_join(d, i, j, twig_length_doubles(d, i, j, x))
 
 
 def _assemble(final_edges, merges) -> WeightedTree:
@@ -154,7 +156,7 @@ def nj_classic(d: DoubleWeights) -> WeightedTree:
     current = d
     merges = []
     while current.n > 2:
-        current, merge = _classic_join(current)
+        current, merge = _min_join(current)
         merges.append(merge)
     u, v = current.labels
     return _assemble([(u, v, current.value(u, v))], merges)
@@ -334,7 +336,7 @@ def nj_pruning_detailed(d: DoubleWeights, eps=0):
     rounds = []
     while current.n > 2:
         if current.n == 3:
-            current, merge = _classic_join(current)
+            current, merge = _min_join(current)
             merges.append(merge)
             rounds.append({"size": 3, "bells": [], "fallback": True,
                            "entries_examined": 0})
@@ -349,7 +351,7 @@ def nj_pruning_detailed(d: DoubleWeights, eps=0):
         }
         rounds.append(info)
         if not bells:
-            current, merge = _classic_join(current)
+            current, merge = _min_join(current)
             merges.append(merge)
             continue
         if len(bells) == 1 and len(bells[0]) == current.n:
@@ -366,47 +368,32 @@ def nj_pruning_detailed(d: DoubleWeights, eps=0):
 
 
 def nj_from_triples(t: TripleWeights, eps=0) -> WeightedTree:
-    """Join S-matrix minima of the triple criterion down to five labels,
-    then finish on the derived pairwise values with classic NJ.
+    """Neighbor joining on triple weights, run on condition 2's
+    least-squares pairwise fit d of *t*.
 
-    The minimum pair is confirmed by the star condition within eps;
-    unconfirmed candidates are skipped in ascending S order, and if
-    nothing confirms the global minimum is used anyway (the procedure is
-    total).
+    Down to five labels, the pair of least S_d (the order of the triple
+    criterion S_T, see :func:`s_matrix_triples`) whose pairwise star
+    spread on d is within eps is joined; if none is, the global minimum is
+    joined anyway (the procedure is total).  Member i's twig is the mean of
+    its pairwise twigs against the two smallest other labels x and y,
+    which on a lift is (d_ij + D_ixy - D_jxy)/2.  Classic NJ finishes the
+    last five labels.
     """
     if t.n < 5:
         raise InstanceTooSmallError(
             "nj_from_triples needs n >= 5", required=5, got=t.n
         )
-    current = t
+    _, current = derived_pairwise_consistent(t, math.inf)
     merges = []
     while current.n > 5:
-        S = s_matrix_triples(current)
-        candidates = sorted(S.entries.items(), key=lambda kv: (kv[1], kv[0]))
-        pick = None
-        for pair, _ in candidates:
-            if star_condition_triples(current, *pair, tol=eps).holds:
-                pick = pair
-                break
-        if pick is None:
-            pick = candidates[0][0]
-        i, j = pick
-        d_ij = derived_single(current, i, j)
+        candidates = sorted(s_matrix(current).entries.items(), key=lambda kv: (kv[1], kv[0]))
+        i, j = next(
+            (p for p, _ in candidates if star_condition_doubles(current, *p, tol=eps).holds),
+            candidates[0][0],
+        )
         x, y = [g for g in current.labels if g not in (i, j)][:2]
-        a_i = half(d_ij + current.value(i, x, y) - current.value(j, x, y))
-        a_j = d_ij - a_i
-        pb = Pseudobell(members=(i, j), twig_lengths={i: a_i, j: a_j})
-        current, level = prune_triples(current, [pb], tol=math.inf)
-        z = level.pseudobells[0].z
-        merges.append((z, [(i, a_i), (j, a_j)]))
-
-    labels = current.labels
-    d5 = DoubleWeights(
-        {
-            (a, b): derived_single(current, a, b)
-            for a, b in combinations(labels, 2)
-        },
-        labels=labels,
-    )
-    finish = nj_classic(d5)
+        a_i = half(twig_length_doubles(current, i, j, x) + twig_length_doubles(current, i, j, y))
+        current, merge = _classic_join(current, i, j, a_i)
+        merges.append(merge)
+    finish = nj_classic(current)
     return _assemble(finish.edges, merges)

@@ -123,32 +123,28 @@ class Topology:
 def _topology_list(n: int, include_multifurcating: bool):
     if not 2 <= n <= 8:
         raise ValueError("topology enumeration supports 2 <= n <= 8")
+    # Inserting leaf m on every edge and at every inner node is one-to-one:
+    # deleting m and suppressing the degree-2 node it leaves undoes it, so
+    # no two candidates share a topology and nothing needs deduplicating.
     current = [Topology([(1, 2)])]
     for m in range(3, n + 1):
         nxt = []
-        seen = set()
-
-        def push(cand):
-            k = cand.canonical_key()
-            if k not in seen:
-                seen.add(k)
-                nxt.append(cand)
-
         for topo in current:
             fresh = max(topo.max_node, n) + 1  # internal ids clear of leaf labels
             for u, v in topo.edges:
                 rest = [e for e in topo.edges if e != (u, v)]
-                push(Topology(rest + [(u, fresh), (fresh, v), (m, fresh)]))
+                nxt.append(Topology(rest + [(u, fresh), (fresh, v), (m, fresh)]))
             if include_multifurcating:
                 for x in topo.internal_nodes():
-                    push(Topology(list(topo.edges) + [(m, x)]))
+                    nxt.append(Topology(list(topo.edges) + [(m, x)]))
         current = nxt
     return tuple(current)
 
 
 def enumerate_topologies(n: int, include_multifurcating: bool = False):
-    """Yield each isomorphism class exactly once, in a fixed canonical
-    order (leaf-insertion generation, deduplicated by canonical form)."""
+    """Yield each isomorphism class exactly once, in a fixed order: leaf m
+    is inserted on every edge, then at every inner node, of each topology
+    on the labels below m, which never yields one class twice."""
     yield from _topology_list(n, include_multifurcating)
 
 

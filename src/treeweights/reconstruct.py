@@ -18,8 +18,9 @@ Every step doubles as a realisability check and fails fast with a named
 witness (:class:`~treeweights.errors.ReconstructionError`): the data must
 be a lift (triples), pruned entries must agree across representatives,
 the base-case linear system must be consistent, and the assembled tree
-must reproduce every input value.  With exact rational data and tol=0 the
-accept/reject decision is exact.
+must reproduce every pairwise value (for triples, those of the fitted d,
+which at tol=0 is the same as every triple).  With exact rational data and
+tol=0 the accept/reject decision is exact.
 
 A full :class:`ReconstructionTrace` (levels, pseudobells, twigs, base-case
 solve, positivity certificate) is returned alongside the tree.
@@ -48,9 +49,11 @@ from .weights import (
     int_dtype,
     star_table,
     triples_from_doubles,
-    triples_of_tree,
     upper_keys,
 )
+
+# Unused here, but perfbench's tracer wraps this name in this module.
+from .weights import triples_of_tree  # noqa: F401
 
 
 @dataclass
@@ -688,21 +691,19 @@ def _prune_levels(d: DoubleWeights, tol, floor):
     return current, levels
 
 
-def _verified(data, base_tree, base_record, levels, tol, require_positive):
-    """Expand the levels onto the base tree and check it against every
-    input value, within the slack the levels' midranges allow."""
+def _verified(d: DoubleWeights, base_tree, base_record, levels, tol, require_positive):
+    """Expand the levels onto the base tree and check its path sums against
+    every value of the pairwise set *d*, within the slack the levels'
+    midranges allow."""
     tree = contract_zero_internal_edges(_expand_levels(base_tree, levels))
     slack = tol * (1 + 3 * len(levels))
-    if data.order == 2:
-        what, back = "pair", doubles_of_tree(tree)
-    else:
-        what, back = "triple", triples_of_tree(tree)
-    for key, want in data.items():
+    back = doubles_of_tree(tree)
+    for key, want in d.items():
         got = back.value(*key)
         if abs(got - want) > slack:
             raise ReconstructionError(
                 "verification",
-                f"assembled tree misses {what} {key}: {got} != {want}",
+                f"assembled tree misses pair {key}: {got} != {want}",
                 witness=(key, got, want),
             )
     return _finish(tree, levels, base_record, require_positive)
@@ -716,8 +717,12 @@ def reconstruct_from_triples(t: TripleWeights, tol=0, require_positive=False):
     d is realisable.  Condition 2 (:func:`derived_pairwise_consistent`)
     fits d and checks the lift in O(n^3); the pairwise pruning loop then
     prunes d down to 5 labels, the five-leaf caterpillar system solves the
-    lift of what is left, and the expanded tree is checked against every
-    value of *t*.
+    lift of what is left, and the expanded tree's path sums are checked
+    against d.  With slack = tol * (1 + 3 * levels) on each pair, the tree's
+    triples are then within tol + 1.5 * slack of *t*: the lift moves a
+    triple by at most 1.5 times the largest pair error, and d's lift is
+    within tol of *t*.  At tol 0, *t* is d's lift exactly and the lift is
+    one-to-one for n >= 5, so the tree reproduces every value of *t*.
 
     Returns (tree, trace); raises ReconstructionError with a named kind
     and witness when the data is not realisable at the given tolerance.
@@ -739,7 +744,7 @@ def reconstruct_from_triples(t: TripleWeights, tol=0, require_positive=False):
         base_tree, base_record = _base_case_triples_5_record(triples_from_doubles(current), tol)
     except ReconstructionError as err:
         raise _attach_level(err, len(levels))
-    return _verified(t, base_tree, base_record, levels, tol, require_positive)
+    return _verified(derived, base_tree, base_record, levels, tol, require_positive)
 
 
 def reconstruct_from_doubles(d: DoubleWeights, tol=0, require_positive=False):

@@ -551,13 +551,6 @@ def derived_pairwise(t: TripleWeights, i, j, r, s, u):
     return TWO_THIRDS * plus - THIRD * minus
 
 
-def derived_single(t: TripleWeights, a, b):
-    """Derived pairwise value with the deterministic smallest-{r,s,u} choice."""
-    rest = [g for g in t.labels if g != a and g != b]
-    r, s, u = rest[:3]
-    return derived_pairwise(t, a, b, r, s, u)
-
-
 def derived_pairwise_consistent(t: TripleWeights, tol=0):
     """Condition 2: is *t*, within tol, the half-sum lift of one pairwise set d?
 

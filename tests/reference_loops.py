@@ -5,19 +5,24 @@ container's dense mirror (int64, ``object`` Python ints, or float64).
 These loops compute the same results one entry at a time, straight from
 the container's values, and define the semantics the kernels are held to:
 result for result, bitwise for floats.  They are test oracles only.
+The triple-space NJ loop is kept here too, as the route that triple NJ on
+the pairwise fit must reproduce on exact lifts.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from treeweights.numeric import THIRD, midrange
-from treeweights.nj import ScanRecord, s_matrix
-from treeweights.reconstruct import Pseudobell, _inconsistent
+from treeweights.numeric import THIRD, half, midrange
+from treeweights.nj import SMatrix, ScanRecord, _assemble, nj_classic, s_matrix
+from treeweights.reconstruct import Pseudobell, _inconsistent, prune_triples
 from treeweights.weights import (
     DoubleWeights,
     StarResult,
     _star_window_doubles,
     _star_window_triples,
+    derived_pairwise,
+    star_condition_triples,
 )
 
 
@@ -195,3 +200,59 @@ def scan_pure(d, eps):
             )
         )
     return records
+
+
+def s_matrix_triples_loop(t):
+    """Reference triple selection matrix, by its definition:
+
+        S[i, j] = (n-2)/2 * sum_r D[i,j,r] - sum_{r<s} D[i,r,s] - sum_{r<s} D[j,r,s]
+    """
+    labels = t.labels
+    pair_sum = {p: 0 for p in combinations(labels, 2)}
+    label_sum = {a: 0 for a in labels}
+    for (a, b, c), v in t.items():
+        for p in ((a, b), (a, c), (b, c)):
+            pair_sum[p] = pair_sum[p] + v
+        for g in (a, b, c):
+            label_sum[g] = label_sum[g] + v
+    half_n2 = Fraction(t.n - 2, 2)
+    entries = {
+        p: half_n2 * pair_sum[p] - label_sum[p[0]] - label_sum[p[1]] for p in pair_sum
+    }
+    return SMatrix(labels=labels, entries=entries)
+
+
+def _derived_single(t, a, b):
+    """Derived pairwise value from the three smallest other labels."""
+    r, s, u = [g for g in t.labels if g != a and g != b][:3]
+    return derived_pairwise(t, a, b, r, s, u)
+
+
+def nj_from_triples_loop(t, eps=0):
+    """Reference triple NJ, joining in triple space: per round the triple
+    S-matrix minimum whose triple star spread is within eps (else the
+    global minimum), twigs (d_ij + D_ixy - D_jxy)/2 from the derived d_ij,
+    and a midrange prune of every triple; classic NJ on the derived values
+    of the last five labels."""
+    current = t
+    merges = []
+    while current.n > 5:
+        S = s_matrix_triples_loop(current)
+        candidates = sorted(S.entries.items(), key=lambda kv: (kv[1], kv[0]))
+        i, j = next(
+            (p for p, _ in candidates if star_condition_triples(current, *p, tol=eps).holds),
+            candidates[0][0],
+        )
+        d_ij = _derived_single(current, i, j)
+        x, y = [g for g in current.labels if g not in (i, j)][:2]
+        a_i = half(d_ij + current.value(i, x, y) - current.value(j, x, y))
+        a_j = d_ij - a_i
+        pb = Pseudobell(members=(i, j), twig_lengths={i: a_i, j: a_j})
+        current, level = prune_triples(current, [pb], tol=math.inf)
+        merges.append((level.pseudobells[0].z, [(i, a_i), (j, a_j)]))
+    labels = current.labels
+    d5 = DoubleWeights(
+        {(a, b): _derived_single(current, a, b) for a, b in combinations(labels, 2)},
+        labels=labels,
+    )
+    return _assemble(nj_classic(d5).edges, merges)

@@ -262,6 +262,22 @@ class TestNJCommand:
         assert code == 0
         assert tree_equal(parse_newick(out, "rational"), parse_newick(newick, "rational"), 0)
 
+    @pytest.mark.parametrize("variant", ["classic", "pruning"])
+    def test_variant_refused_for_order3(self, capsys, monkeypatch, variant):
+        _, newick, _ = run_cli(capsys, ["gen", "--leaves", "6", "--seed", "8"])
+        _, weights, _ = run_cli(
+            capsys, ["weights", "--order", "3"], stdin=newick, monkeypatch=monkeypatch
+        )
+        code, out, err = run_cli(
+            capsys,
+            ["nj", "--order", "3", "--variant", variant],
+            stdin=weights,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("treeweights: ") and "--variant" in err
+
 
 class TestCompare:
     def test_equal_trees(self, capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Neighbor joining variants and the S-matrix selection criteria."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeweights import (
     DoubleWeights,
@@ -13,6 +16,7 @@ from treeweights import (
     cherries,
     cherry_pair_set,
     cherry_scan,
+    derived_pairwise_consistent,
     doubles_of_tree,
     group_bells,
     nj_classic,
@@ -24,11 +28,13 @@ from treeweights import (
     reconstruct_from_triples,
     s_matrix,
     s_matrix_triples,
+    to_newick,
     tree_equal,
+    triples_from_doubles,
     triples_of_tree,
 )
 from conftest import CROSS_PATH_SEEDS, cross_path_cases
-from reference_loops import scan_pure
+from reference_loops import nj_from_triples_loop, s_matrix_triples_loop, scan_pure
 
 
 def balanced_tree(depth):
@@ -329,3 +335,51 @@ class TestNJFromTriples:
             {k: v + rng.uniform(-1e-9, 1e-9) for k, v in tri.items()}
         )
         assert tree_equal(nj_from_triples(noisy, eps=0.0), t, 1e-4)
+
+
+def lift_case(seed, n, shape):
+    """Exact triple lift on labels 1..n: of a binary, multifurcating,
+    negative-edge or zero-inner-edge tree, or of a random non-tree d."""
+    rng = random.Random(seed)
+    if shape == "non-tree":
+        d = {
+            p: Fraction(rng.randint(-50, 200), rng.choice((1, 2, 3, 7)))
+            for p in itertools.combinations(range(1, n + 1), 2)
+        }
+        return triples_from_doubles(DoubleWeights(d))
+    t = random_tree(n, seed, -3 if shape == "negative" else 1, 10,
+                    binary_only=shape != "multifurcating")
+    if shape == "zero":
+        leaves = set(t.leaves)
+        t = WeightedTree([
+            (u, v, 0 if u not in leaves and v not in leaves and rng.random() < 0.5 else w)
+            for u, v, w in t.edges
+        ])
+    return triples_of_tree(t)
+
+
+class TestTripleNJOnTheFit:
+    """Triple NJ joins on condition 2's pairwise fit; on exact lifts it
+    reproduces the triple-space loop byte for byte."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(5, 12),
+        st.sampled_from(["binary", "multifurcating", "negative", "zero", "non-tree"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exact_lifts_match_the_triple_space_loop(self, seed, n, shape):
+        t = lift_case(seed, n, shape)
+        assert to_newick(nj_from_triples(t)) == to_newick(nj_from_triples_loop(t))
+
+    @pytest.mark.parametrize("seed", CROSS_PATH_SEEDS)
+    def test_s_matrix_triples_matches_its_definition_off_lifts(self, seed):
+        lifts = []
+        for name, w, _ in cross_path_cases(seed, 3):
+            if name.startswith("float64") or name.endswith("-tree"):
+                continue
+            lifts.append(derived_pairwise_consistent(w)[0])
+            S, ref = s_matrix_triples(w), s_matrix_triples_loop(w)
+            assert S.labels == ref.labels
+            assert S.entries == ref.entries, (name, seed)
+        assert w.n == 5 or not any(lifts)

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -92,17 +92,19 @@ def _random_instance(rng, n, order, shapes=None, hard=True):
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n,count", [(3, 1), (4, 3), (5, 15), (6, 105)])
+    @pytest.mark.parametrize("n,count", [(3, 1), (4, 3), (5, 15), (6, 105), (7, 945)])
     def test_binary_double_factorial(self, n, count):
         assert len(list(enumerate_topologies(n))) == count
 
-    @pytest.mark.parametrize("n,count", [(4, 4), (5, 26), (6, 236)])
+    @pytest.mark.parametrize("n,count", [(4, 4), (5, 26), (6, 236), (7, 2752)])
     def test_with_multifurcations(self, n, count):
         assert len(list(enumerate_topologies(n, True))) == count
 
     def test_no_duplicates(self):
-        keys = [t.canonical_key() for t in enumerate_topologies(6, True)]
-        assert len(keys) == len(set(keys))
+        # the generation does not deduplicate; canonical forms referee it
+        for n, multi in product((6, 7), (False, True)):
+            keys = [t.canonical_key() for t in enumerate_topologies(n, multi)]
+            assert len(keys) == len(set(keys)), (n, multi)
 
     def test_shapes_are_valid(self):
         for topo in enumerate_topologies(5, True):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeweights import nj as nj_mod
 from treeweights import reconstruct as reconstruct_mod
 from treeweights import (
     DoubleWeights,
@@ -615,6 +616,17 @@ class TestTraceConsistency:
         back = triples_of_tree(tree)
         assert all(back.value(*k) == v for k, v in data.items())
 
+    def test_triples_verified_without_rebuilding_them(self, monkeypatch):
+        # the tree is checked against condition 2's fit d, never triple by triple
+        def refuse(tree):
+            raise AssertionError("triples_of_tree called during verification")
+
+        t = random_tree(12, 4, binary_only=False)
+        data = triples_of_tree(t)
+        monkeypatch.setattr(reconstruct_mod, "triples_of_tree", refuse)
+        tree, _ = reconstruct_from_triples(data)
+        assert tree_equal(tree, t, 0)
+
     def test_report_is_jsonable(self, cat_triples):
         import json
 
@@ -640,12 +652,14 @@ class TestCrossPath:
 
     @classmethod
     def _loop_outcome(cls, monkeypatch, w, tol):
-        """:meth:`_outcome` with the star tables, prunes and condition 2
-        taking the reference loops; every other step runs as in the kernels'."""
+        """:meth:`_outcome` with the star tables, prunes and condition 2 (in
+        reconstruction and in triple NJ's fit) taking the reference loops;
+        every other step runs as in the kernels'."""
         with monkeypatch.context() as m:
             m.setattr(reconstruct_mod, "star_table", star_table_loop)
             m.setattr(reconstruct_mod, "_reduce_dense", reduce_groups_loop)
             m.setattr(reconstruct_mod, "derived_pairwise_consistent", lift_check_loop)
+            m.setattr(nj_mod, "derived_pairwise_consistent", lift_check_loop)
             return cls._outcome(w, tol)
 
     @pytest.mark.parametrize("order", [2, 3])
