@@ -16,10 +16,16 @@ Triple NJ runs on the pairwise engine too: condition 2's least-squares
 fit d keeps every pair sum of the triples, so the triple criterion is an
 affine image of d's, S_T = (n - 4)/4 * S_d - sum d, and the joins run on d.
 
-The cherry scan runs on the container's dense mirror (int64, ``object``
-Python ints past the int64 headroom or Fractions past the scale cap, or
-float64), so exact data stays exact; the tests hold it to a pure-Python
-reference loop on exact data.
+All three variants run on one array-resident engine (:class:`_Mirror`):
+the container's dense mirror (int64, ``object`` Python ints past the int64
+headroom or Fractions past the scale cap, or float64) is built once and
+carried from join to join, so exact data stays exact and no container is
+rebuilt inside a loop.  A classic join costs one O(m^2) array S on m
+labels plus an O(m) row update (Studier & Keppler, Mol. Biol. Evol. 1988);
+a pruning round costs one cherry scan and one array merge of every bell.
+Exact halves and means that leave the units widen the scale instead.  The
+tests hold the engine to the dict loops in ``tests/reference_loops.py``:
+byte-identical trees on exact data, bitwise on floats.
 """
 
 from __future__ import annotations
@@ -33,20 +39,104 @@ import numpy as np
 
 from .errors import InstanceTooSmallError
 from .numeric import half
-from .reconstruct import bell_twigs_doubles, twig_length_doubles
 from .tree import WeightedTree, contract_zero_internal_edges
 from .weights import (
     DoubleWeights,
     TripleWeights,
+    _skip,
+    _star_windows,
     derived_pairwise_consistent,
     exact_scalar,
-    star_condition_doubles,
+    holds_fractions,
+    int_dtype,
     upper_keys,
 )
 
 # Unused here, but perfbench's tracer wraps these two names in this module.
 from .reconstruct import prune_triples  # noqa: F401
 from .weights import star_condition_triples  # noqa: F401
+
+
+def _widened(arr, factor):
+    """*arr*, moved from int64 to ``object`` ints when factor * max|unit|
+    would pass the int64 headroom (see :func:`~treeweights.weights.int_dtype`)."""
+    if arr.dtype == np.int64 and int_dtype(int(np.abs(arr).max(initial=0)) * factor) is object:
+        return arr.astype(object)
+    return arr
+
+
+class _Mirror:
+    """The NJ engine's state: labels in index order (ascending, so a fresh
+    label max + 1 takes the last slot), their distance mirror, its scale
+    and kind, as :meth:`DoubleWeights.dense` gives them.
+
+    kind "int": ``arr / scale`` are the exact values; kind "float":
+    float64, scale None.  An int64 mirror keeps 4 m max|unit| under the
+    headroom, so S and the row sums stay int64.  Every step builds new
+    arrays; the container's own mirror is never written.
+    """
+
+    __slots__ = ("labels", "arr", "scale", "kind")
+
+    def __init__(self, d: DoubleWeights):
+        self.kind, arr, self.scale = d.dense()
+        self.labels = list(d.labels)
+        self._set(arr)
+
+    @property
+    def n(self):
+        return len(self.labels)
+
+    def _set(self, arr):
+        """Carry *arr*, as ``object`` ints when 4 m max|unit| would pass the
+        int64 headroom."""
+        self.arr = _widened(arr, 4 * len(arr))
+
+    def in_units(self):
+        return self.kind == "int" and not holds_fractions(self.arr)
+
+    def value(self, x):
+        """A mirror element (or a sum of them) as a Python Fraction or float."""
+        if self.kind == "float":
+            return float(x)
+        return Fraction(exact_scalar(x), self.scale)
+
+    def twig(self, i, j, x):
+        """(d_ij + d_ix - d_jx) / 2, i's twig against j, as a Python value."""
+        a = self.arr
+        return half(self.value(a[i, j]) + self.value(a[i, x]) - self.value(a[j, x]))
+
+    def halve(self, twice):
+        """*twice* / 2 in the mirror's units; an odd unit doubles the
+        mirror and the scale first, so *twice* itself is the half."""
+        if self.kind == "float":
+            return 0.5 * twice
+        if not self.in_units():
+            return twice / 2
+        if (twice % 2 != 0).any():
+            self._set(self.arr * 2)
+            self.scale *= 2
+            return twice
+        return twice // 2
+
+    def final_edge(self):
+        u, v = self.labels
+        return (u, v, self.value(self.arr[0, 1]))
+
+
+def _criterion(arr, row_sum, rows, cols):
+    """S at the index pairs (rows, cols): (m - 2) D[r, c] - row_r - row_c,
+    evaluated left to right as the dict loop does."""
+    return (len(arr) - 2) * arr[rows, cols] - row_sum[rows] - row_sum[cols]
+
+
+def _selection(arr):
+    """S over the upper triangle, in combinations order, with the row sums
+    taken along axis 0: that adds each row in ascending label order, one
+    value at a time, as a loop over the pairs does, so float S is the same
+    bit for bit."""
+    iu, ju = upper_keys(len(arr), 2)
+    return iu, ju, _criterion(arr, arr.sum(axis=0), iu, ju)
 
 
 @dataclass(frozen=True)
@@ -75,17 +165,16 @@ def s_matrix(d: DoubleWeights) -> SMatrix:
     """Selection matrix from pairwise values."""
     if d.n < 3:
         raise InstanceTooSmallError("s_matrix needs n >= 3", required=3, got=d.n)
+    state = _Mirror(d)
+    iu, ju, S = _selection(state.arr)
     labels = d.labels
-    row = {a: 0 for a in labels}
-    for (a, b), v in d.items():
-        row[a] = row[a] + v
-        row[b] = row[b] + v
-    m = d.n
-    entries = {
-        (a, b): (m - 2) * d.value(a, b) - row[a] - row[b]
-        for a, b in combinations(labels, 2)
-    }
-    return SMatrix(labels=labels, entries=entries)
+    return SMatrix(
+        labels=labels,
+        entries={
+            (labels[a], labels[b]): state.value(v)
+            for a, b, v in zip(iu.tolist(), ju.tolist(), S.tolist())
+        },
+    )
 
 
 def s_matrix_triples(t: TripleWeights) -> SMatrix:
@@ -115,30 +204,44 @@ def s_matrix_triples(t: TripleWeights) -> SMatrix:
 # --------------------------------------------------------------------- #
 
 
-def _classic_join(d: DoubleWeights, i, j, a_i):
-    """One agglomeration step: join i and j, where i's twig is *a_i*.
+def _classic_join(state: _Mirror, i, j, a_i):
+    """One agglomeration step on the mirror: join indices i < j, where i's
+    twig is *a_i*.  The fresh label z = max + 1 takes the last slot with
+    the row (-d_ij + d_iy + d_jy) / 2; rows i and j go.
 
-    Returns (reduced container, (z, [(member, twig), (member, twig)])).
+    Returns (z, [(label i, twig), (label j, twig)]).
     """
-    labels = d.labels
-    a_j = d.value(i, j) - a_i
-    z = max(labels) + 1
-    survivors = [g for g in labels if g not in (i, j)]
-    vals = {}
-    for a, b in combinations(survivors, 2):
-        vals[(a, b)] = d.value(a, b)
-    for y in survivors:
-        vals[(y, z)] = half(-d.value(i, j) + d.value(i, y) + d.value(j, y))
-    reduced = DoubleWeights(vals, labels=survivors + [z])
-    return reduced, (z, [(i, a_i), (j, a_j)])
+    arr, labels = state.arr, state.labels
+    a_j = state.value(arr[i, j]) - a_i
+    zero = arr[0, 0]  # the diagonal: 0, 0.0 or Fraction(0), as the mirror holds
+    row = state.halve(-arr[i, j] + arr[i] + arr[j])  # may double state.arr
+    keep = np.delete(np.arange(len(arr)), (i, j))
+    m = len(keep) + 1
+    new = np.empty((m, m), dtype=state.arr.dtype)
+    new[:-1, :-1] = state.arr[np.ix_(keep, keep)]
+    new[-1, :-1] = new[:-1, -1] = row[keep]
+    new[-1, -1] = zero
+    z = labels[-1] + 1
+    state.labels = [labels[k] for k in keep.tolist()] + [z]
+    state._set(new)
+    return z, [(labels[i], a_i), (labels[j], a_j)]
 
 
-def _min_join(d: DoubleWeights):
+def _min_join(state: _Mirror):
     """Join the global-minimum S pair; ties break lexicographically, and the
     twig uses the smallest third label."""
-    i, j = s_matrix(d).argmin_pair()
-    x = next(g for g in d.labels if g not in (i, j))
-    return _classic_join(d, i, j, twig_length_doubles(d, i, j, x))
+    iu, ju, S = _selection(state.arr)
+    k = int(S.argmin())  # the first minimum, in combinations order
+    i, j = int(iu[k]), int(ju[k])
+    return _classic_join(state, i, j, state.twig(i, j, int(_skip(0, i, j))))
+
+
+def _join_down(state: _Mirror, floor):
+    """Classic joins until *floor* labels are left; returns the merges."""
+    merges = []
+    while state.n > floor:
+        merges.append(_min_join(state))
+    return merges
 
 
 def _assemble(final_edges, merges) -> WeightedTree:
@@ -153,13 +256,9 @@ def nj_classic(d: DoubleWeights) -> WeightedTree:
     if d.n == 2:
         a, b = d.labels
         return WeightedTree([(a, b, d.value(a, b))])
-    current = d
-    merges = []
-    while current.n > 2:
-        current, merge = _min_join(current)
-        merges.append(merge)
-    u, v = current.labels
-    return _assemble([(u, v, current.value(u, v))], merges)
+    state = _Mirror(d)
+    merges = _join_down(state, 2)
+    return _assemble([state.final_edge()], merges)
 
 
 # --------------------------------------------------------------------- #
@@ -191,49 +290,42 @@ def _scan_cost(m: int) -> int:
     return m * (m - 1) // 2 + m * (m - 1) + m * (m - 2)
 
 
-def cherry_scan(d: DoubleWeights, eps=0) -> CherryScanResult:
+def cherry_scan(d, eps=0) -> CherryScanResult:
     """One quadratic round: column minima of S, candidates confirmed by
-    the spread of the two distance columns (rows i, j excluded)."""
-    if d.n < 4:
-        raise InstanceTooSmallError("cherry_scan needs n >= 4", required=4, got=d.n)
-    labels = d.labels
-    m = d.n
-    kind, arr, scale = d.dense()
-    limit = np.iinfo(np.int64).max // (4 * m)
-    if arr.dtype == np.int64 and int(np.abs(arr).max(initial=0)) >= limit:
-        arr = arr.astype(object)  # the row sums and S would pass int64
+    the spread of the two distance columns (rows i, j excluded).
+
+    *d* is a :class:`DoubleWeights`, or the pruning engine's carried mirror.
+    """
+    state = d if isinstance(d, _Mirror) else _Mirror(d)
+    if state.n < 4:
+        raise InstanceTooSmallError("cherry_scan needs n >= 4", required=4, got=state.n)
+    labels, arr = state.labels, state.arr
+    m = state.n
     row_sum = arr.sum(axis=1)
-    if kind == "int":
+    if state.kind == "int":
         # exact, so S is symmetric: one value per pair
         iu, ju = upper_keys(m, 2)
         S = np.empty_like(arr)
-        S[iu, ju] = S[ju, iu] = (m - 2) * arr[iu, ju] - row_sum[iu] - row_sum[ju]
+        S[iu, ju] = S[ju, iu] = _criterion(arr, row_sum, iu, ju)
     else:
-        S = (m - 2) * arr - row_sum[:, None] - row_sum[None, :]
+        every = np.arange(m)
+        S = _criterion(arr, row_sum, every[:, None], every)
     # row j of `off` is column j of S without its diagonal entry
     off = S.T[~np.eye(m, dtype=bool)].reshape(m, m - 1)
     first = off.argmin(axis=1)  # first minimal index per column
-    rows = first + (first >= np.arange(m))
-    mins = off[np.arange(m), first]
+    cols = np.arange(m)
+    rows = first + (first >= cols)
+    mins = off[cols, first]
+    # a window and its negation have the same spread, so the pair's order is free
+    lo, hi = _star_windows(arr, 2, (np.minimum(rows, cols), np.maximum(rows, cols)))
     records = []
-    for cj, j in enumerate(labels):
-        ci = int(rows[cj])
-        diff = arr[ci] - arr[cj]
-        mask = np.ones(m, dtype=bool)
-        mask[[ci, cj]] = False
-        window = diff[mask]
-        lo, hi = window.min(), window.max()
-        if kind == "int":
-            spread = Fraction(exact_scalar(hi - lo), scale)
-            minimum = Fraction(exact_scalar(mins[cj]), scale)
-        else:
-            spread = float(hi - lo)
-            minimum = float(mins[cj])
+    for j, ci, mn, width in zip(labels, rows.tolist(), mins.tolist(), (hi - lo).tolist()):
+        spread = state.value(width)
         records.append(
             ScanRecord(
                 column=j,
                 row=labels[ci],
-                minimum=minimum,
+                minimum=state.value(mn),
                 spread=spread,
                 confirmed=spread <= eps,
             )
@@ -274,48 +366,84 @@ def group_bells(pairs):
 # --------------------------------------------------------------------- #
 
 
-def _merge_bells(d: DoubleWeights, bells):
-    """Replace every bell by a fresh label; reduced entries average the
-    per-member reductions D[m, y] - twig[m] (identical on exact data)."""
-    labels = d.labels
-    next_z = max(labels) + 1
-    owner = {}
-    merges = []
-    twig_of = {}
-    for members in bells:
-        twigs = bell_twigs_doubles(d, members)
-        z = next_z
-        next_z += 1
-        merges.append((z, [(m_, twigs[m_]) for m_ in members]))
-        for m_ in members:
-            owner[m_] = z
-            twig_of[m_] = twigs[m_]
-    survivors = [g for g in labels if g not in owner]
-    bell_members = {z: [m_ for m_, _ in mem] for z, mem in merges}
-    new_labels = sorted(survivors + list(bell_members))
-
-    def reduced_value(x, y):
-        xs = bell_members.get(x, [x])
-        ys = bell_members.get(y, [y])
-        total = 0
-        count = 0
-        for a in xs:
-            for b in ys:
-                total = total + d.value(a, b) - twig_of.get(a, 0) - twig_of.get(b, 0)
-                count += 1
-        return total / count if count > 1 else total
-
-    vals = {
-        (a, b): reduced_value(a, b) for a, b in combinations(new_labels, 2)
-    }
-    return DoubleWeights(vals, labels=new_labels), merges
+def _bell_twigs(state: _Mirror, groups):
+    """Twig of every member of every bell (groups of indices), against the
+    bell's smallest other member, with the smallest index outside the pair
+    as third label.  Returns (members, twigs in the mirror's units, twigs
+    as Python values)."""
+    mem = np.array([k for g in groups for k in g], dtype=np.intp)
+    partner = np.array([g[1] if k == g[0] else g[0] for g in groups for k in g], dtype=np.intp)
+    x = _skip(np.zeros_like(mem), np.minimum(mem, partner), np.maximum(mem, partner))
+    arr = state.arr
+    units = state.halve(arr[mem, partner] + arr[mem, x] - arr[partner, x])
+    return mem, units, [state.value(u) for u in units.tolist()]
 
 
-def _terminal_star(d: DoubleWeights, merges):
+def _merge_bells(state: _Mirror, bells):
+    """Replace every bell by a fresh label; a reduced entry is the mean of
+    the per-member reductions D[a, b] - twig[a] - twig[b] over the two
+    labels' members (identical on exact data).
+
+    Each mean is summed member pair by member pair in the order of the
+    dict loop it replaces, vectorised over every pair of new labels of the
+    same two bell sizes, so float entries are the same bit for bit.  An
+    exact mean that is not a whole unit widens the scale by the count.
+    Returns the merges.
+    """
+    labels = state.labels
+    index = {lab: k for k, lab in enumerate(labels)}
+    groups = [tuple(index[lab] for lab in b) for b in bells]
+    mem, units, values = _bell_twigs(state, groups)
+    twigs = dict(zip(mem.tolist(), values))
+    z0 = labels[-1] + 1
+    merges = [
+        (z0 + b, [(labels[k], twigs[k]) for k in g]) for b, g in enumerate(groups)
+    ]
+    owned = set(mem.tolist())
+    survivors = [k for k in range(len(labels)) if k not in owned]
+    new_groups = [(k,) for k in survivors] + groups
+    sizes = np.array([len(g) for g in new_groups])
+
+    # a mean sums up to max(sizes)^2 terms, each within 4 max|unit|
+    arr = _widened(state.arr, 4 * int(sizes.max()) ** 2)
+    zero = arr[0, 0]
+    tw = np.full(len(labels), zero, dtype=arr.dtype)
+    tw[mem] = units
+    m2 = len(new_groups)
+    sums = np.empty((m2, m2), dtype=arr.dtype)
+    classes = [
+        (np.flatnonzero(sizes == s), np.array([g for g in new_groups if len(g) == s]))
+        for s in sorted(set(sizes.tolist()))
+    ]
+    for rows, xs in classes:
+        for cols, ys in classes:
+            acc = 0
+            for a in xs.T:
+                for b in ys.T:
+                    acc = acc + arr[a[:, None], b] - tw[a][:, None] - tw[b]
+            sums[np.ix_(rows, cols)] = acc
+    counts = np.outer(sizes, sizes)
+    np.fill_diagonal(sums, zero)
+    if state.in_units():
+        scale_up = math.lcm(*np.unique(counts[sums % counts != 0]).tolist())
+        sums = _widened(sums, scale_up)
+        new = sums * scale_up // counts
+        state.scale *= scale_up
+    else:
+        new = sums / (counts if state.kind == "float" else counts.astype(object))
+    # each key (x, y), x < y, as the loop sums it: x's members outermost
+    iu, ju = upper_keys(m2, 2)
+    new[ju, iu] = new[iu, ju]
+    state.labels = [labels[k] for k in survivors] + [z for z, _ in merges]
+    state._set(new)
+    return merges
+
+
+def _terminal_star(state: _Mirror, merges):
     """All remaining labels form one bell: attach them to a fresh center."""
-    center = max(d.labels) + 1
-    twigs = bell_twigs_doubles(d, d.labels)
-    edges = [(m_, center, twigs[m_]) for m_ in d.labels]
+    center = state.labels[-1] + 1
+    _, _, twigs = _bell_twigs(state, [tuple(range(state.n))])
+    edges = [(lab, center, tw) for lab, tw in zip(state.labels, twigs)]
     return _assemble(edges, merges)
 
 
@@ -331,40 +459,63 @@ def nj_pruning_detailed(d: DoubleWeights, eps=0):
     if d.n == 2:
         a, b = d.labels
         return WeightedTree([(a, b, d.value(a, b))]), []
-    current = d
+    state = _Mirror(d)
     merges = []
     rounds = []
-    while current.n > 2:
-        if current.n == 3:
-            current, merge = _min_join(current)
-            merges.append(merge)
+    while state.n > 2:
+        if state.n == 3:
+            merges.append(_min_join(state))
             rounds.append({"size": 3, "bells": [], "fallback": True,
                            "entries_examined": 0})
             continue
-        scan = cherry_scan(current, eps)
+        scan = cherry_scan(state, eps)
         bells = group_bells(scan.pairs)
         info = {
-            "size": current.n,
+            "size": state.n,
             "bells": [list(b) for b in bells],
             "fallback": not bells,
             "entries_examined": scan.entries_examined,
         }
         rounds.append(info)
         if not bells:
-            current, merge = _min_join(current)
-            merges.append(merge)
+            merges.append(_min_join(state))
             continue
-        if len(bells) == 1 and len(bells[0]) == current.n:
-            return _terminal_star(current, merges), rounds
-        current, new_merges = _merge_bells(current, bells)
-        merges.extend(new_merges)
-    u, v = current.labels
-    return _assemble([(u, v, current.value(u, v))], merges), rounds
+        if len(bells) == 1 and len(bells[0]) == state.n:
+            return _terminal_star(state, merges), rounds
+        merges.extend(_merge_bells(state, bells))
+    return _assemble([state.final_edge()], merges), rounds
 
 
 # --------------------------------------------------------------------- #
 # Neighbor joining from triple weights                                   #
 # --------------------------------------------------------------------- #
+
+
+def _within(spread, eps, scale):
+    """Elementwise spread / scale <= eps, exact for every mirror and every
+    int, Fraction or float eps (scale None: a float mirror)."""
+    if isinstance(eps, float) and (scale is None or not math.isfinite(eps)):
+        return spread <= eps
+    if scale is None or spread.dtype == object:
+        limit = Fraction(eps) * (scale or 1)
+        return np.array([x <= limit for x in spread.tolist()], dtype=bool)
+    # an int spread is within the limit iff within its floor
+    limit = math.floor(Fraction(eps) * scale)
+    return spread <= min(max(limit, -(2**62)), 2**62)
+
+
+def _confirmed_min_pair(state: _Mirror, eps):
+    """The pair of least (S, pair) whose star spread is within eps, else
+    the global minimum: every pair's spread from one block kernel, and the
+    first minimum of S among the confirmed pairs."""
+    iu, ju, S = _selection(state.arr)
+    lo, hi = _star_windows(state.arr, 2)
+    ok = _within(hi - lo, eps, state.scale)
+    if ok.any():
+        k = int(np.flatnonzero(ok)[S[ok].argmin()])
+    else:
+        k = int(S.argmin())
+    return int(iu[k]), int(ju[k])
 
 
 def nj_from_triples(t: TripleWeights, eps=0) -> WeightedTree:
@@ -383,17 +534,15 @@ def nj_from_triples(t: TripleWeights, eps=0) -> WeightedTree:
         raise InstanceTooSmallError(
             "nj_from_triples needs n >= 5", required=5, got=t.n
         )
-    _, current = derived_pairwise_consistent(t, math.inf)
+    _, d = derived_pairwise_consistent(t, math.inf)
+    state = _Mirror(d)
     merges = []
-    while current.n > 5:
-        candidates = sorted(s_matrix(current).entries.items(), key=lambda kv: (kv[1], kv[0]))
-        i, j = next(
-            (p for p, _ in candidates if star_condition_doubles(current, *p, tol=eps).holds),
-            candidates[0][0],
-        )
-        x, y = [g for g in current.labels if g not in (i, j)][:2]
-        a_i = half(twig_length_doubles(current, i, j, x) + twig_length_doubles(current, i, j, y))
-        current, merge = _classic_join(current, i, j, a_i)
-        merges.append(merge)
-    finish = nj_classic(current)
+    while state.n > 5:
+        i, j = _confirmed_min_pair(state, eps)
+        x = int(_skip(0, i, j))
+        y = int(_skip(x + 1, i, j))
+        a_i = half(state.twig(i, j, x) + state.twig(i, j, y))
+        merges.append(_classic_join(state, i, j, a_i))
+    last = _join_down(state, 2)
+    finish = _assemble([state.final_edge()], last)
     return _assemble(finish.edges, merges)

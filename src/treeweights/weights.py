@@ -439,8 +439,9 @@ def _skip(g, ia, ib):
     return g + (g == ib)
 
 
-def _star_windows(arr, order):
-    """(lo, hi) of every label pair's star window, in combinations order.
+def _star_windows(arr, order, pairs=None):
+    """(lo, hi) of every label pair's star window, in combinations order,
+    or of the index *pairs* (ia, ib), ia < ib elementwise, when given.
 
     One block kernel for both orders: a pair (a, b) differences row a
     against row b of the mirror over every completion (a label g, or a
@@ -449,7 +450,7 @@ def _star_windows(arr, order):
     window's min and max unchanged without a per-pair index list.
     """
     m = arr.shape[0]
-    ia, ib = _upper_pairs(m)
+    ia, ib = _upper_pairs(m) if pairs is None else pairs
     flat = arr.reshape(m, -1)
     free = _skip(np.zeros_like(ia), ia, ib)
     if order == 2:

@@ -5,8 +5,12 @@ container's dense mirror (int64, ``object`` Python ints, or float64).
 These loops compute the same results one entry at a time, straight from
 the container's values, and define the semantics the kernels are held to:
 result for result, bitwise for floats.  They are test oracles only.
-The triple-space NJ loop is kept here too, as the route that triple NJ on
-the pairwise fit must reproduce on exact lifts.
+The neighbor-joining dict loops are kept here too: classic NJ driven by
+the dict S-matrix, pruning NJ with its per-entry bell merge, and triple NJ
+walking the candidates one star condition at a time, which the package's
+array-resident NJ engine must reproduce byte for byte (bitwise on
+floats); and the triple-space NJ loop, which triple NJ on the pairwise
+fit must reproduce on exact lifts.
 """
 
 import math
@@ -14,14 +18,23 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from treeweights.numeric import THIRD, half, midrange
-from treeweights.nj import SMatrix, ScanRecord, _assemble, nj_classic, s_matrix
-from treeweights.reconstruct import Pseudobell, _inconsistent, prune_triples
+from treeweights.nj import SMatrix, ScanRecord, _assemble, cherry_scan, group_bells
+from treeweights.reconstruct import (
+    Pseudobell,
+    _inconsistent,
+    bell_twigs_doubles,
+    prune_triples,
+    twig_length_doubles,
+)
+from treeweights.tree import WeightedTree
 from treeweights.weights import (
     DoubleWeights,
     StarResult,
     _star_window_doubles,
     _star_window_triples,
     derived_pairwise,
+    derived_pairwise_consistent,
+    star_condition_doubles,
     star_condition_triples,
 )
 
@@ -172,7 +185,7 @@ def scan_pure(d, eps):
     """Reference cherry scan: the records of ``nj.cherry_scan``, from the
     S-matrix dict and the container's values."""
     labels = d.labels
-    S = s_matrix(d)
+    S = s_matrix_loop(d)
     records = []
     for j in labels:
         m_j = None
@@ -255,4 +268,152 @@ def nj_from_triples_loop(t, eps=0):
         {(a, b): _derived_single(current, a, b) for a, b in combinations(labels, 2)},
         labels=labels,
     )
-    return _assemble(nj_classic(d5).edges, merges)
+    return _assemble(nj_classic_loop(d5).edges, merges)
+
+
+# --------------------------------------------------------------------- #
+# Neighbor joining on dict containers                                    #
+# --------------------------------------------------------------------- #
+
+
+def s_matrix_loop(d):
+    """Reference selection matrix: row sums over the pairs in key order,
+    then (n - 2) D[a, b] - row[a] - row[b] per pair."""
+    labels = d.labels
+    row = {a: 0 for a in labels}
+    for (a, b), v in d.items():
+        row[a] = row[a] + v
+        row[b] = row[b] + v
+    m = d.n
+    entries = {
+        (a, b): (m - 2) * d.value(a, b) - row[a] - row[b]
+        for a, b in combinations(labels, 2)
+    }
+    return SMatrix(labels=labels, entries=entries)
+
+
+def classic_join_loop(d, i, j, a_i):
+    """One agglomeration step on a container: (reduced container, merge)."""
+    labels = d.labels
+    a_j = d.value(i, j) - a_i
+    z = max(labels) + 1
+    survivors = [g for g in labels if g not in (i, j)]
+    vals = {(a, b): d.value(a, b) for a, b in combinations(survivors, 2)}
+    for y in survivors:
+        vals[(y, z)] = half(-d.value(i, j) + d.value(i, y) + d.value(j, y))
+    return DoubleWeights(vals, labels=survivors + [z]), (z, [(i, a_i), (j, a_j)])
+
+
+def _min_join_loop(d):
+    i, j = s_matrix_loop(d).argmin_pair()
+    x = next(g for g in d.labels if g not in (i, j))
+    return classic_join_loop(d, i, j, twig_length_doubles(d, i, j, x))
+
+
+def nj_classic_loop(d):
+    """Reference classic NJ: a dict S-matrix and a new container per join."""
+    if d.n == 2:
+        a, b = d.labels
+        return WeightedTree([(a, b, d.value(a, b))])
+    current = d
+    merges = []
+    while current.n > 2:
+        current, merge = _min_join_loop(current)
+        merges.append(merge)
+    u, v = current.labels
+    return _assemble([(u, v, current.value(u, v))], merges)
+
+
+def merge_bells_loop(d, bells):
+    """Reference bell merge: every reduced entry the mean of the per-member
+    reductions D[a, b] - twig[a] - twig[b], summed one member pair at a time."""
+    labels = d.labels
+    next_z = max(labels) + 1
+    owner = {}
+    merges = []
+    twig_of = {}
+    for members in bells:
+        twigs = bell_twigs_doubles(d, members)
+        z = next_z
+        next_z += 1
+        merges.append((z, [(m_, twigs[m_]) for m_ in members]))
+        for m_ in members:
+            owner[m_] = z
+            twig_of[m_] = twigs[m_]
+    survivors = [g for g in labels if g not in owner]
+    bell_members = {z: [m_ for m_, _ in mem] for z, mem in merges}
+    new_labels = sorted(survivors + list(bell_members))
+
+    def reduced_value(x, y):
+        xs = bell_members.get(x, [x])
+        ys = bell_members.get(y, [y])
+        total = 0
+        count = 0
+        for a in xs:
+            for b in ys:
+                total = total + d.value(a, b) - twig_of.get(a, 0) - twig_of.get(b, 0)
+                count += 1
+        return total / count if count > 1 else total
+
+    vals = {(a, b): reduced_value(a, b) for a, b in combinations(new_labels, 2)}
+    return DoubleWeights(vals, labels=new_labels), merges
+
+
+def nj_pruning_loop(d, eps=0):
+    """Reference pruning NJ: (tree, rounds), a cherry scan of a new
+    container per round and :func:`merge_bells_loop` for its bells."""
+    if d.n == 2:
+        a, b = d.labels
+        return WeightedTree([(a, b, d.value(a, b))]), []
+    current = d
+    merges = []
+    rounds = []
+    while current.n > 2:
+        if current.n == 3:
+            current, merge = _min_join_loop(current)
+            merges.append(merge)
+            rounds.append({"size": 3, "bells": [], "fallback": True, "entries_examined": 0})
+            continue
+        scan = cherry_scan(current, eps)
+        bells = group_bells(scan.pairs)
+        rounds.append({
+            "size": current.n,
+            "bells": [list(b) for b in bells],
+            "fallback": not bells,
+            "entries_examined": scan.entries_examined,
+        })
+        if not bells:
+            current, merge = _min_join_loop(current)
+            merges.append(merge)
+            continue
+        if len(bells) == 1 and len(bells[0]) == current.n:
+            center = max(current.labels) + 1
+            twigs = bell_twigs_doubles(current, current.labels)
+            edges = [(m_, center, twigs[m_]) for m_ in current.labels]
+            return _assemble(edges, merges), rounds
+        current, new_merges = merge_bells_loop(current, bells)
+        merges.extend(new_merges)
+    u, v = current.labels
+    return _assemble([(u, v, current.value(u, v))], merges), rounds
+
+
+def nj_from_triples_walk(t, eps=0):
+    """Reference triple NJ on condition 2's fit d: per round the candidates
+    sorted by (S_d, pair), each tested by its own star condition on d until
+    one holds (else the global minimum), twigs the mean of two pairwise
+    twigs, and classic NJ on the last five labels."""
+    _, current = derived_pairwise_consistent(t, math.inf)
+    merges = []
+    while current.n > 5:
+        S = s_matrix_loop(current)
+        candidates = sorted(S.entries.items(), key=lambda kv: (kv[1], kv[0]))
+        i, j = next(
+            (p for p, _ in candidates if star_condition_doubles(current, *p, tol=eps).holds),
+            candidates[0][0],
+        )
+        x, y = [g for g in current.labels if g not in (i, j)][:2]
+        a_i = half(twig_length_doubles(current, i, j, x) + twig_length_doubles(current, i, j, y))
+        current, merge = classic_join_loop(current, i, j, a_i)
+        merges.append(merge)
+    finish = nj_classic_loop(current)
+    return _assemble(finish.edges, merges)
