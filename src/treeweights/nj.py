@@ -302,18 +302,17 @@ def cherry_scan(d, eps=0) -> CherryScanResult:
     labels, arr = state.labels, state.arr
     m = state.n
     row_sum = arr.sum(axis=1)
+    cols = np.arange(m)
     if state.kind == "int":
         # exact, so S is symmetric: one value per pair
         iu, ju = upper_keys(m, 2)
         S = np.empty_like(arr)
         S[iu, ju] = S[ju, iu] = _criterion(arr, row_sum, iu, ju)
     else:
-        every = np.arange(m)
-        S = _criterion(arr, row_sum, every[:, None], every)
+        S = _criterion(arr, row_sum, cols[:, None], cols)
     # row j of `off` is column j of S without its diagonal entry
     off = S.T[~np.eye(m, dtype=bool)].reshape(m, m - 1)
     first = off.argmin(axis=1)  # first minimal index per column
-    cols = np.arange(m)
     rows = first + (first >= cols)
     mins = off[cols, first]
     # a window and its negation have the same spread, so the pair's order is free
