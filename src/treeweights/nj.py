@@ -213,8 +213,10 @@ def _classic_join(state: _Mirror, i, j, a_i):
     """
     arr, labels = state.arr, state.labels
     a_j = state.value(arr[i, j]) - a_i
-    zero = arr[0, 0]  # the diagonal: 0, 0.0 or Fraction(0), as the mirror holds
     row = state.halve(-arr[i, j] + arr[i] + arr[j])  # may double state.arr
+    # the diagonal, read after the halve: an int64 scalar stored in an
+    # object mirror would turn the Python-int sums over its column int64
+    zero = state.arr[0, 0]
     keep = np.delete(np.arange(len(arr)), (i, j))
     m = len(keep) + 1
     new = np.empty((m, m), dtype=state.arr.dtype)
@@ -490,30 +492,23 @@ def nj_pruning_detailed(d: DoubleWeights, eps=0):
 # --------------------------------------------------------------------- #
 
 
-def _within(spread, eps, scale):
-    """Elementwise spread / scale <= eps, exact for every mirror and every
-    int, Fraction or float eps (scale None: a float mirror)."""
-    if isinstance(eps, float) and (scale is None or not math.isfinite(eps)):
-        return spread <= eps
-    if scale is None or spread.dtype == object:
-        limit = Fraction(eps) * (scale or 1)
-        return np.array([x <= limit for x in spread.tolist()], dtype=bool)
-    # an int spread is within the limit iff within its floor
-    limit = math.floor(Fraction(eps) * scale)
-    return spread <= min(max(limit, -(2**62)), 2**62)
-
-
 def _confirmed_min_pair(state: _Mirror, eps):
     """The pair of least (S, pair) whose star spread is within eps, else
-    the global minimum: every pair's spread from one block kernel, and the
-    first minimum of S among the confirmed pairs."""
-    iu, ju, S = _selection(state.arr)
-    lo, hi = _star_windows(state.arr, 2)
-    ok = _within(hi - lo, eps, state.scale)
+    the global minimum.  The first S-minimum, a cherry on tree data, is
+    checked by its own O(m) window; only if it fails does one block kernel
+    give every pair's spread, and the first minimum of S among the
+    confirmed pairs is taken."""
+    arr = state.arr
+    iu, ju, S = _selection(arr)
+    k = int(S.argmin())
+    i, j = int(iu[k]), int(ju[k])
+    diff = np.delete(arr[i] - arr[j], (i, j))
+    if state.value(diff.max() - diff.min()) <= eps:
+        return i, j
+    lo, hi = _star_windows(arr, 2)
+    ok = np.array([state.value(w) <= eps for w in (hi - lo).tolist()], dtype=bool)
     if ok.any():
         k = int(np.flatnonzero(ok)[S[ok].argmin()])
-    else:
-        k = int(S.argmin())
     return int(iu[k]), int(ju[k])
 
 

@@ -90,6 +90,23 @@ def scaled(d, factor):
     return DoubleWeights({k: v * factor for k, v in d.items()}, labels=d.labels)
 
 
+def watch_mirrors(monkeypatch):
+    """Check every mirror the engine carries: an ``object`` mirror holds no
+    numpy scalar (one would carry int64 arithmetic into its sums).  Returns
+    the list of the mirrors' max |element|, filled as the engine runs."""
+    top = []
+    carry = nj_mod._Mirror._set
+
+    def checked(state, arr):
+        carry(state, arr)
+        if state.arr.dtype == object:
+            assert not any(isinstance(x, np.generic) for x in state.arr.flat)
+        top.append(abs(state.arr).max())
+
+    monkeypatch.setattr(nj_mod._Mirror, "_set", checked)
+    return top
+
+
 class TestExactDataMatchesTheLoops:
     @given(st.integers(0, 10**6), st.integers(3, 14), st.sampled_from(SHAPES),
            st.sampled_from([0, Fraction(1, 3)]))
@@ -114,7 +131,7 @@ class TestExactDataMatchesTheLoops:
         got, ref = newicks(d, 0)
         assert got == ref
 
-    def test_int64_mirror_moves_to_object_ints_mid_run(self):
+    def test_int64_mirror_moves_to_object_ints_mid_run(self, monkeypatch):
         # units a doubling or two under the headroom: the first odd half
         # doubles the scale, and the mirror has to leave int64
         d = pair_case(3, 12, "non-tree")
@@ -122,10 +139,27 @@ class TestExactDataMatchesTheLoops:
         d = scaled(d, (_DENSE_MAG_CAP // (8 * d.n * top)) | 1)
         state = nj_mod._Mirror(d)
         assert state.arr.dtype == np.int64
+        watch_mirrors(monkeypatch)
         nj_mod._join_down(state, 2)
         assert state.arr.dtype == object
         got, ref = newicks(d, 0)
         assert got == ref
+
+    def test_object_units_past_int64_after_the_widening(self, monkeypatch):
+        # a tree moved by one unit per entry, 5 n max|unit| under the
+        # headroom: odd halves keep doubling the scale while the magnitudes
+        # hold, so the object mirror's units pass 2**63
+        d = pair_case(5, 40, "multifurcating")
+        top = int(np.abs(d.dense()[1]).max())
+        d = scaled(d, (_DENSE_MAG_CAP // (5 * d.n * top)) | 1)
+        unit = Fraction(1, d.dense()[2])
+        rng = random.Random(5)
+        d = DoubleWeights({k: v + unit * rng.choice((-1, 0, 1)) for k, v in d.items()})
+        assert d.dense()[1].dtype == np.int64
+        top = watch_mirrors(monkeypatch)
+        got = to_newick(nj_classic(d))
+        assert max(top) >= 2**63
+        assert got == to_newick(nj_classic_loop(d))
 
     @pytest.mark.parametrize("seed, tree", [(1, True), (2, False), (3, True)])
     def test_fraction_mirror_of_coprime_denominators(self, seed, tree):
@@ -165,6 +199,13 @@ class TestFloatTripleNJ:
         monkeypatch.setattr(nj_mod, "_star_windows", counted)
         assert to_newick(nj_from_triples(t, 0.0)) == ref
         assert len(calls) <= t.n - 5
+
+    def test_exact_lift_confirms_without_the_kernel(self, monkeypatch):
+        # on a lift the first S-minimum is a cherry: its own window confirms
+        t = triples_of_tree(random_tree(40, 1))
+        ref = to_newick(nj_from_triples_walk(t, 0))
+        monkeypatch.setattr(nj_mod, "_star_windows", None)
+        assert to_newick(nj_from_triples(t, 0)) == ref
 
 
 def _mirror(name):
