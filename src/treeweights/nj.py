@@ -16,15 +16,16 @@ Triple NJ runs on the pairwise engine too: condition 2's least-squares
 fit d keeps every pair sum of the triples, so the triple criterion is an
 affine image of d's, S_T = (n - 4)/4 * S_d - sum d, and the joins run on d.
 
-All three variants run on one array-resident engine (:class:`_Mirror`):
-the container's dense mirror (int64, ``object`` Python ints past the int64
-headroom or Fractions past the scale cap, or float64) is built once and
-carried from join to join, so exact data stays exact and no container is
-rebuilt inside a loop.  A classic join costs one O(m^2) array S on m
-labels plus an O(m) row update (Studier & Keppler, Mol. Biol. Evol. 1988);
-a pruning round costs one cherry scan and one array merge of every bell.
-Exact halves and means that leave the units widen the scale instead.  The
-tests hold the engine to the dict loops in ``tests/reference_loops.py``:
+All three variants run on the array-resident engine that reconstruction
+prunes on too (:class:`~treeweights.weights._Mirror`): the container's
+dense mirror (int64, ``object`` Python ints past the int64 headroom or
+Fractions past the scale cap, or float64) is built once and carried from
+join to join, so exact data stays exact and no container is rebuilt
+inside a loop.  A classic join costs one O(m^2) array S on m labels plus
+an O(m) row update (Studier & Keppler, Mol. Biol. Evol. 1988); a pruning
+round costs one cherry scan and one array merge of every bell.  Exact
+halves and means that leave the units rescale the mirror.  The tests hold
+the engine to the dict loops in ``tests/reference_loops.py``:
 byte-identical trees on exact data, bitwise on floats.
 """
 
@@ -43,85 +44,18 @@ from .tree import WeightedTree, contract_zero_internal_edges
 from .weights import (
     DoubleWeights,
     TripleWeights,
+    _bell_twigs,
+    _Mirror,
+    _over,
     _skip,
     _star_windows,
     derived_pairwise_consistent,
-    exact_scalar,
-    holds_fractions,
-    int_dtype,
     upper_keys,
 )
 
 # Unused here, but perfbench's tracer wraps these two names in this module.
 from .reconstruct import prune_triples  # noqa: F401
 from .weights import star_condition_triples  # noqa: F401
-
-
-def _widened(arr, factor):
-    """*arr*, moved from int64 to ``object`` ints when factor * max|unit|
-    would pass the int64 headroom (see :func:`~treeweights.weights.int_dtype`)."""
-    if arr.dtype == np.int64 and int_dtype(int(np.abs(arr).max(initial=0)) * factor) is object:
-        return arr.astype(object)
-    return arr
-
-
-class _Mirror:
-    """The NJ engine's state: labels in index order (ascending, so a fresh
-    label max + 1 takes the last slot), their distance mirror, its scale
-    and kind, as :meth:`DoubleWeights.dense` gives them.
-
-    kind "int": ``arr / scale`` are the exact values; kind "float":
-    float64, scale None.  An int64 mirror keeps 4 m max|unit| under the
-    headroom, so S and the row sums stay int64.  Every step builds new
-    arrays; the container's own mirror is never written.
-    """
-
-    __slots__ = ("labels", "arr", "scale", "kind")
-
-    def __init__(self, d: DoubleWeights):
-        self.kind, arr, self.scale = d.dense()
-        self.labels = list(d.labels)
-        self._set(arr)
-
-    @property
-    def n(self):
-        return len(self.labels)
-
-    def _set(self, arr):
-        """Carry *arr*, as ``object`` ints when 4 m max|unit| would pass the
-        int64 headroom."""
-        self.arr = _widened(arr, 4 * len(arr))
-
-    def in_units(self):
-        return self.kind == "int" and not holds_fractions(self.arr)
-
-    def value(self, x):
-        """A mirror element (or a sum of them) as a Python Fraction or float."""
-        if self.kind == "float":
-            return float(x)
-        return Fraction(exact_scalar(x), self.scale)
-
-    def twig(self, i, j, x):
-        """(d_ij + d_ix - d_jx) / 2, i's twig against j, as a Python value."""
-        a = self.arr
-        return half(self.value(a[i, j]) + self.value(a[i, x]) - self.value(a[j, x]))
-
-    def halve(self, twice):
-        """*twice* / 2 in the mirror's units; an odd unit doubles the
-        mirror and the scale first, so *twice* itself is the half."""
-        if self.kind == "float":
-            return 0.5 * twice
-        if not self.in_units():
-            return twice / 2
-        if (twice % 2 != 0).any():
-            self._set(self.arr * 2)
-            self.scale *= 2
-            return twice
-        return twice // 2
-
-    def final_edge(self):
-        u, v = self.labels
-        return (u, v, self.value(self.arr[0, 1]))
 
 
 def _criterion(arr, row_sum, rows, cols):
@@ -319,18 +253,12 @@ def cherry_scan(d, eps=0) -> CherryScanResult:
     mins = off[cols, first]
     # a window and its negation have the same spread, so the pair's order is free
     lo, hi = _star_windows(arr, 2, (np.minimum(rows, cols), np.maximum(rows, cols)))
-    records = []
-    for j, ci, mn, width in zip(labels, rows.tolist(), mins.tolist(), (hi - lo).tolist()):
-        spread = state.value(width)
-        records.append(
-            ScanRecord(
-                column=j,
-                row=labels[ci],
-                minimum=state.value(mn),
-                spread=spread,
-                confirmed=spread <= eps,
-            )
-        )
+    width = hi - lo
+    confirmed = (~_over(width, eps, state.scale)).tolist()
+    records = [
+        ScanRecord(j, labels[ci], state.value(mn), state.value(w), ok)
+        for j, ci, mn, w, ok in zip(labels, rows.tolist(), mins.tolist(), width.tolist(), confirmed)
+    ]
     pairs = sorted(
         {
             (min(r.row, r.column), max(r.row, r.column))
@@ -367,19 +295,6 @@ def group_bells(pairs):
 # --------------------------------------------------------------------- #
 
 
-def _bell_twigs(state: _Mirror, groups):
-    """Twig of every member of every bell (groups of indices), against the
-    bell's smallest other member, with the smallest index outside the pair
-    as third label.  Returns (members, twigs in the mirror's units, twigs
-    as Python values)."""
-    mem = np.array([k for g in groups for k in g], dtype=np.intp)
-    partner = np.array([g[1] if k == g[0] else g[0] for g in groups for k in g], dtype=np.intp)
-    x = _skip(np.zeros_like(mem), np.minimum(mem, partner), np.maximum(mem, partner))
-    arr = state.arr
-    units = state.halve(arr[mem, partner] + arr[mem, x] - arr[partner, x])
-    return mem, units, [state.value(u) for u in units.tolist()]
-
-
 def _merge_bells(state: _Mirror, bells):
     """Replace every bell by a fresh label; a reduced entry is the mean of
     the per-member reductions D[a, b] - twig[a] - twig[b] over the two
@@ -406,7 +321,8 @@ def _merge_bells(state: _Mirror, bells):
     sizes = np.array([len(g) for g in new_groups])
 
     # a mean sums up to max(sizes)^2 terms, each within 4 max|unit|
-    arr = _widened(state.arr, 4 * int(sizes.max()) ** 2)
+    state.widen(4 * int(sizes.max()) ** 2)
+    arr = state.arr
     zero = arr[0, 0]
     tw = np.full(len(labels), zero, dtype=arr.dtype)
     tw[mem] = units
@@ -426,10 +342,9 @@ def _merge_bells(state: _Mirror, bells):
     counts = np.outer(sizes, sizes)
     np.fill_diagonal(sums, zero)
     if state.in_units():
-        scale_up = math.lcm(*np.unique(counts[sums % counts != 0]).tolist())
-        sums = _widened(sums, scale_up)
-        new = sums * scale_up // counts
-        state.scale *= scale_up
+        state.arr = sums
+        state.rescale(math.lcm(*np.unique(counts[sums % counts != 0]).tolist()))
+        new = state.arr // counts
     else:
         new = sums / (counts if state.kind == "float" else counts.astype(object))
     # each key (x, y), x < y, as the loop sums it: x's members outermost
@@ -503,10 +418,10 @@ def _confirmed_min_pair(state: _Mirror, eps):
     k = int(S.argmin())
     i, j = int(iu[k]), int(ju[k])
     diff = np.delete(arr[i] - arr[j], (i, j))
-    if state.value(diff.max() - diff.min()) <= eps:
+    if not _over(diff.max(keepdims=True) - diff.min(keepdims=True), eps, state.scale)[0]:
         return i, j
     lo, hi = _star_windows(arr, 2)
-    ok = np.array([state.value(w) <= eps for w in (hi - lo).tolist()], dtype=bool)
+    ok = ~_over(hi - lo, eps, state.scale)
     if ok.any():
         k = int(np.flatnonzero(ok)[S[ok].argmin()])
     return int(iu[k]), int(ju[k])

@@ -22,15 +22,20 @@ must reproduce every pairwise value (for triples, those of the fitted d,
 which at tol=0 is the same as every triple).  With exact rational data and
 tol=0 the accept/reject decision is exact.
 
+The levels run on one mirror (:class:`~treeweights.weights._Mirror`):
+bells from one star window kernel, twigs from the shared twig rule, the
+reduction an array of midranges.  A container is built only for the base
+case, and for a level's ``reduced`` when that is read.
+
 A full :class:`ReconstructionTrace` (levels, pseudobells, twigs, base-case
 solve, positivity certificate) is returned alongside the tree.
 """
 
 from __future__ import annotations
 
-import math
+from copy import copy
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -41,12 +46,14 @@ from .tree import WeightedTree, contract_zero_internal_edges
 from .weights import (
     DoubleWeights,
     TripleWeights,
-    derived_pairwise_consistent,
+    _bell_twigs,
+    _Mirror,
+    _over,
+    _star_windows,
+    _symmetric,
     block_elems,
+    derived_pairwise_consistent,
     doubles_of_tree,
-    exact_scalar,
-    holds_fractions,
-    int_dtype,
     star_table,
     triples_from_doubles,
     upper_keys,
@@ -76,12 +83,17 @@ class Pseudobell:
 
 @dataclass
 class ReductionLevel:
-    """One pruning round: which pseudobells were merged into which labels."""
+    """One pruning round: which pseudobells were merged into which labels.
+    ``reduced``, the container on labels_after, is built when first read."""
 
     labels_before: tuple
     labels_after: tuple
     pseudobells: list
-    reduced: object  # the weight container on labels_after
+    _view: object = field(repr=False)  # the reduced mirror
+
+    @cached_property
+    def reduced(self):
+        return self._view.container()
 
 
 @dataclass
@@ -100,9 +112,6 @@ class ReconstructionTrace:
     all_twigs_positive: bool | None = None
 
     def to_report(self):
-        def num(x):
-            return float(x) if isinstance(x, float) else format_number(x)
-
         return {
             "levels": [
                 {
@@ -112,7 +121,7 @@ class ReconstructionTrace:
                         {
                             "members": list(pb.members),
                             "z": pb.z,
-                            "twigs": {str(k): num(v) for k, v in pb.twig_lengths.items()},
+                            "twigs": {str(k): _num_or_float(v) for k, v in pb.twig_lengths.items()},
                         }
                         for pb in lv.pseudobells
                     ],
@@ -121,7 +130,7 @@ class ReconstructionTrace:
             ],
             "base_case": {
                 "labels": list(self.base_case.labels),
-                "residual": num(self.base_case.residual),
+                "residual": _num_or_float(self.base_case.residual),
                 "detail": self.base_case.detail,
             },
             "all_twigs_positive": self.all_twigs_positive,
@@ -139,42 +148,42 @@ def complete_pseudobells(w, tol=0):
     With exact data the star relation is transitive, so the graph is a
     disjoint union of cliques; with a positive tolerance near-equalities
     need not chain, and a non-clique component is reported as a structural
-    inconsistency naming an open triple.
+    inconsistency naming an open triple.  *w* is a weight container, or
+    the reconstruction's carried mirror: the graph is one star window
+    kernel's spreads, compared with tol in the mirror's units.
     """
-    required = 3 if isinstance(w, DoubleWeights) else 5
-    if w.n < required:
+    state = w if isinstance(w, _Mirror) else _Mirror(w, row_sums=False)
+    required = 3 if state.order == 2 else 5
+    if state.n < required:
         raise InstanceTooSmallError(
-            f"pseudobell search needs n >= {required} for order {w.order}",
+            f"pseudobell search needs n >= {required} for order {state.order}",
             required=required,
-            got=w.n,
+            got=state.n,
         )
-    table = star_table(w, tol)
-    adj = {lab: set() for lab in w.labels}
-    for (a, b), res in table.items():
-        if res.holds:
-            adj[a].add(b)
-            adj[b].add(a)
+    m, labels = state.n, state.labels
+    lo, hi = _star_windows(state.arr, state.order)
+    adj = np.zeros((m, m), dtype=bool)
+    iu, ju = upper_keys(m, 2)
+    adj[iu, ju] = adj[ju, iu] = ~_over(hi - lo, tol, state.scale)
 
     bells = []
-    assigned = set()
-    for alpha in w.labels:
-        if alpha in assigned or not adj[alpha]:
+    index = np.arange(m)
+    assigned = np.zeros(m, dtype=bool)
+    for alpha in np.flatnonzero(adj.any(axis=1)).tolist():
+        if assigned[alpha]:
             continue
-        clique = {alpha} | adj[alpha]
-        for beta in sorted(clique):
-            inside = clique - {beta}
-            if adj[beta] != inside:
-                extra = sorted(adj[beta] - inside)
-                missing = sorted(inside - adj[beta])
-                other = extra[0] if extra else missing[0]
-                raise ReconstructionError(
-                    "pseudobell-graph",
-                    f"star graph is not a clique union around "
-                    f"{tuple(sorted((alpha, beta, other)))}",
-                    witness=tuple(sorted((alpha, beta, other))),
-                )
+        clique = adj[alpha] | (index == alpha)
+        members = np.flatnonzero(clique).tolist()
+        for beta in members:
+            inside = clique & (index != beta)
+            if (adj[beta] != inside).any():
+                extra, missing = adj[beta] & ~inside, inside & ~adj[beta]
+                other = int(np.flatnonzero(extra if extra.any() else missing)[0])
+                witness = tuple(sorted(labels[k] for k in (alpha, beta, other)))
+                msg = f"star graph is not a clique union around {witness}"
+                raise ReconstructionError("pseudobell-graph", msg, witness=witness)
         assigned |= clique
-        bells.append(Pseudobell(members=tuple(sorted(clique))))
+        bells.append(Pseudobell(members=tuple(labels[k] for k in members)))
     return bells
 
 
@@ -203,18 +212,6 @@ def twig_length_triples(t: TripleWeights, derived: DoubleWeights, alpha, alpha2,
     )
 
 
-def bell_twigs_doubles(d: DoubleWeights, members):
-    """Twig length of every member of a bell, by :func:`twig_length_doubles`
-    with the smallest other member as partner and the smallest label
-    outside the pair as x."""
-    twigs = {}
-    for m in members:
-        partner = members[0] if m != members[0] else members[1]
-        x = next(g for g in d.labels if g not in (m, partner))
-        twigs[m] = twig_length_doubles(d, m, partner, x)
-    return twigs
-
-
 # --------------------------------------------------------------------- #
 # Pruning                                                                #
 # --------------------------------------------------------------------- #
@@ -237,73 +234,29 @@ def _inconsistent(key, spread):
     )
 
 
-def _first_over(spread, tol, wide):
-    """Index of the first spread above tol, or None.
-
-    Exact spreads count in units of 1/wide (on a mirror of Fractions they
-    are Fractions, with wide 1); the comparison stays exact for int,
-    Fraction and float tolerances alike.
-    """
-    if wide is None:
-        if isinstance(tol, float):
-            over = spread > tol
-        else:
-            over = np.array([x > tol for x in spread.tolist()], dtype=bool)
-    elif isinstance(tol, float) and not math.isfinite(tol):
-        over = spread > tol
-    else:
-        limit = Fraction(tol) * wide
-        if spread.dtype != object:
-            # an int spread passes the limit iff it passes its floor; int64
-            # spreads stay far below 2**62, and so can the limit
-            limit = min(max(math.floor(limit), -(2**62)), 2**62)
-        elif limit.denominator == 1:
-            limit = limit.numerator  # int against int skips Fraction's Python-level compare
-        over = spread > limit
-    if not over.any():
-        return None
-    return int(over.argmax())
-
-
-def _reduce_dense(container, groups, twigs, new_labels, tol):
-    """Reduced entries computed on the dense mirror.
+def _reduce_dense(state, groups, tw, new_labels, tol):
+    """(array, scale) of a mirror's reduction; *tw* holds every index's
+    twig in the mirror's units (zero outside the bells).
 
     The mirror, less the twig of every index on every axis, is permuted so
     that each new label's representatives are contiguous; min and max
     reductions over those segments give every key's window at once.  Rows
     go in blocks of whole segments, so no temporary outgrows the block
     budget (:func:`~treeweights.weights.block_elems`) by more than one
-    segment.  Twigs take the mirror's arithmetic: on an int mirror the
-    scale widens to their denominators (an int64 mirror turns ``object``
-    when the widened magnitudes pass its headroom), on a mirror of
-    Fractions they are Fractions, on a float mirror floats.
+    segment.  A window wider than tol raises; else the midranges come back
+    as a symmetric array with a zero diagonal, exact ones as the units
+    lo + hi over twice the scale (:meth:`_Mirror.settle` halves them).
     """
-    kind, arr, scale = container.dense()
-    order = container.order
-    index = {lab: i for i, lab in enumerate(container.labels)}
-    perm = np.array([index[lab] for g in groups for lab in g], dtype=np.intp)
-    tw = [twigs.get(lab, 0) for g in groups for lab in g]
-    factor = 1
-    if kind == "float":
-        wide = None
-        tw = np.array(tw, dtype=np.float64)
-        # the reference sums 0 + t1 + t2 (+ t3), in key order
-        first = tw + 0.0
-    elif holds_fractions(arr):
-        wide = scale
-        first = tw = np.array([Fraction(x) for x in tw], dtype=object)
-    else:
-        wide = math.lcm(scale, *(Fraction(v).denominator for v in twigs.values()))
-        factor = wide // scale
-        tw = [int(Fraction(x) * wide) for x in tw]
-        top = max(int(np.abs(arr).max(initial=0)) * factor, *map(abs, tw))
-        arr = arr.astype(int_dtype(top), copy=False)
-        first = tw = np.array(tw, dtype=arr.dtype)
+    arr, order = state.arr, state.order
+    perm = np.array([k for g in groups for k in g], dtype=np.intp)
+    tw = tw[perm]
+    # the reference sums 0 + t1 + t2 (+ t3), in key order
+    first = tw + 0.0 if state.kind == "float" else tw
     bounds = np.cumsum([0] + [len(g) for g in groups])
     m2 = len(groups)
     lo = np.empty((m2,) * order, dtype=arr.dtype)
     hi = np.empty((m2,) * order, dtype=arr.dtype)
-    rows_per = max(1, block_elems(arr, factor) // len(perm) ** (order - 1))
+    rows_per = max(1, block_elems(arr) // len(perm) ** (order - 1))
     g0 = 0
     while g0 < m2:
         g1 = g0 + 1
@@ -311,8 +264,6 @@ def _reduce_dense(container, groups, twigs, new_labels, tol):
             g1 += 1
         r0, r1 = bounds[g0], bounds[g1]
         block = arr[np.ix_(perm[r0:r1], *(perm,) * (order - 1))]
-        if factor != 1:
-            block = block * factor
         drop = first[r0:r1]
         for _ in range(1, order):
             drop = np.add.outer(drop, tw)
@@ -329,54 +280,43 @@ def _reduce_dense(container, groups, twigs, new_labels, tol):
     keys = upper_keys(m2, order)
     lo, hi = lo[keys], hi[keys]
     spread = hi - lo
-    bad = _first_over(spread, tol, wide)
-    if bad is not None:
+    over = _over(spread, tol, state.scale)
+    if over.any():
+        bad = int(over.argmax())
         key = tuple(new_labels[int(k[bad])] for k in keys)
-        gap = float(spread[bad]) if wide is None else Fraction(exact_scalar(spread[bad]), wide)
-        raise _inconsistent(key, gap)
-    if wide is None:
-        mids = (0.5 * (lo + hi)).tolist()
-    else:
-        mids = [Fraction(x, 2 * wide) for x in (lo + hi).tolist()]
-    return dict(zip(combinations(new_labels, order), mids))
+        raise _inconsistent(key, state.value(spread[bad]))
+    if state.kind == "float":
+        return _symmetric(0.5 * (lo + hi), m2, order, 0), None
+    return _symmetric(lo + hi, m2, order, arr.flat[0]), 2 * state.scale
 
 
-def _prune(container, bells, tol, floor):
-    labels = container.labels
+def _prune(w, bells, tol, floor):
+    """Prune *bells* on the mirror of *w*, or on *w* itself, a carried
+    mirror.  Returns the reduced container (or that mirror) and the level."""
+    state = w if isinstance(w, _Mirror) else _Mirror(w, row_sums=False)
+    labels = tuple(state.labels)
     bells = sorted(bells, key=lambda b: b.smallest)
-    for b in bells:
-        if not b.twig_lengths:
-            raise ValueError("pseudobells must carry twig lengths before pruning")
-    taken = set()
-    for b in bells:
-        if taken & set(b.members):
-            raise ValueError("pseudobells must be pairwise disjoint")
-        taken |= set(b.members)
+    if not all(b.twig_lengths for b in bells):
+        raise ValueError("pseudobells must carry twig lengths before pruning")
+    members = [m for b in bells for m in b.members]
+    if len(set(members)) < len(members):
+        raise ValueError("pseudobells must be pairwise disjoint")
     bells = _retention_guard(bells, len(labels), floor)
+    for z, b in enumerate(bells, max(labels) + 1):
+        b.z = z
 
-    next_z = max(labels) + 1
-    owner = {}
-    for b in bells:
-        b.z = next_z
-        next_z += 1
-        for m in b.members:
-            owner[m] = b
-
-    survivors = [lab for lab in labels if lab not in owner]
-    new_labels = sorted(survivors + [b.z for b in bells])
-    groups = [(lab,) for lab in survivors] + [b.members for b in bells]
     twigs = {m: b.twig_lengths[m] for b in bells for m in b.members}
-    reduced_vals = _reduce_dense(container, groups, twigs, new_labels, tol)
-
-    cls = type(container)
-    reduced = cls(reduced_vals, labels=new_labels)
-    level = ReductionLevel(
-        labels_before=tuple(labels),
-        labels_after=tuple(new_labels),
-        pseudobells=bells,
-        reduced=reduced,
-    )
-    return reduced, level
+    survivors = [lab for lab in labels if lab not in twigs]
+    new_labels = sorted(survivors + [b.z for b in bells])
+    index = {lab: k for k, lab in enumerate(labels)}
+    groups = [(index[lab],) for lab in survivors]
+    groups += [tuple(index[m] for m in b.members) for b in bells]
+    tw = state.units([twigs.get(lab, 0) for lab in labels])
+    state.arr, state.scale = _reduce_dense(state, groups, tw, new_labels, tol)
+    state.labels = new_labels
+    state.settle()
+    level = ReductionLevel(labels, tuple(new_labels), bells, copy(state))
+    return (state if state is w else level.reduced), level
 
 
 def prune_doubles(d: DoubleWeights, pseudobells, tol=0):
@@ -385,6 +325,8 @@ def prune_doubles(d: DoubleWeights, pseudobells, tol=0):
     Entry values are checked for representative independence within tol
     (their midrange is stored).  Keeps the label set at >= 4 where whole
     pseudobells allow it; merged labels count up from max(label) + 1.
+    *d* may be the reconstruction's carried mirror, which is then reduced
+    in place and returned in the container's stead.
     """
     return _prune(d, pseudobells, tol, floor=4)
 
@@ -518,14 +460,7 @@ def _base_case_triples_5_record(t: TripleWeights, tol=0):
         raise ValueError("base_case_triples_5 needs exactly 5 labels")
     table = star_table(t, tol)
     holding = [p for p in combinations(labels, 2) if table[p].holds]
-    pick = None
-    for p1 in holding:
-        for p2 in holding:
-            if not set(p1) & set(p2):
-                pick = (p1, p2)
-                break
-        if pick:
-            break
+    pick = next(((p1, p2) for p1 in holding for p2 in holding if not set(p1) & set(p2)), None)
     if pick is None:
         _fail_base(
             f"no two disjoint star pairs among {labels}; not realisable at tol {tol}"
@@ -558,10 +493,9 @@ def _base_case_triples_5_record(t: TripleWeights, tol=0):
         "pairs": [list(pair1), list(pair2)],
         "gamma": gamma,
         "edges": {
-            **{str(k): format_number(v) if not isinstance(v, float) else v
-               for k, v in twig.items()},
-            "inner_1": format_number(f1) if not isinstance(f1, float) else f1,
-            "inner_2": format_number(f2) if not isinstance(f2, float) else f2,
+            **{str(k): _num_or_float(v) for k, v in twig.items()},
+            "inner_1": _num_or_float(f1),
+            "inner_2": _num_or_float(f2),
         },
         # the two 4-element sets obtained by pruning each base pair, with
         # the twig values living on them (positivity detail)
@@ -615,10 +549,7 @@ def _prune_plan(bells, size, floor):
         if allowed <= 0:
             break
         take = min(len(pb.members) - 1, allowed)
-        if take == len(pb.members) - 1:
-            plan.append(Pseudobell(members=pb.members))
-        else:
-            plan.append(Pseudobell(members=pb.members[: take + 1]))
+        plan.append(Pseudobell(members=pb.members[: take + 1]))
         allowed -= take
     return plan
 
@@ -659,36 +590,34 @@ def _finish(tree, levels, base_record, require_positive):
 
 
 def _prune_levels(d: DoubleWeights, tol, floor):
-    """Prune *d* level by level down to *floor* labels.
+    """Prune *d* level by level down to *floor* labels, on one mirror
+    carried from level to level.
 
     Returns the reduced container and the levels; raises with the level
     index when a level finds no two disjoint star pairs or an inconsistent
     reduced entry.
     """
+    state = _Mirror(d, row_sums=False)
     levels = []
-    current = d
-    while current.n > floor:
-        idx = len(levels)
+    while state.n > floor:
         try:
-            bells = complete_pseudobells(current, tol)
+            bells = complete_pseudobells(state, tol)
+            if not _has_two_disjoint_pairs(bells):
+                raise ReconstructionError(
+                    "no-disjoint-pseudobells",
+                    f"need two disjoint star pairs, found {[b.members for b in bells]}",
+                    witness=tuple(b.members for b in bells),
+                )
+            plan = _prune_plan(bells, state.n, floor)
+            index = {lab: k for k, lab in enumerate(state.labels)}
+            _, _, twigs = _bell_twigs(state, [[index[m] for m in pb.members] for pb in plan])
+            twigs = iter(twigs)
+            for pb in plan:
+                pb.twig_lengths = {m: next(twigs) for m in pb.members}
+            levels.append(prune_doubles(state, plan, tol)[1])
         except ReconstructionError as err:
-            raise _attach_level(err, idx)
-        if not _has_two_disjoint_pairs(bells):
-            raise ReconstructionError(
-                "no-disjoint-pseudobells",
-                f"need two disjoint star pairs, found {[b.members for b in bells]}",
-                level=idx,
-                witness=tuple(b.members for b in bells),
-            )
-        plan = _prune_plan(bells, current.n, floor)
-        for pb in plan:
-            pb.twig_lengths = bell_twigs_doubles(current, pb.members)
-        try:
-            current, level = prune_doubles(current, plan, tol)
-        except ReconstructionError as err:
-            raise _attach_level(err, idx)
-        levels.append(level)
-    return current, levels
+            raise _attach_level(err, len(levels))
+    return state.container(), levels
 
 
 def _verified(d: DoubleWeights, base_tree, base_record, levels, tol, require_positive):

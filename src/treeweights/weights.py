@@ -24,10 +24,15 @@ The star table over all label pairs is one block kernel for both orders
 ``BLOCK_ELEMS * 8`` bytes (see :func:`block_elems`), each block differences
 the mirror rows of its pairs over every completion at once, and the
 completions that contain a pair's own labels are neutralised by
-overwriting them in place.  The pruning reduction in
-:mod:`treeweights.reconstruct` uses the same mirror and block budget.  The
-single-pair star queries keep their pure-Python windows; the tests hold
-the kernels to reference loops result for result, bitwise for floats.
+overwriting them in place.  The single-pair star queries keep their
+pure-Python windows; the tests hold the kernels to reference loops result
+for result, bitwise for floats.
+
+Neighbor joining and the reconstruction's pruning carry one mirror from
+step to step (:class:`_Mirror`).  An exact step that leaves the units
+rescales units and scale by a factor (moving int64 to ``object`` when the
+headroom requires it); a pruned mirror divides them by their gcd again, so
+it stays what ``dense()`` gives the container of its values.
 
 Condition 2 on triples (:func:`derived_pairwise_consistent`) asks whether
 the triples are the half-sum lift T_ijk = (d_ij + d_ik + d_jk) / 2 of one
@@ -43,7 +48,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
@@ -99,46 +104,43 @@ def int_dtype(magnitude):
     return np.int64 if magnitude < _DENSE_MAG_CAP else object
 
 
+def _exact_units(values):
+    """(fill, scale, zero) of exact values: units over the LCM of their
+    denominators (see :func:`int_dtype`), or, when that scale would pass
+    ``_DENSE_SCALE_BITS``, their own Fractions with scale 1."""
+    scale = 1
+    for v in values:
+        scale = math.lcm(scale, v.denominator)
+        if scale.bit_length() > _DENSE_SCALE_BITS:
+            fill = np.empty(len(values), dtype=object)
+            fill[:] = [Fraction(x) for x in values]
+            return fill, 1, Fraction(0)
+    units = [v.numerator * (scale // v.denominator) for v in values]
+    return np.array(units, dtype=int_dtype(max(map(abs, units), default=0))), scale, 0
+
+
+def _symmetric(fill, m, order, zero):
+    """The (m,) * order array holding *fill*, one value per sorted key in
+    combinations order, at every permutation of its key; *zero* elsewhere."""
+    arr = np.full((m,) * order, zero, dtype=fill.dtype)
+    keys = upper_keys(m, order)
+    for perm in permutations(range(order)):
+        arr[tuple(keys[k] for k in perm)] = fill
+    return arr
+
+
 def _dense_from_items(labels, items, order):
-    """(kind, array, scale) mirror of a container.
-
-    kind "int": ``array * 1/scale`` equals the exact values; the array is
-    int64 or ``object`` (see :func:`int_dtype`), or, when the scale would
-    pass ``_DENSE_SCALE_BITS``, an ``object`` array of the values' own
-    Fractions with scale 1 (see :func:`holds_fractions`).
-    kind "float": float64 values (the container is float-valued).
-    """
-    from itertools import permutations
-
+    """(kind, array, scale) mirror of a container, from its sorted items:
+    kind "int", ``array * 1/scale`` equals the exact values (see
+    :func:`_exact_units`); kind "float", float64 values and scale None."""
     values = [v for _, v in items]
-    index = {lab: i for i, lab in enumerate(labels)}
-    m = len(labels)
-    shape = (m,) * order
-    zero = 0
     if all(is_exact(v) for v in values):
-        scale = 1
-        for v in values:
-            scale = math.lcm(scale, v.denominator)
-            if scale.bit_length() > _DENSE_SCALE_BITS:
-                scale, zero = 1, Fraction(0)
-                fill = np.empty(len(values), dtype=object)
-                fill[:] = [Fraction(x) for x in values]
-                break
-        else:
-            units = [int(v * scale) for v in values]
-            fill = np.array(units, dtype=int_dtype(max(map(abs, units), default=0)))
+        fill, scale, zero = _exact_units(values)
         kind = "int"
     else:
-        fill = np.array([float(v) for v in values], dtype=np.float64)
+        fill, scale, zero = np.array([float(v) for v in values], dtype=np.float64), None, 0
         kind = "float"
-    arr = np.full(shape, zero, dtype=fill.dtype)
-    cols = [
-        np.fromiter((index[key[k]] for key, _ in items), dtype=np.intp, count=len(values))
-        for k in range(order)
-    ]
-    for perm in permutations(range(order)):
-        arr[tuple(cols[k] for k in perm)] = fill
-    return kind, arr, (scale if kind == "int" else None)
+    return kind, _symmetric(fill, len(labels), order, zero), scale
 
 
 def exact_scalar(x):
@@ -400,21 +402,19 @@ def _object_bytes(x):
     return sys.getsizeof(x)
 
 
-def block_elems(arr, factor=1):
+def block_elems(arr):
     """Elements per block temporary, so that a block takes about
     ``BLOCK_ELEMS * 8`` bytes.
 
     int64 and float64 elements take 8 bytes.  Each element of an ``object``
     block is a Python number of its own, a difference or sum of mirror
-    elements (times *factor*): it is counted as a pointer plus twice the
-    largest distinct mirror element and the bytes of *factor*.
+    elements: it is counted as a pointer plus twice the largest distinct
+    mirror element.
     """
     if arr.dtype != object:
         return BLOCK_ELEMS
     entries = arr[upper_keys(arr.shape[0], arr.ndim)].tolist()
-    item = 8 + 2 * max(map(_object_bytes, entries), default=0)
-    item += 2 * (factor.bit_length() // 8)
-    return max(1, BLOCK_ELEMS * 8 // item)
+    return max(1, BLOCK_ELEMS * 8 // (8 + 2 * max(map(_object_bytes, entries), default=0)))
 
 
 @lru_cache(maxsize=64)
@@ -522,6 +522,162 @@ def neighbor_pairs(w, tol=0):
         )
     table = star_table(w, tol)
     return sorted(pair for pair, res in table.items() if res.holds)
+
+
+# --------------------------------------------------------------------- #
+# The carried mirror                                                     #
+# --------------------------------------------------------------------- #
+
+
+def _over(spread, tol, scale):
+    """Where spread / scale > tol, for a kernel's spreads in a mirror's
+    units (*scale* None: floats); exact for int, Fraction, float and
+    infinite tolerances alike."""
+    if scale is None:
+        if isinstance(tol, float):
+            return spread > tol
+        return np.array([x > tol for x in spread.tolist()], dtype=bool)
+    if isinstance(tol, float) and not math.isfinite(tol):
+        return spread > tol
+    limit = Fraction(tol) * scale
+    if spread.dtype != object:
+        # an int spread passes the limit iff it passes its floor; int64
+        # spreads stay far below 2**62, and so can the limit
+        limit = min(max(math.floor(limit), -(2**62)), 2**62)
+    elif limit.denominator == 1:
+        limit = limit.numerator  # int against int skips Fraction's Python-level compare
+    return spread > limit
+
+
+class _Mirror:
+    """A weight set carried as its dense mirror from step to step: labels
+    in index order (ascending, so a fresh label max + 1 takes the last
+    slot), array, scale and kind as :meth:`DoubleWeights.dense` gives them.
+
+    kind "int": ``arr / scale`` are the exact values; kind "float":
+    float64, scale None.  An int64 mirror keeps its largest unit times a
+    headroom under ``_DENSE_MAG_CAP``: 4 m when the engine sums rows (so
+    NJ's S stays int64), else 1, the container's own rule.  Every step
+    builds new arrays; the container's own mirror is never written.
+    """
+
+    __slots__ = ("labels", "arr", "scale", "kind", "row_sums")
+
+    def __init__(self, w, row_sums=True):
+        self.kind, arr, self.scale = w.dense()
+        self.labels = list(w.labels)
+        self.row_sums = row_sums
+        self._set(arr)
+
+    @property
+    def n(self):
+        return len(self.labels)
+
+    @property
+    def order(self):
+        return self.arr.ndim
+
+    def widen(self, factor, top=0):
+        """Move an int64 mirror to ``object`` ints when factor * max|unit|,
+        or *top*, would pass the int64 headroom (see :func:`int_dtype`)."""
+        arr = self.arr
+        if arr.dtype == np.int64 and int_dtype(
+            max(int(np.abs(arr).max(initial=0)) * factor, top)
+        ) is object:
+            self.arr = arr.astype(object)
+
+    def _set(self, arr):
+        """Carry *arr*, widened for the mirror's headroom."""
+        self.arr = arr
+        self.widen(4 * len(arr) if self.row_sums else 1)
+
+    def rescale(self, factor):
+        """Multiply the units and the scale by *factor*, the one way an
+        exact mirror leaves its units."""
+        if factor != 1:
+            self.widen(factor)
+            self._set(self.arr * factor)
+            self.scale *= factor
+
+    def in_units(self):
+        return self.kind == "int" and not holds_fractions(self.arr)
+
+    def value(self, x):
+        """A mirror element (or a sum of them) as a Python Fraction or float."""
+        if self.kind == "float":
+            return float(x)
+        return Fraction(exact_scalar(x), self.scale)
+
+    def units(self, values):
+        """Python numbers in the mirror's arithmetic; exact ones whose
+        denominators leave the units rescale the mirror first."""
+        if self.kind == "float":
+            return np.array([float(v) for v in values], dtype=np.float64)
+        exact = [Fraction(v) for v in values]
+        if self.in_units():
+            self.rescale(math.lcm(self.scale, *(v.denominator for v in exact)) // self.scale)
+            exact = [v.numerator * (self.scale // v.denominator) for v in exact]
+            self.widen(1, max(map(abs, exact), default=0))
+        out = np.empty(len(exact), dtype=object)
+        out[:] = exact
+        return out.astype(self.arr.dtype)
+
+    def halve(self, twice):
+        """*twice* / 2 in the mirror's units; an odd unit doubles the
+        mirror and the scale first, so *twice* itself is the half."""
+        if self.kind == "float":
+            return 0.5 * twice
+        if not self.in_units():
+            return twice / 2
+        if (twice % 2 != 0).any():
+            self.rescale(2)
+            return twice
+        return twice // 2
+
+    def settle(self):
+        """Give an exact mirror the form ``dense()`` gives the container of
+        its values: the least scale, the dtype its units need, or the
+        values' own Fractions past ``_DENSE_SCALE_BITS``."""
+        if self.kind == "float":
+            return
+        if not holds_fractions(self.arr):
+            g = math.gcd(self.scale, int(np.gcd.reduce(self.arr, axis=None)))
+            if g > 1:
+                self.arr, self.scale = self.arr // g, self.scale // g
+            if self.scale.bit_length() <= _DENSE_SCALE_BITS:
+                top = int(np.abs(self.arr).max(initial=0))
+                self.arr = self.arr.astype(int_dtype(top), copy=False)
+                return
+        keys = upper_keys(self.n, self.order)
+        fill, self.scale, zero = _exact_units([self.value(x) for x in self.arr[keys].tolist()])
+        self.arr = _symmetric(fill, self.n, self.order, zero)
+
+    def container(self):
+        cls = DoubleWeights if self.order == 2 else TripleWeights
+        values = [self.value(x) for x in self.arr[upper_keys(self.n, self.order)].tolist()]
+        return cls(dict(zip(combinations(self.labels, self.order), values)), labels=self.labels)
+
+    def twig(self, i, j, x):
+        """(d_ij + d_ix - d_jx) / 2, i's twig against j, as a Python value."""
+        a = self.arr
+        return half(self.value(a[i, j]) + self.value(a[i, x]) - self.value(a[j, x]))
+
+    def final_edge(self):
+        u, v = self.labels
+        return (u, v, self.value(self.arr[0, 1]))
+
+
+def _bell_twigs(state: _Mirror, groups):
+    """Twig of every member of every bell (groups of indices) of a pairwise
+    mirror, against the bell's smallest other member, with the smallest
+    index outside the pair as third label.  Returns (members, twigs in the
+    mirror's units, twigs as Python values)."""
+    mem = np.array([k for g in groups for k in g], dtype=np.intp)
+    partner = np.array([g[1] if k == g[0] else g[0] for g in groups for k in g], dtype=np.intp)
+    x = _skip(np.zeros_like(mem), np.minimum(mem, partner), np.maximum(mem, partner))
+    arr = state.arr
+    units = state.halve(arr[mem, partner] + arr[mem, x] - arr[partner, x])
+    return mem, units, [state.value(u) for u in units.tolist()]
 
 
 # --------------------------------------------------------------------- #

@@ -5,6 +5,9 @@ container's dense mirror (int64, ``object`` Python ints, or float64).
 These loops compute the same results one entry at a time, straight from
 the container's values, and define the semantics the kernels are held to:
 result for result, bitwise for floats.  They are test oracles only.
+The per-level container driver of reconstruction is kept here too: it
+rebuilds a container at every level and finds its bells on a table of
+star results, where the package carries one mirror from level to level.
 The neighbor-joining dict loops are kept here too: classic NJ driven by
 the dict S-matrix, pruning NJ with its per-entry bell merge, and triple NJ
 walking the candidates one star condition at a time, which the package's
@@ -16,13 +19,17 @@ fit must reproduce on exact lifts.
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 from treeweights.numeric import THIRD, half, midrange
 from treeweights.nj import SMatrix, ScanRecord, _assemble, cherry_scan, group_bells
+from treeweights.errors import ReconstructionError
 from treeweights.reconstruct import (
     Pseudobell,
+    _has_two_disjoint_pairs,
     _inconsistent,
-    bell_twigs_doubles,
+    _prune_plan,
+    _retention_guard,
     prune_triples,
     twig_length_doubles,
 )
@@ -77,19 +84,98 @@ def reduce_loop(container, bells, new_labels, tol):
     return reduced_vals
 
 
-def reduce_groups_loop(container, groups, twigs, new_labels, tol):
-    """:func:`reduce_loop` behind the signature of the block kernel
-    ``reconstruct._reduce_dense``, so a test can put it in the kernel's place.
+def bell_twigs_loop(d, members):
+    """Twig length of every member of a bell, by :func:`twig_length_doubles`
+    with the smallest other member as partner and the smallest label
+    outside the pair as x."""
+    twigs = {}
+    for m in members:
+        partner = members[0] if m != members[0] else members[1]
+        x = next(g for g in d.labels if g not in (m, partner))
+        twigs[m] = twig_length_doubles(d, m, partner, x)
+    return twigs
 
-    ``groups[k]`` holds the representatives of ``new_labels[k]``; a group
-    whose members carry twigs is a pruned bell.
-    """
-    bells = [
-        Pseudobell(members=g, twig_lengths=twigs, z=z)
-        for g, z in zip(groups, new_labels)
-        if g[0] in twigs
-    ]
-    return reduce_loop(container, bells, new_labels, tol)
+
+def pseudobells_loop(w, tol):
+    """Reference pseudobell search: the cliques of the star graph read off
+    :func:`star_table_loop`, checked one member at a time."""
+    adj = {lab: set() for lab in w.labels}
+    for (a, b), res in star_table_loop(w, tol).items():
+        if res.holds:
+            adj[a].add(b)
+            adj[b].add(a)
+    bells = []
+    assigned = set()
+    for alpha in w.labels:
+        if alpha in assigned or not adj[alpha]:
+            continue
+        clique = {alpha} | adj[alpha]
+        for beta in sorted(clique):
+            inside = clique - {beta}
+            if adj[beta] != inside:
+                extra = sorted(adj[beta] - inside)
+                missing = sorted(inside - adj[beta])
+                other = extra[0] if extra else missing[0]
+                witness = tuple(sorted((alpha, beta, other)))
+                raise ReconstructionError(
+                    "pseudobell-graph",
+                    f"star graph is not a clique union around {witness}",
+                    witness=witness,
+                )
+        assigned |= clique
+        bells.append(Pseudobell(members=tuple(sorted(clique))))
+    return bells
+
+
+def prune_loop(container, bells, tol, floor):
+    """Reference prune: merged labels as the package assigns them, every
+    reduced entry by :func:`reduce_loop`, and a new container.  Returns
+    (reduced container, level)."""
+    labels = container.labels
+    bells = _retention_guard(sorted(bells, key=lambda b: b.smallest), len(labels), floor)
+    for z, b in enumerate(bells, max(labels) + 1):
+        b.z = z
+    owned = {m for b in bells for m in b.members}
+    new_labels = sorted([g for g in labels if g not in owned] + [b.z for b in bells])
+    reduced = type(container)(reduce_loop(container, bells, new_labels, tol), labels=new_labels)
+    level = SimpleNamespace(
+        labels_before=tuple(labels), labels_after=tuple(new_labels), pseudobells=bells,
+        reduced=reduced,
+    )
+    return reduced, level
+
+
+def prune_levels_loop(d, tol, floor):
+    """Reference pruning driver: per level a new container, its bells from
+    :func:`pseudobells_loop`, twigs from :func:`bell_twigs_loop` and the
+    reduction from :func:`prune_loop`.  Returns (container, levels), and
+    raises as ``reconstruct._prune_levels`` does."""
+    levels = []
+    current = d
+    while current.n > floor:
+        idx = len(levels)
+        try:
+            bells = pseudobells_loop(current, tol)
+        except ReconstructionError as err:
+            err.level = idx
+            raise
+        if not _has_two_disjoint_pairs(bells):
+            raise ReconstructionError(
+                "no-disjoint-pseudobells",
+                f"need two disjoint star pairs, found {[b.members for b in bells]}",
+                level=idx,
+                witness=tuple(b.members for b in bells),
+            )
+        plan = _prune_plan(bells, current.n, floor)
+        for pb in plan:
+            pb.twig_lengths = bell_twigs_loop(current, pb.members)
+        try:
+            current, level = prune_loop(current, plan, tol, 4)
+        except ReconstructionError as err:
+            err.level = idx
+            raise
+        levels.append(level)
+    return current, levels
 
 
 def _third(x):
@@ -333,7 +419,7 @@ def merge_bells_loop(d, bells):
     merges = []
     twig_of = {}
     for members in bells:
-        twigs = bell_twigs_doubles(d, members)
+        twigs = bell_twigs_loop(d, members)
         z = next_z
         next_z += 1
         merges.append((z, [(m_, twigs[m_]) for m_ in members]))
@@ -388,7 +474,7 @@ def nj_pruning_loop(d, eps=0):
             continue
         if len(bells) == 1 and len(bells[0]) == current.n:
             center = max(current.labels) + 1
-            twigs = bell_twigs_doubles(current, current.labels)
+            twigs = bell_twigs_loop(current, current.labels)
             edges = [(m_, center, twigs[m_]) for m_ in current.labels]
             return _assemble(edges, merges), rounds
         current, new_merges = merge_bells_loop(current, bells)

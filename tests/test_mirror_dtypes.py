@@ -54,7 +54,7 @@ from reference_loops import (
     condition2_values,
     derived_common_values,
     lift_check_loop,
-    reduce_groups_loop,
+    prune_loop,
     scan_pure,
     star_table_loop,
 )
@@ -99,8 +99,8 @@ def _trial_bells(w, draw):
     return [(members, {m: Fraction(draw(st.integers(-10**6, 10**6)), den) for m in members})]
 
 
-def _prune(w, bells, tol):
-    prune = prune_doubles if w.order == 2 else prune_triples
+def _prune(w, bells, tol, prune=None):
+    prune = prune or (prune_doubles if w.order == 2 else prune_triples)
     pbs = [Pseudobell(members=m, twig_lengths=dict(t)) for m, t in bells]
     try:
         reduced, level = prune(w, pbs, tol)
@@ -111,9 +111,8 @@ def _prune(w, bells, tol):
 
 
 def _loop_prune(w, bells, tol):
-    """:func:`_prune` with the reference loop in the kernel's place."""
-    with mock.patch.object(reconstruct_mod, "_reduce_dense", reduce_groups_loop):
-        return _prune(w, bells, tol)
+    """:func:`_prune` on the reference prune."""
+    return _prune(w, bells, tol, lambda w, bells, tol: prune_loop(w, bells, tol, w.order + 2))
 
 
 class TestDtypeSwitch:
@@ -382,6 +381,5 @@ class TestFractionMirror:
     def test_block_budget_counts_bytes(self):
         ints = np.array([[0, 3**20000], [3**20000, 0]], dtype=object)
         assert block_elems(ints) == BLOCK_ELEMS * 8 // (8 + 2 * sys.getsizeof(3**20000))
-        assert block_elems(ints, factor=2**800) < block_elems(ints)
         assert block_elems(np.zeros((2, 2), dtype=np.int64)) == BLOCK_ELEMS
         assert block_elems(np.zeros((2, 2, 2))) == BLOCK_ELEMS

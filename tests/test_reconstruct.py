@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from treeweights import nj as nj_mod
 from treeweights import reconstruct as reconstruct_mod
+from treeweights import weights as weights_mod
 from treeweights import (
     DoubleWeights,
     InstanceTooSmallError,
     Pseudobell,
     ReconstructionError,
+    StarResult,
     TripleWeights,
     WeightedTree,
     nj_from_triples,
@@ -50,14 +52,19 @@ from reference_loops import (
     condition2_values,
     derived_common_values,
     lift_check_loop,
-    reduce_groups_loop,
+    prune_levels_loop,
+    prune_loop,
     star_table_loop,
 )
 
 
-def _prune_outcome(w, bells, tol):
-    """Reduced labels, values and merges of a prune, or its failure."""
+def _prune_outcome(w, bells, tol, reference=False):
+    """Reduced labels, values and merges of a prune, or its failure; on
+    the reference loop when *reference* is set."""
     prune = prune_doubles if w.order == 2 else prune_triples
+    if reference:
+        def prune(w, bells, tol, floor=w.order + 2):
+            return prune_loop(w, bells, tol, floor)
     bells = [Pseudobell(members=m, twig_lengths=dict(t)) for m, t in bells]
     try:
         reduced, level = prune(w, bells, tol)
@@ -71,11 +78,9 @@ def _prune_outcome(w, bells, tol):
     )
 
 
-def _loop_prune_outcome(monkeypatch, w, bells, tol):
-    """:func:`_prune_outcome` with the reference loop in the kernel's place."""
-    with monkeypatch.context() as m:
-        m.setattr(reconstruct_mod, "_reduce_dense", reduce_groups_loop)
-        return _prune_outcome(w, bells, tol)
+def _loop_prune_outcome(w, bells, tol):
+    """:func:`_prune_outcome` on the reference prune."""
+    return _prune_outcome(w, bells, tol, reference=True)
 
 
 def _trial_bells(w, rng):
@@ -233,7 +238,7 @@ class TestPrune:
         shrink = sum(len(p.members) - 1 for p in level.pseudobells)
         assert len(level.labels_after) == len(level.labels_before) - shrink
 
-    def test_block_kernel_matches_loop(self, monkeypatch):
+    def test_block_kernel_matches_loop(self):
         # the reduction on the mirror against the reference loop: the same
         # values (bitwise for floats), or the same first failing key with
         # the same spread and message
@@ -245,7 +250,7 @@ class TestPrune:
                     bells = _trial_bells(w, rng)
                     for t in (tol, math.inf):
                         fast = _prune_outcome(w, bells, t)
-                        assert fast == _loop_prune_outcome(monkeypatch, w, bells, t), (
+                        assert fast == _loop_prune_outcome(w, bells, t), (
                             name, seed, bells, t
                         )
                         kinds.add(fast[0] == "fail")
@@ -262,20 +267,24 @@ class TestPrune:
     )
     def test_twig_units_past_the_caps_take_the_loop(self, monkeypatch, data, twig_den):
         picked = []
-        pick = reconstruct_mod.int_dtype
-        monkeypatch.setattr(
-            reconstruct_mod, "int_dtype", lambda top: picked.append(pick(top)) or picked[-1]
-        )
+        units = weights_mod._Mirror.units
+
+        def recorded(state, values):
+            out = units(state, values)
+            picked.append(state.arr.dtype)
+            return out
+
+        monkeypatch.setattr(weights_mod._Mirror, "units", recorded)
         w = DoubleWeights(data)
         assert w.dense()[1].dtype == np.int64
         bells = [((1, 2), {1: Fraction(1, twig_den), 2: Fraction(-2, twig_den)})]
         fast = _prune_outcome(w, bells, math.inf)
         assert picked == [np.int64 if twig_den == 11 else object]
-        assert fast == _loop_prune_outcome(monkeypatch, w, bells, math.inf)
+        assert fast == _loop_prune_outcome(w, bells, math.inf)
         assert fast[1][0] == ((3, 4), ("exact", Fraction(data[(3, 4)])))
 
     @pytest.mark.parametrize("order", [2, 3])
-    def test_twigs_take_the_mirrors_arithmetic(self, monkeypatch, order):
+    def test_twigs_take_the_mirrors_arithmetic(self, order):
         # hand-made twigs of the other arithmetic are converted before the
         # kernel: Fractions are read as floats on float data, and floats at
         # their exact binary value on exact data
@@ -292,7 +301,7 @@ class TestPrune:
             converted = [((1, 2, 3), {m: read(t) for m, t in twigs.items()})]
             for tol in (0, math.inf):
                 fast = _prune_outcome(w, bells, tol)
-                assert fast == _loop_prune_outcome(monkeypatch, w, converted, tol)
+                assert fast == _loop_prune_outcome(w, converted, tol)
             kinds = {kind for _, (kind, _) in fast[1]}
             assert kinds == ({"float"} if read is float else {"exact"})
 
@@ -652,12 +661,13 @@ class TestCrossPath:
 
     @classmethod
     def _loop_outcome(cls, monkeypatch, w, tol):
-        """:meth:`_outcome` with the star tables, prunes and condition 2 (in
+        """:meth:`_outcome` with the pruning levels (the per-level container
+        driver), the base cases' star tables and condition 2 (in
         reconstruction and in triple NJ's fit) taking the reference loops;
         every other step runs as in the kernels'."""
         with monkeypatch.context() as m:
+            m.setattr(reconstruct_mod, "_prune_levels", prune_levels_loop)
             m.setattr(reconstruct_mod, "star_table", star_table_loop)
-            m.setattr(reconstruct_mod, "_reduce_dense", reduce_groups_loop)
             m.setattr(reconstruct_mod, "derived_pairwise_consistent", lift_check_loop)
             m.setattr(nj_mod, "derived_pairwise_consistent", lift_check_loop)
             return cls._outcome(w, tol)
@@ -692,3 +702,79 @@ class TestCrossPath:
         name, w, tol = cross_path_cases(0, 3)[3]
         assert name == "float64-tree"
         assert self._loop_outcome(monkeypatch, w, tol) == self._outcome(w, tol)
+
+
+class TestCarriedMirror:
+    """Reconstruction prunes on one mirror carried from level to level."""
+
+    @staticmethod
+    def _realised(order=2):
+        """(name, container, tol, trace) of every realisable cross-path case."""
+        for seed in CROSS_PATH_SEEDS:
+            for name, w, tol in cross_path_cases(seed, order):
+                try:
+                    _, trace = reconstruct_from_doubles(w, tol=tol)
+                except ReconstructionError:
+                    continue
+                yield name, w, tol, trace
+
+    @staticmethod
+    def _builds(monkeypatch, d):
+        """Containers, dense() calls and star results one reconstruction makes."""
+        built = []
+        with monkeypatch.context() as m:
+            for owner, attr in (
+                (DoubleWeights, "__init__"), (DoubleWeights, "dense"), (StarResult, "__init__"),
+            ):
+                def counted(*args, _fn=getattr(owner, attr), _key=f"{owner.__name__}.{attr}",
+                            **kwargs):
+                    built.append(_key)
+                    return _fn(*args, **kwargs)
+
+                m.setattr(owner, attr, counted)
+            reconstruct_from_doubles(d)
+        return sorted(built)
+
+    def test_level_loop_builds_no_container(self, monkeypatch):
+        big = doubles_of_tree(random_tree(60, 1))
+        small = doubles_of_tree(random_tree(4, 1))
+        assert len(reconstruct_from_doubles(big)[1].levels) > 5
+        assert self._builds(monkeypatch, big) == self._builds(monkeypatch, small)
+
+    def test_reduced_views_match_prune_doubles(self):
+        # each level's lazy container is the prune of the previous level's
+        # container by the level's own plan: the same keys, equal Fractions,
+        # the same float bits
+        names = set()
+        for name, w, tol, trace in self._realised():
+            before = w
+            for level in trace.levels:
+                plan = [
+                    Pseudobell(members=pb.members, twig_lengths=dict(pb.twig_lengths))
+                    for pb in level.pseudobells
+                ]
+                want, _ = prune_doubles(before, plan, tol)
+                got = level.reduced
+                assert got.labels == want.labels == level.labels_after, name
+                assert [(k, exact_or_float(v)) for k, v in got.items()] == [
+                    (k, exact_or_float(v)) for k, v in want.items()
+                ], name
+                assert {type(v) for _, v in got.items()} == {type(v) for _, v in want.items()}
+                before = got
+            names.add(name.split("-")[0])
+        assert names == {"int64", "float64", "wide", "object", "fractions"}
+
+    def test_carried_mirror_is_the_rebuilt_containers_dense(self):
+        # after every level the mirror has the least scale and the dtype a
+        # rebuilt container's mirror would get, element for element
+        for name, _, _, trace in self._realised():
+            for level in trace.levels:
+                kind, arr, scale = level.reduced.dense()
+                view = level._view
+                assert (view.kind, view.scale, view.arr.dtype) == (kind, scale, arr.dtype), name
+                if kind == "float":
+                    assert view.arr.tobytes() == arr.tobytes(), name
+                else:
+                    assert [(type(x), x) for x in view.arr.flat] == [
+                        (type(x), x) for x in arr.flat
+                    ], name
