@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import nj as nj_mod
@@ -21,7 +20,7 @@ from . import oracle as oracle_mod
 from . import reconstruct as rec_mod
 from . import tree as tree_mod
 from . import weights as weights_mod
-from .errors import InstanceTooSmallError, ParseError, ReconstructionError, TreeWeightsError
+from .errors import ReconstructionError, TreeWeightsError
 from .numeric import format_number, parse_number
 
 
@@ -32,27 +31,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we reserve 2
         raise _UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    input2_path: str | None = None
-    output_path: str | None = None
-    report_path: str | None = None
-    order: int = 2
-    mode: str = "rational"
-    tol: object = 0
-    epsilon: object = 0
-    seed: int = 0
-    leaves: int = 0
-    weight_min: str = "0.1"
-    weight_max: str = "10"
-    multifurcating: bool = False
-    require_positive: bool = False
-    variant: str = "classic"
-    sizes: tuple = field(default_factory=tuple)
 
 
 def _read(path):
@@ -68,6 +46,18 @@ def _write(path, text):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _read_weights(args):
+    """The ``--in`` weight file, parsed as pairs or triples by ``--order``."""
+    parse = weights_mod.parse_doubles if args.order == 2 else weights_mod.parse_triples
+    return parse(_read(args.input_path), args.mode)
+
+
+def _reconstructor(order):
+    if order == 2:
+        return rec_mod.reconstruct_from_doubles
+    return rec_mod.reconstruct_from_triples
 
 
 def _jsonable(value):
@@ -98,74 +88,50 @@ def _failure_payload(err: ReconstructionError):
 # --------------------------------------------------------------------- #
 
 
-def _cmd_gen(cfg: RunConfig) -> int:
-    def bound(text):
-        return parse_number(text, cfg.mode)
-
+def _cmd_gen(args) -> int:
     tree = tree_mod.random_tree(
-        cfg.leaves,
-        cfg.seed,
-        weight_min=bound(cfg.weight_min),
-        weight_max=bound(cfg.weight_max),
-        binary_only=not cfg.multifurcating,
-        mode=cfg.mode,
+        args.leaves,
+        args.seed,
+        weight_min=parse_number(args.weight_min, args.mode),
+        weight_max=parse_number(args.weight_max, args.mode),
+        binary_only=not args.multifurcating,
+        mode=args.mode,
     )
-    _write(cfg.output_path, tree_mod.to_newick(tree) + "\n")
+    _write(args.output_path, tree_mod.to_newick(tree) + "\n")
     return 0
 
 
-def _cmd_weights(cfg: RunConfig) -> int:
-    tree = tree_mod.canonicalize(tree_mod.parse_newick(_read(cfg.input_path), cfg.mode))
-    if cfg.order == 2:
+def _cmd_weights(args) -> int:
+    tree = tree_mod.canonicalize(tree_mod.parse_newick(_read(args.input_path), args.mode))
+    if args.order == 2:
         out = weights_mod.emit_doubles(weights_mod.doubles_of_tree(tree))
     else:
         out = weights_mod.emit_triples(weights_mod.triples_of_tree(tree))
-    _write(cfg.output_path, out)
+    _write(args.output_path, out)
     return 0
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    text = _read(cfg.input_path)
-    payload = {"order": cfg.order, "tolerance": _jsonable(cfg.tol)}
-    if cfg.order == 2:
-        data = weights_mod.parse_doubles(text, cfg.mode)
-        payload["n"] = data.n
-        verdict = weights_mod.buneman_check(data, cfg.tol)
+def _cmd_check(args) -> int:
+    data = _read_weights(args)
+    payload = {"order": args.order, "tolerance": _jsonable(args.tol), "n": data.n}
+    if args.order == 2:
+        verdict = weights_mod.buneman_check(data, args.tol)
         payload["four_point"] = {
             "passed": verdict.passed,
             "witness": _jsonable(verdict.witness),
             "gap": _jsonable(verdict.gap),
         }
         payload["warnings"] = weights_mod.metric_warnings(data)
-        if data.n <= 3:
-            # any 2- or 3-label instance is realised by an edge or a star
-            payload["realizable"] = True
-            payload["failure"] = None
-        else:
-            try:
-                rec_mod.reconstruct_from_doubles(data, tol=cfg.tol)
-                payload["realizable"] = True
-                payload["failure"] = None
-            except ReconstructionError as err:
-                payload["realizable"] = False
-                payload["failure"] = _failure_payload(err)
-    else:
-        data = weights_mod.parse_triples(text, cfg.mode)
-        payload["n"] = data.n
-        if data.n <= 4:
-            # 1 value on 3 unknowns (n=3) or an invertible 4x4 star system
-            # (n=4): every small triple instance is realisable
-            payload["realizable"] = True
-            payload["failure"] = None
-        else:
-            try:
-                rec_mod.reconstruct_from_triples(data, tol=cfg.tol)
-                payload["realizable"] = True
-                payload["failure"] = None
-            except ReconstructionError as err:
-                payload["realizable"] = False
-                payload["failure"] = _failure_payload(err)
-    _write(cfg.output_path, _dump(payload))
+    payload["realizable"], payload["failure"] = True, None
+    # every instance on at most order + 1 labels is realisable: a pair set
+    # on 2 or 3 labels by an edge or a star, a triple set on 3 labels (1
+    # value on 3 unknowns) or 4 (an invertible 4x4 star system)
+    if data.n > args.order + 1:
+        try:
+            _reconstructor(args.order)(data, tol=args.tol)
+        except ReconstructionError as err:
+            payload["realizable"], payload["failure"] = False, _failure_payload(err)
+    _write(args.output_path, _dump(payload))
     return 0 if payload["realizable"] else 2
 
 
@@ -182,75 +148,65 @@ def _reconstruct_report(tree, trace):
     }
 
 
-def _cmd_reconstruct(cfg: RunConfig) -> int:
-    text = _read(cfg.input_path)
-    if cfg.order == 2:
-        data = weights_mod.parse_doubles(text, cfg.mode)
-        runner = rec_mod.reconstruct_from_doubles
-    else:
-        data = weights_mod.parse_triples(text, cfg.mode)
-        runner = rec_mod.reconstruct_from_triples
+def _cmd_reconstruct(args) -> int:
+    data = _read_weights(args)
     try:
-        tree, trace = runner(data, tol=cfg.tol, require_positive=cfg.require_positive)
+        tree, trace = _reconstructor(args.order)(
+            data, tol=args.tol, require_positive=args.require_positive
+        )
     except ReconstructionError as err:
         report = {
             "verdict": "not-realizable",
             "failure": _failure_payload(err),
             "trace": err.trace.to_report() if err.trace is not None else None,
         }
-        _write(cfg.output_path, _dump(report))
-        if cfg.report_path:
-            _write(cfg.report_path, _dump(report))
+        _write(args.output_path, _dump(report))
+        if args.report_path:
+            _write(args.report_path, _dump(report))
         return 2
-    _write(cfg.output_path, tree_mod.to_newick(tree) + "\n")
-    if cfg.report_path:
-        _write(cfg.report_path, _dump(_reconstruct_report(tree, trace)))
+    _write(args.output_path, tree_mod.to_newick(tree) + "\n")
+    if args.report_path:
+        _write(args.report_path, _dump(_reconstruct_report(tree, trace)))
     return 0
 
 
-def _cmd_nj(cfg: RunConfig) -> int:
-    text = _read(cfg.input_path)
-    if cfg.order == 2:
-        data = weights_mod.parse_doubles(text, cfg.mode)
-        if cfg.variant == "pruning":
-            tree = nj_mod.nj_pruning(data, cfg.epsilon)
-        else:
-            tree = nj_mod.nj_classic(data)
+def _cmd_nj(args) -> int:
+    data = _read_weights(args)
+    if args.order == 3:
+        tree = nj_mod.nj_from_triples(data, args.epsilon)
+    elif args.variant == "pruning":
+        tree = nj_mod.nj_pruning(data, args.epsilon)
     else:
-        data = weights_mod.parse_triples(text, cfg.mode)
-        tree = nj_mod.nj_from_triples(data, cfg.epsilon)
-    _write(cfg.output_path, tree_mod.to_newick(tree) + "\n")
+        tree = nj_mod.nj_classic(data)
+    _write(args.output_path, tree_mod.to_newick(tree) + "\n")
     return 0
 
 
-def _cmd_compare(cfg: RunConfig) -> int:
-    t1 = tree_mod.parse_newick(_read(cfg.input_path), cfg.mode)
-    t2 = tree_mod.parse_newick(_read(cfg.input2_path), cfg.mode)
-    equal = tree_mod.tree_equal(t1, t2, cfg.tol)
-    _write(cfg.output_path, _dump({"equal": equal, "tolerance": _jsonable(cfg.tol)}))
+def _cmd_compare(args) -> int:
+    t1 = tree_mod.parse_newick(_read(args.tree1), args.mode)
+    t2 = tree_mod.parse_newick(_read(args.tree2), args.mode)
+    equal = tree_mod.tree_equal(t1, t2, args.tol)
+    _write(args.output_path, _dump({"equal": equal, "tolerance": _jsonable(args.tol)}))
     return 0 if equal else 2
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
-    text = _read(cfg.input_path)
-    if cfg.order == 2:
-        data = weights_mod.parse_doubles(text, "rational")
-    else:
-        data = weights_mod.parse_triples(text, "rational")
-    tree = oracle_mod.realizable_brute(data, require_positive=cfg.require_positive)
+def _cmd_oracle(args) -> int:
+    tree = oracle_mod.realizable_brute(
+        _read_weights(args), require_positive=args.require_positive
+    )
     payload = {
         "realizable": tree is not None,
-        "require_positive": cfg.require_positive,
+        "require_positive": args.require_positive,
         "tree": None if tree is None else tree_mod.to_newick(tree),
     }
-    _write(cfg.output_path, _dump(payload))
+    _write(args.output_path, _dump(payload))
     return 0 if tree is not None else 2
 
 
-def _cmd_bench(cfg: RunConfig) -> int:
+def _cmd_bench(args) -> int:
     lines = []
-    for n in cfg.sizes:
-        tree = tree_mod.random_tree(n, cfg.seed, 0.5, 10.0, mode="float")
+    for n in args.sizes:
+        tree = tree_mod.random_tree(n, args.seed, 0.5, 10.0, mode="float")
         data = weights_mod.doubles_of_tree(tree)
         started = time.perf_counter()
         scan = nj_mod.cherry_scan(data, 0.0)
@@ -263,7 +219,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
                 "pairs_found": len(scan.pairs),
             }
         )
-    _write(cfg.output_path, "".join(_dump(line) for line in lines))
+    _write(args.output_path, "".join(_dump(line) for line in lines))
     return 0
 
 
@@ -277,11 +233,6 @@ _COMMANDS = {
     "oracle": _cmd_oracle,
     "bench": _cmd_bench,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit status."""
-    return _COMMANDS[config.command](config)
 
 
 # --------------------------------------------------------------------- #
@@ -350,72 +301,37 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "input_path",
-        "output_path",
-        "report_path",
-        "order",
-        "mode",
-        "seed",
-        "leaves",
-        "weight_min",
-        "weight_max",
-        "multifurcating",
-        "require_positive",
-        "variant",
-    ):
+def _normalise(args):
+    """Check and convert the parsed options in place, for the rules argparse
+    does not express: tolerances are numbers of the command's mode and not
+    negative, the oracle is exact, and the rest is per command."""
+    if args.command == "oracle":
+        args.mode = "rational"
+    for name in ("tol", "epsilon"):
         if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if cfg.command == "oracle":
-        cfg.mode = "rational"
-    if hasattr(args, "tol"):
-        cfg.tol = parse_number(args.tol, cfg.mode)
-        if cfg.tol < 0:
-            raise _UsageError("--tol must be non-negative")
-    if hasattr(args, "epsilon"):
-        cfg.epsilon = parse_number(args.epsilon, cfg.mode)
-        if cfg.epsilon < 0:
-            raise _UsageError("--epsilon must be non-negative")
-    if cfg.command == "nj":
-        if cfg.order == 3 and cfg.variant is not None:
-            raise _UsageError("--variant applies to --order 2 only")
-        cfg.variant = cfg.variant or "classic"
-    if cfg.command == "gen" and cfg.leaves < 2:
+            value = parse_number(getattr(args, name), args.mode)
+            if value < 0:
+                raise _UsageError(f"--{name} must be non-negative")
+            setattr(args, name, value)
+    if args.command == "nj" and args.order == 3 and args.variant is not None:
+        raise _UsageError("--variant applies to --order 2 only")
+    if args.command == "gen" and args.leaves < 2:
         raise _UsageError("--leaves must be at least 2")
-    if cfg.command == "compare":
-        cfg.input_path = args.tree1
-        cfg.input2_path = args.tree2
-    if cfg.command == "bench":
+    if args.command == "bench":
         try:
-            cfg.sizes = tuple(int(x) for x in args.sizes.split(",") if x)
+            args.sizes = tuple(int(x) for x in args.sizes.split(",") if x)
         except ValueError:
             raise _UsageError(f"bad --sizes list {args.sizes!r}")
-        if not cfg.sizes or any(s < 4 for s in cfg.sizes):
+        if not args.sizes or any(s < 4 for s in args.sizes):
             raise _UsageError("--sizes needs integers >= 4")
-    return cfg
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return run(config)
-    except _UsageError as err:
-        print(f"treeweights: {err}", file=sys.stderr)
-        return 1
-    except (ParseError, InstanceTooSmallError) as err:
-        print(f"treeweights: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"treeweights: {err}", file=sys.stderr)
-        return 1
-    except TreeWeightsError as err:
-        print(f"treeweights: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+        args = _build_parser().parse_args(argv)
+        _normalise(args)
+        return _COMMANDS[args.command](args)
+    except (_UsageError, OSError, TreeWeightsError, ValueError) as err:
         print(f"treeweights: {err}", file=sys.stderr)
         return 1
 

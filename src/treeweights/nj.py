@@ -64,11 +64,14 @@ def _criterion(arr, row_sum, rows, cols):
     return (len(arr) - 2) * arr[rows, cols] - row_sum[rows] - row_sum[cols]
 
 
-def _selection(arr):
-    """S over the upper triangle, in combinations order, with the row sums
-    taken along axis 0: that adds each row in ascending label order, one
-    value at a time, as a loop over the pairs does, so float S is the same
-    bit for bit."""
+def _selection(state: _Mirror):
+    """S over the upper triangle of the mirror, in combinations order, with
+    the row sums taken along axis 0: that adds each row in ascending label
+    order, one value at a time, as a loop over the pairs does, so float S
+    is the same bit for bit.  The mirror is widened first: S sums up to
+    4 m units."""
+    state.widen(4 * state.n)
+    arr = state.arr
     iu, ju = upper_keys(len(arr), 2)
     return iu, ju, _criterion(arr, arr.sum(axis=0), iu, ju)
 
@@ -100,7 +103,7 @@ def s_matrix(d: DoubleWeights) -> SMatrix:
     if d.n < 3:
         raise InstanceTooSmallError("s_matrix needs n >= 3", required=3, got=d.n)
     state = _Mirror(d)
-    iu, ju, S = _selection(state.arr)
+    iu, ju, S = _selection(state)
     labels = d.labels
     return SMatrix(
         labels=labels,
@@ -166,7 +169,7 @@ def _classic_join(state: _Mirror, i, j, a_i):
 def _min_join(state: _Mirror):
     """Join the global-minimum S pair; ties break lexicographically, and the
     twig uses the smallest third label."""
-    iu, ju, S = _selection(state.arr)
+    iu, ju, S = _selection(state)
     k = int(S.argmin())  # the first minimum, in combinations order
     i, j = int(iu[k]), int(ju[k])
     return _classic_join(state, i, j, state.twig(i, j, int(_skip(0, i, j))))
@@ -235,6 +238,7 @@ def cherry_scan(d, eps=0) -> CherryScanResult:
     state = d if isinstance(d, _Mirror) else _Mirror(d)
     if state.n < 4:
         raise InstanceTooSmallError("cherry_scan needs n >= 4", required=4, got=state.n)
+    state.widen(4 * state.n)  # S sums up to 4 m units
     labels, arr = state.labels, state.arr
     m = state.n
     row_sum = arr.sum(axis=1)
@@ -413,8 +417,8 @@ def _confirmed_min_pair(state: _Mirror, eps):
     checked by its own O(m) window; only if it fails does one block kernel
     give every pair's spread, and the first minimum of S among the
     confirmed pairs is taken."""
+    iu, ju, S = _selection(state)
     arr = state.arr
-    iu, ju, S = _selection(arr)
     k = int(S.argmin())
     i, j = int(iu[k]), int(ju[k])
     diff = np.delete(arr[i] - arr[j], (i, j))

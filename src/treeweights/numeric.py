@@ -28,7 +28,13 @@ EXPONENT_LIMIT = 4300
 
 def is_exact(value) -> bool:
     """True for ints and Fractions, False for floats."""
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    return _exact_type(type(value))
+
+
+def _exact_type(cls) -> bool:
+    """:func:`is_exact`'s rule on a value's type, so that a scan over many
+    values can apply it once per distinct type."""
+    return issubclass(cls, (int, Fraction)) and not issubclass(cls, bool)
 
 
 def exact_fraction(value) -> Fraction:

@@ -152,7 +152,7 @@ def complete_pseudobells(w, tol=0):
     the reconstruction's carried mirror: the graph is one star window
     kernel's spreads, compared with tol in the mirror's units.
     """
-    state = w if isinstance(w, _Mirror) else _Mirror(w, row_sums=False)
+    state = w if isinstance(w, _Mirror) else _Mirror(w)
     required = 3 if state.order == 2 else 5
     if state.n < required:
         raise InstanceTooSmallError(
@@ -293,7 +293,7 @@ def _reduce_dense(state, groups, tw, new_labels, tol):
 def _prune(w, bells, tol, floor):
     """Prune *bells* on the mirror of *w*, or on *w* itself, a carried
     mirror.  Returns the reduced container (or that mirror) and the level."""
-    state = w if isinstance(w, _Mirror) else _Mirror(w, row_sums=False)
+    state = w if isinstance(w, _Mirror) else _Mirror(w)
     labels = tuple(state.labels)
     bells = sorted(bells, key=lambda b: b.smallest)
     if not all(b.twig_lengths for b in bells):
@@ -597,7 +597,7 @@ def _prune_levels(d: DoubleWeights, tol, floor):
     index when a level finds no two disjoint star pairs or an inconsistent
     reduced entry.
     """
-    state = _Mirror(d, row_sums=False)
+    state = _Mirror(d)
     levels = []
     while state.n > floor:
         try:

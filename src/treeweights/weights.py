@@ -24,8 +24,8 @@ The star table over all label pairs is one block kernel for both orders
 ``BLOCK_ELEMS * 8`` bytes (see :func:`block_elems`), each block differences
 the mirror rows of its pairs over every completion at once, and the
 completions that contain a pair's own labels are neutralised by
-overwriting them in place.  The single-pair star queries keep their
-pure-Python windows; the tests hold the kernels to reference loops result
+overwriting them in place.  A single-pair star query is one window of
+the same kernel; the tests hold the kernels to reference loops result
 for result, bitwise for floats.
 
 Neighbor joining and the reconstruction's pruning carry one mirror from
@@ -57,9 +57,9 @@ from .errors import InstanceTooSmallError, LabelError, ParseError
 from .numeric import (
     THIRD,
     TWO_THIRDS,
+    _exact_type,
     format_number,
     half,
-    is_exact,
     midrange,
     parse_number,
 )
@@ -134,7 +134,7 @@ def _dense_from_items(labels, items, order):
     kind "int", ``array * 1/scale`` equals the exact values (see
     :func:`_exact_units`); kind "float", float64 values and scale None."""
     values = [v for _, v in items]
-    if all(is_exact(v) for v in values):
+    if all(map(_exact_type, set(map(type, values)))):
         fill, scale, zero = _exact_units(values)
         kind = "int"
     else:
@@ -290,17 +290,9 @@ def doubles_of_tree(tree) -> DoubleWeights:
 
 
 def triples_of_tree(tree) -> TripleWeights:
-    """Triple subtree weights of a tree; uses the half-sum identity."""
-    pairs = tree_mod.all_pairwise_weights(tree)
-
-    def d(a, b):
-        return pairs[(a, b) if a < b else (b, a)]
-
-    vals = {
-        (i, j, k): half(d(i, j) + d(i, k) + d(j, k))
-        for i, j, k in combinations(tree.leaves, 3)
-    }
-    return TripleWeights(vals, labels=tree.leaves)
+    """Triple subtree weights of a tree: the half-sum lift of its path
+    weights (:func:`triples_from_doubles`)."""
+    return triples_from_doubles(doubles_of_tree(tree))
 
 
 # --------------------------------------------------------------------- #
@@ -323,55 +315,41 @@ class StarResult:
     max_spread: object
 
 
-def _star_window_doubles(w: DoubleWeights, a, b):
-    lo = hi = None
-    for g in w.labels:
-        if g == a or g == b:
-            continue
-        diff = w.value(a, g) - w.value(b, g)
-        if lo is None or diff < lo:
-            lo = diff
-        if hi is None or diff > hi:
-            hi = diff
-    return lo, hi
+def _star_condition(w, alpha, alpha2, tol=0) -> StarResult:
+    """Is D[alpha, rest] - D[alpha2, rest] the same for every completion
+    rest of the pair: every other label g (doubles), every other label
+    pair g1 < g2 (triples)?
 
-
-def _star_window_triples(t: TripleWeights, a, b):
-    rest = [g for g in t.labels if g != a and g != b]
-    lo = hi = None
-    for g1, g2 in combinations(rest, 2):
-        diff = t.value(a, g1, g2) - t.value(b, g1, g2)
-        if lo is None or diff < lo:
-            lo = diff
-        if hi is None or diff > hi:
-            hi = diff
-    return lo, hi
-
-
-def star_condition_doubles(w: DoubleWeights, alpha, alpha2, tol=0) -> StarResult:
-    """Is D[alpha, g] - D[alpha2, g] the same for every other label g?"""
+    One window of :func:`_star_windows` on the container's mirror, taken
+    for the labels in index order and negated when *alpha* sorts after
+    *alpha2*.  Bound as :func:`star_condition_doubles` and
+    :func:`star_condition_triples`.
+    """
     if alpha == alpha2:
         raise ValueError("star condition needs two distinct labels")
-    if w.n < 3:
+    order = w.order
+    if w.n < order + 1:
         raise InstanceTooSmallError(
-            "star condition on doubles needs n >= 3", required=3, got=w.n
+            f"star condition on {'doubles' if order == 2 else 'triples'} needs n >= {order + 1}",
+            required=order + 1,
+            got=w.n,
         )
-    lo, hi = _star_window_doubles(w, alpha, alpha2)
+    for x in (alpha, alpha2):
+        if x not in w.labels:
+            raise LabelError(f"label {x} not in container")
+    state = _Mirror(w)
+    ia, ib = sorted(map(w.labels.index, (alpha, alpha2)))
+    window = _star_windows(state.arr, order, (np.array([ia]), np.array([ib])))
+    lo, hi = (state.value(x[0]) for x in window)
+    if alpha > alpha2:
+        # 0 - x, not -x: a float window of +0.0 stays +0.0, as the
+        # differences taken in this order give it
+        lo, hi = 0 - hi, 0 - lo
     spread = hi - lo
     return StarResult(spread <= tol, midrange(lo, hi), spread)
 
 
-def star_condition_triples(t: TripleWeights, alpha, alpha2, tol=0) -> StarResult:
-    """Same test over D[alpha, g1, g2] - D[alpha2, g1, g2]."""
-    if alpha == alpha2:
-        raise ValueError("star condition needs two distinct labels")
-    if t.n < 4:
-        raise InstanceTooSmallError(
-            "star condition on triples needs n >= 4", required=4, got=t.n
-        )
-    lo, hi = _star_window_triples(t, alpha, alpha2)
-    spread = hi - lo
-    return StarResult(spread <= tol, midrange(lo, hi), spread)
+star_condition_doubles = star_condition_triples = _star_condition
 
 
 @lru_cache(maxsize=64)
@@ -555,18 +533,18 @@ class _Mirror:
     slot), array, scale and kind as :meth:`DoubleWeights.dense` gives them.
 
     kind "int": ``arr / scale`` are the exact values; kind "float":
-    float64, scale None.  An int64 mirror keeps its largest unit times a
-    headroom under ``_DENSE_MAG_CAP``: 4 m when the engine sums rows (so
-    NJ's S stays int64), else 1, the container's own rule.  Every step
-    builds new arrays; the container's own mirror is never written.
+    float64, scale None.  An int64 mirror keeps its largest unit under
+    ``_DENSE_MAG_CAP``, the container's own rule; a step whose formula
+    sums more terms (NJ's row sums, a bell mean) widens for them first.
+    Every step builds new arrays; the container's own mirror is never
+    written.
     """
 
-    __slots__ = ("labels", "arr", "scale", "kind", "row_sums")
+    __slots__ = ("labels", "arr", "scale", "kind")
 
-    def __init__(self, w, row_sums=True):
+    def __init__(self, w):
         self.kind, arr, self.scale = w.dense()
         self.labels = list(w.labels)
-        self.row_sums = row_sums
         self._set(arr)
 
     @property
@@ -589,7 +567,7 @@ class _Mirror:
     def _set(self, arr):
         """Carry *arr*, widened for the mirror's headroom."""
         self.arr = arr
-        self.widen(4 * len(arr) if self.row_sums else 1)
+        self.widen(1)
 
     def rescale(self, factor):
         """Multiply the units and the scale by *factor*, the one way an

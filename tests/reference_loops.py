@@ -37,24 +37,36 @@ from treeweights.tree import WeightedTree
 from treeweights.weights import (
     DoubleWeights,
     StarResult,
-    _star_window_doubles,
-    _star_window_triples,
     derived_pairwise,
     derived_pairwise_consistent,
-    star_condition_doubles,
-    star_condition_triples,
 )
+
+
+def star_window_loop(w, a, b):
+    """(lo, hi) of D[a, rest] - D[b, rest] over every completion rest of
+    the pair: every other label (doubles), every other label pair
+    (triples)."""
+    rest = [g for g in w.labels if g != a and g != b]
+    lo = hi = None
+    for others in combinations(rest, w.order - 1):
+        diff = w.value(a, *others) - w.value(b, *others)
+        if lo is None or diff < lo:
+            lo = diff
+        if hi is None or diff > hi:
+            hi = diff
+    return lo, hi
+
+
+def star_condition_loop(w, a, b, tol=0):
+    """Reference single-pair star condition, from :func:`star_window_loop`."""
+    lo, hi = star_window_loop(w, a, b)
+    spread = hi - lo
+    return StarResult(spread <= tol, midrange(lo, hi), spread)
 
 
 def star_table_loop(w, tol):
     """Reference star table: one pure-Python window per label pair."""
-    window = _star_window_doubles if w.order == 2 else _star_window_triples
-    out = {}
-    for a, b in combinations(w.labels, 2):
-        lo, hi = window(w, a, b)
-        spread = hi - lo
-        out[(a, b)] = StarResult(spread <= tol, midrange(lo, hi), spread)
-    return out
+    return {(a, b): star_condition_loop(w, a, b, tol) for a, b in combinations(w.labels, 2)}
 
 
 def reduce_loop(container, bells, new_labels, tol):
@@ -283,15 +295,7 @@ def scan_pure(d, eps):
             if m_j is None or v < m_j:
                 m_j = v
                 i_j = i
-        lo = hi = None
-        for g in labels:
-            if g == i_j or g == j:
-                continue
-            diff = d.value(i_j, g) - d.value(j, g)
-            if lo is None or diff < lo:
-                lo = diff
-            if hi is None or diff > hi:
-                hi = diff
+        lo, hi = star_window_loop(d, i_j, j)
         spread = hi - lo
         records.append(
             ScanRecord(
@@ -339,7 +343,7 @@ def nj_from_triples_loop(t, eps=0):
         S = s_matrix_triples_loop(current)
         candidates = sorted(S.entries.items(), key=lambda kv: (kv[1], kv[0]))
         i, j = next(
-            (p for p, _ in candidates if star_condition_triples(current, *p, tol=eps).holds),
+            (p for p, _ in candidates if star_condition_loop(current, *p, tol=eps).holds),
             candidates[0][0],
         )
         d_ij = _derived_single(current, i, j)
@@ -446,8 +450,9 @@ def merge_bells_loop(d, bells):
 
 
 def nj_pruning_loop(d, eps=0):
-    """Reference pruning NJ: (tree, rounds), a cherry scan of a new
-    container per round and :func:`merge_bells_loop` for its bells."""
+    """Reference pruning NJ: (tree, rounds), per round the column minima of
+    a cherry scan of a new container, each confirmed by its loop window,
+    and :func:`merge_bells_loop` for its bells."""
     if d.n == 2:
         a, b = d.labels
         return WeightedTree([(a, b, d.value(a, b))]), []
@@ -461,7 +466,12 @@ def nj_pruning_loop(d, eps=0):
             rounds.append({"size": 3, "bells": [], "fallback": True, "entries_examined": 0})
             continue
         scan = cherry_scan(current, eps)
-        bells = group_bells(scan.pairs)
+        pairs = {
+            (min(r.row, r.column), max(r.row, r.column))
+            for r in scan.records
+            if star_condition_loop(current, r.row, r.column, eps).holds
+        }
+        bells = group_bells(sorted(pairs))
         rounds.append({
             "size": current.n,
             "bells": [list(b) for b in bells],
@@ -494,7 +504,7 @@ def nj_from_triples_walk(t, eps=0):
         S = s_matrix_loop(current)
         candidates = sorted(S.entries.items(), key=lambda kv: (kv[1], kv[0]))
         i, j = next(
-            (p for p, _ in candidates if star_condition_doubles(current, *p, tol=eps).holds),
+            (p for p, _ in candidates if star_condition_loop(current, *p, tol=eps).holds),
             candidates[0][0],
         )
         x, y = [g for g in current.labels if g not in (i, j)][:2]

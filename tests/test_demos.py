@@ -1,4 +1,7 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion and prints what it printed when
+its output was pinned: ``demo_output/<name>.txt`` beside this file.  The
+demos are deterministic and print no numpy reprs, so a change in their
+bytes is a change in what the package computes or how it prints it."""
 
 import os
 import subprocess
@@ -8,6 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PINNED = Path(__file__).resolve().parent / "demo_output"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -30,3 +34,4 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+    assert done.stdout == (PINNED / f"{demo.stem}.txt").read_text(encoding="utf-8")

@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -38,7 +38,7 @@ from treeweights import (
     triples_from_doubles,
     triples_of_tree,
 )
-from treeweights.numeric import EXPONENT_LIMIT, parse_number
+from treeweights.numeric import EXPONENT_LIMIT, is_exact, parse_number
 from treeweights.weights import holds_fractions
 from conftest import (
     CATERPILLAR_TRIPLES,
@@ -51,6 +51,7 @@ from reference_loops import (
     condition2_values,
     derived_common_values,
     lift_check_loop,
+    star_condition_loop,
     star_table_loop,
 )
 
@@ -181,6 +182,51 @@ class TestStarCondition:
                     assert exact_or_float(res.common_difference) == exact_or_float(
                         ref.common_difference
                     ), (name, seed, pair)
+
+
+    def test_single_pair_queries_match_the_loop_windows(self):
+        # one kernel window per query, in both argument orders, against the
+        # pure-Python window on every mirror; bitwise for floats
+        for order, seed in product((2, 3), CROSS_PATH_SEEDS):
+            query = star_condition_doubles if order == 2 else star_condition_triples
+            for name, w, tol in cross_path_cases(seed, order):
+                for a, b in permutations(w.labels, 2):
+                    got, ref = query(w, a, b, tol=tol), star_condition_loop(w, a, b, tol)
+                    assert got.holds == ref.holds, (name, seed, a, b)
+                    for x, y in (
+                        (got.max_spread, ref.max_spread),
+                        (got.common_difference, ref.common_difference),
+                    ):
+                        assert exact_or_float(x) == exact_or_float(y), (name, seed, a, b)
+
+    def test_reversed_pair_of_a_zero_window(self):
+        # every difference is +0.0 whichever label comes first
+        flat = DoubleWeights({pair: 2.0 for pair in combinations(range(1, 5), 2)})
+        for a, b in ((1, 2), (2, 1)):
+            res = star_condition_doubles(flat, a, b)
+            assert repr(res.common_difference) == repr(res.max_spread) == "0.0"
+
+    def test_unknown_label(self, quartet_doubles, cat_triples):
+        for w, query in ((quartet_doubles, star_condition_doubles),
+                         (cat_triples, star_condition_triples)):
+            for pair in ((1, 99), (99, 1)):
+                with pytest.raises(LabelError):
+                    query(w, *pair)
+
+
+class TestDenseKind:
+    def test_kind_is_is_exact_over_the_values(self):
+        # the mirror's kind applies is_exact once per value type; it must
+        # agree with applying it per value on every mix of types
+        class Exact(Fraction):
+            pass
+
+        samples = [3, Fraction(1, 3), Exact(2, 3), 0.5, True,
+                   np.int64(4), np.float64(0.25), np.bool_(True)]
+        keys = list(combinations(range(1, 4), 2))
+        for mix in product(samples, repeat=len(keys)):
+            kind = DoubleWeights(dict(zip(keys, mix))).dense()[0]
+            assert kind == ("int" if all(map(is_exact, mix)) else "float"), mix
 
 
 class TestNeighborPairs:
