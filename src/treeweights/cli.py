@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import nj as nj_mod
 from . import oracle as oracle_mod
@@ -240,7 +241,10 @@ _COMMANDS = {
 # --------------------------------------------------------------------- #
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The command line parser, built once per process: each parse_args
+    call fills a fresh namespace from the declared defaults."""
     parser = _Parser(prog="treeweights", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

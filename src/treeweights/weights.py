@@ -17,7 +17,10 @@ int64 while the scaled magnitudes stay under ``_DENSE_MAG_CAP`` and as an
 either way.  Past ``_DENSE_SCALE_BITS`` the common scale would make every
 unit longer than the values themselves, so the mirror keeps the values'
 own Fractions (on an ``object`` array, scale 1) and the same kernels run on
-them.  Float containers use a float64 array.
+them.  Float containers use a float64 array.  A container read from a
+well-formed file, or handed over by a carried mirror, starts from the
+mirror alone (:meth:`DoubleWeights.from_mirror`) and builds its dict of
+values only when a lookup first needs it.
 
 The star table over all label pairs is one block kernel for both orders
 (:func:`_star_windows`): pairs are taken in blocks of about
@@ -44,17 +47,20 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import combinations, islice, permutations
+from functools import reduce, wraps
+from itertools import combinations, islice, permutations, repeat
 
 import numpy as np
 
 from . import tree as tree_mod
 from .errors import InstanceTooSmallError, LabelError, ParseError
 from .numeric import (
+    MODES,
     THIRD,
     TWO_THIRDS,
     _exact_type,
@@ -155,7 +161,65 @@ def holds_fractions(arr):
     return arr.dtype == object and isinstance(arr.flat[0], Fraction)
 
 
-class DoubleWeights:
+class _WeightSet:
+    """What the pair and triple containers share.
+
+    The values over every sorted key of ``labels`` are held as a dict, as
+    the dense mirror :meth:`dense` gives, or both.  A container built from
+    its mirror (:meth:`from_mirror`) builds the dict when a lookup first
+    needs it, with the values the mirror stands for: Fractions for kind
+    "int", floats for kind "float".
+    """
+
+    @classmethod
+    def from_mirror(cls, labels, kind, arr, scale):
+        """The container of a mirror in :meth:`dense`'s form over sorted
+        *labels*, with no dict and no key scan.  *arr* is kept, not copied."""
+        w = cls.__new__(cls)
+        w.labels = tuple(labels)
+        w.n = len(w.labels)
+        w._dict = None
+        w._dense_cache = (kind, arr, scale)
+        return w
+
+    def _setup(self, norm, labels):
+        self.labels = labels
+        self.n = len(labels)
+        self._dict = norm
+        self._dense_cache = None  # not yet computed
+
+    @property
+    def _v(self):
+        if self._dict is None:
+            kind, arr, scale = self._dense_cache
+            values = arr[upper_keys(self.n, self.order)].tolist()
+            if kind == "int":
+                values = [Fraction(x, scale) for x in values]
+            self._dict = dict(zip(combinations(self.labels, self.order), values))
+        return self._dict
+
+    def items(self):
+        return sorted(self._v.items())
+
+    def restrict(self, labels):
+        labels = tuple(sorted(labels))
+        keep = set(labels)
+        sub = {key: v for key, v in self._v.items() if keep.issuperset(key)}
+        return type(self)(sub, labels=labels)
+
+    def relabel(self, mapping):
+        return type(self)({tuple(map(mapping.__getitem__, key)): v for key, v in self._v.items()})
+
+    def dense(self):
+        if self._dense_cache is None:
+            self._dense_cache = _dense_from_items(self.labels, self.items(), self.order)
+        return self._dense_cache
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n})"
+
+
+class DoubleWeights(_WeightSet):
     """All C(n, 2) values over unordered pairs of a label set.
 
     Lookup order does not matter: ``value(i, j) == value(j, i)``.  Standard
@@ -182,10 +246,9 @@ class DoubleWeights:
         if len(labels) < 2:
             raise ValueError("DoubleWeights needs at least 2 labels")
         _check_keys(norm, labels, 2, "pair")
-        self.labels = labels
-        self.n = len(labels)
-        self._v = norm
-        self._dense_cache = False  # not yet computed
+        self._setup(norm, labels)
+
+    dense = _WeightSet.dense  # in the class's own namespace, where perfbench wraps it
 
     def value(self, i, j):
         if i == j:
@@ -196,30 +259,8 @@ class DoubleWeights:
         except KeyError:
             raise LabelError(f"pair {pair} not in container") from None
 
-    def items(self):
-        return sorted(self._v.items())
 
-    def restrict(self, labels):
-        labels = tuple(sorted(labels))
-        sub = {p: v for p, v in self._v.items() if p[0] in labels and p[1] in labels}
-        return DoubleWeights(sub, labels=labels)
-
-    def relabel(self, mapping):
-        new = {}
-        for (a, b), v in self._v.items():
-            new[(mapping[a], mapping[b])] = v
-        return DoubleWeights(new)
-
-    def dense(self):
-        if self._dense_cache is False:
-            self._dense_cache = _dense_from_items(self.labels, self.items(), 2)
-        return self._dense_cache
-
-    def __repr__(self):
-        return f"DoubleWeights(n={self.n})"
-
-
-class TripleWeights:
+class TripleWeights(_WeightSet):
     """All C(n, 3) values over unordered triples of a label set."""
 
     order = 3
@@ -241,10 +282,9 @@ class TripleWeights:
         if len(labels) < 3:
             raise ValueError("TripleWeights needs at least 3 labels")
         _check_keys(norm, labels, 3, "triple")
-        self.labels = labels
-        self.n = len(labels)
-        self._v = norm
-        self._dense_cache = False
+        self._setup(norm, labels)
+
+    dense = _WeightSet.dense  # in the class's own namespace, where perfbench wraps it
 
     def value(self, i, j, k):
         trip = tuple(sorted((i, j, k)))
@@ -254,29 +294,6 @@ class TripleWeights:
             return self._v[trip]
         except KeyError:
             raise LabelError(f"triple {trip} not in container") from None
-
-    def items(self):
-        return sorted(self._v.items())
-
-    def restrict(self, labels):
-        labels = tuple(sorted(labels))
-        keep = set(labels)
-        sub = {t: v for t, v in self._v.items() if set(t) <= keep}
-        return TripleWeights(sub, labels=labels)
-
-    def relabel(self, mapping):
-        new = {}
-        for (a, b, c), v in self._v.items():
-            new[(mapping[a], mapping[b], mapping[c])] = v
-        return TripleWeights(new)
-
-    def dense(self):
-        if self._dense_cache is False:
-            self._dense_cache = _dense_from_items(self.labels, self.items(), 3)
-        return self._dense_cache
-
-    def __repr__(self):
-        return f"TripleWeights(n={self.n})"
 
 
 # --------------------------------------------------------------------- #
@@ -352,12 +369,40 @@ def _star_condition(w, alpha, alpha2, tol=0) -> StarResult:
 star_condition_doubles = star_condition_triples = _star_condition
 
 
-@lru_cache(maxsize=64)
+# Bytes of index arrays the caches below keep between calls, all three
+# together.  Classic NJ asks for every size from n down, once each, so a
+# count bound would hold about n of them (440 MB at n = 1000).
+_INDEX_CACHE_BYTES = 32 << 20
+_index_cache = OrderedDict()  # (builder, m) -> arrays, least recently used first
+
+
+def _index_arrays(build):
+    """Cache *build*(m), a tuple of index arrays, least recently used out
+    first once the cache would hold more than ``_INDEX_CACHE_BYTES``."""
+
+    @wraps(build)
+    def cached(m):
+        key = (build, m)
+        out = _index_cache.get(key)
+        if out is not None:
+            _index_cache.move_to_end(key)
+            return out
+        out = build(m)
+        _index_cache[key] = out
+        held = sum(a.nbytes for arrays in _index_cache.values() for a in arrays)
+        while held > _INDEX_CACHE_BYTES and _index_cache:
+            held -= sum(a.nbytes for a in _index_cache.popitem(last=False)[1])
+        return out
+
+    return cached
+
+
+@_index_arrays
 def _upper_pairs(m):
     return np.triu_indices(m, 1)  # row-major, i.e. combinations order
 
 
-@lru_cache(maxsize=64)
+@_index_arrays
 def _upper_triples(m):
     idx = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
     return idx[:, 0], idx[:, 1], idx[:, 2]
@@ -373,29 +418,31 @@ def upper_keys(m, order):
 BLOCK_ELEMS = 1 << 20
 
 
-def _object_bytes(x):
-    """Bytes held by one Python int or Fraction, its parts included."""
-    if isinstance(x, Fraction):
-        return sys.getsizeof(x) + sys.getsizeof(x.numerator) + sys.getsizeof(x.denominator)
-    return sys.getsizeof(x)
-
-
 def block_elems(arr):
     """Elements per block temporary, so that a block takes about
     ``BLOCK_ELEMS * 8`` bytes.
 
     int64 and float64 elements take 8 bytes.  Each element of an ``object``
     block is a Python number of its own, a difference or sum of mirror
-    elements: it is counted as a pointer plus twice the largest distinct
-    mirror element.
+    elements: it is counted as a pointer plus twice the largest mirror
+    element, by its bytes.  For ints that is the element of largest
+    magnitude; a Fraction counts its own bytes and those of its numerator
+    and denominator, so a mirror of Fractions is measured entry by entry.
     """
     if arr.dtype != object:
         return BLOCK_ELEMS
-    entries = arr[upper_keys(arr.shape[0], arr.ndim)].tolist()
-    return max(1, BLOCK_ELEMS * 8 // (8 + 2 * max(map(_object_bytes, entries), default=0)))
+    entries = arr[upper_keys(arr.shape[0], arr.ndim)]
+    if not entries.size:
+        return BLOCK_ELEMS
+    if holds_fractions(arr):
+        parts = [entries] + [map(operator.attrgetter(p), entries) for p in ("numerator", "denominator")]
+        top = max(map(sum, zip(*(map(sys.getsizeof, p) for p in parts))))
+    else:
+        top = sys.getsizeof(max(entries.max(), -entries.min()))
+    return max(1, BLOCK_ELEMS * 8 // (8 + 2 * top))
 
 
-@lru_cache(maxsize=64)
+@_index_arrays
 def _completion_layout(m):
     """Completions g1 < g2 of a triple star window over range(m).
 
@@ -632,8 +679,7 @@ class _Mirror:
 
     def container(self):
         cls = DoubleWeights if self.order == 2 else TripleWeights
-        values = [self.value(x) for x in self.arr[upper_keys(self.n, self.order)].tolist()]
-        return cls(dict(zip(combinations(self.labels, self.order), values)), labels=self.labels)
+        return cls.from_mirror(self.labels, self.kind, self.arr, self.scale)
 
     def twig(self, i, j, x):
         """(d_ij + d_ix - d_jx) / 2, i's twig against j, as a Python value."""
@@ -805,6 +851,17 @@ def metric_warnings(d: DoubleWeights):
 # --------------------------------------------------------------------- #
 
 
+def _lex_keys(lo, n, order):
+    """``combinations(range(lo, n + 1), order)``, without building the
+    range first: a header may name far more labels than the file holds."""
+    if order == 0:
+        yield ()
+        return
+    for a in range(lo, n + 1):
+        for rest in _lex_keys(a + 1, n, order - 1):
+            yield (a, *rest)
+
+
 def _parse_weight_lines(text, order, mode):
     n = None
     entries = {}
@@ -851,19 +908,97 @@ def _parse_weight_lines(text, order, mode):
     # and the first gap lies within the first len(entries) + 1 keys
     missing = math.comb(n, order) - len(entries)
     if missing:
-        first = next(k for k in combinations(range(1, n + 1), order) if k not in entries)
+        first = next(k for k in _lex_keys(1, n, order) if k not in entries)
         raise ParseError(f"{missing} entries missing (first: {' '.join(map(str, first))})")
     return n, entries
 
 
+# a rational-mode token that int() reads as parse_number does; longer
+# integers go through parse_number and its exponent limit
+_PLAIN_INT = re.compile(r"[+-]?[0-9]{1,18}").fullmatch
+
+
+def _read_bulk(text, order, mode):
+    """(n, kind, mirror, scale) of a well-formed weight file, or None for
+    the line parser to read.
+
+    Well-formed means: no comment, a header line, then C(n, order) lines
+    of order + 1 tokens with one space between tokens and no other
+    whitespace, labels written as the plain numbers 1..n, strictly
+    increasing within a line, every key once in any line order, and values
+    read without error.  Such a file gives the line parser's values
+    exactly; every other file, malformed ones included, is left to the
+    line parser, so its errors and line numbers are the only ones.
+    """
+    if "#" in text or mode not in MODES:
+        return None
+    lines = text.splitlines()
+    try:
+        n = int(lines[0])
+    except (IndexError, ValueError):
+        return None
+    if n < order:
+        return None
+    count = math.comb(n, order)
+    # nothing is sized by n before its keys are known to be in the file
+    if len(lines) != count + 1 or not all(map(str.isprintable, lines)):
+        return None
+    if set(map(str.count, islice(lines, 1, None), repeat(" "))) != {order}:
+        return None
+    del lines
+    # a printable line with `order` spaces holds at most order + 1 tokens,
+    # so the total count says that each holds exactly that many
+    tokens = text.split()
+    if len(tokens) != 1 + count * (order + 1):
+        return None
+    number = {str(x): x for x in range(1, n + 1)}
+    try:
+        keys = np.array(
+            [np.fromiter(map(number.__getitem__, tokens[1 + c :: order + 1]), np.int64, count)
+             for c in range(order)]
+        )
+    except KeyError:
+        return None
+    values = tokens[1 + order :: order + 1]
+    del tokens
+    if not (keys[1:] > keys[:-1]).all():
+        return None
+    flat = reduce(lambda acc, col: acc * n + col, keys - 1)
+    if not (flat[1:] > flat[:-1]).all():
+        rank = np.argsort(flat)
+        flat = flat[rank]
+        if not (flat[1:] > flat[:-1]).all():
+            return None  # a key twice, so another one missing
+        values = [values[k] for k in rank.tolist()]
+    try:
+        if mode == "float":
+            fill = np.fromiter(map(float, values), np.float64, count)
+            # parse_number's own rules for zeros (no sign), NaN and infinities
+            for k in np.flatnonzero(~np.isfinite(fill) | (fill == 0)).tolist():
+                fill[k] = parse_number(values[k], mode)
+            return n, "float", _symmetric(fill, n, order, 0), None
+        exact = [int(v) if _PLAIN_INT(v) else parse_number(v, mode) for v in values]
+    except ValueError:
+        return None
+    fill, scale, zero = _exact_units(exact)
+    return n, "int", _symmetric(fill, n, order, zero), scale
+
+
+def _parse(text, mode, cls):
+    bulk = _read_bulk(text, cls.order, mode)
+    if bulk is not None:
+        n, kind, arr, scale = bulk
+        return cls.from_mirror(range(1, n + 1), kind, arr, scale)
+    n, entries = _parse_weight_lines(text, cls.order, mode)
+    return cls(entries, labels=range(1, n + 1))
+
+
 def parse_doubles(text: str, mode: str = "rational") -> DoubleWeights:
-    n, entries = _parse_weight_lines(text, 2, mode)
-    return DoubleWeights(entries, labels=range(1, n + 1))
+    return _parse(text, mode, DoubleWeights)
 
 
 def parse_triples(text: str, mode: str = "rational") -> TripleWeights:
-    n, entries = _parse_weight_lines(text, 3, mode)
-    return TripleWeights(entries, labels=range(1, n + 1))
+    return _parse(text, mode, TripleWeights)
 
 
 def _emit(container) -> str:

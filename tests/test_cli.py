@@ -345,3 +345,52 @@ class TestConfigPlumbing:
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run_cli(capsys, ["weights", "--order", "2", "--in", "/nope.nwk"])
         assert code == 1
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; a run must not depend on
+    the calls before it."""
+
+    def test_sequence_matches_fresh_parsers(self, capsys, tmp_path):
+        from treeweights import cli
+
+        data = tmp_path / "d.txt"
+        data.write_text(QUARTET_FILE)
+        triples = tmp_path / "t.txt"
+        _, nwk, _ = run_cli(capsys, ["gen", "--leaves", "6", "--seed", "4"])
+        (tmp_path / "t.nwk").write_text(nwk)
+        run_cli(capsys, ["weights", "--order", "3", "--in", str(tmp_path / "t.nwk"),
+                         "--out", str(triples)])
+        calls = [
+            ["nj", "--variant", "pruning", "--epsilon", "0.5", "--in", str(data)],
+            ["nj", "--in", str(data)],
+            ["nj", "--mode", "rational", "--in", str(data)],
+            ["nj", "--order", "3", "--in", str(triples)],
+            ["nj", "--order", "3", "--variant", "classic", "--in", str(triples)],
+            ["nj", "--variant", "sideways"],
+            ["check", "--order", "2", "--tol", "1/2", "--in", str(data)],
+            ["check", "--order", "2", "--in", str(data)],
+            ["check", "--order", "2", "--tol", "-1", "--in", str(data)],
+            ["reconstruct", "--order", "3", "--require-positive", "--in", str(triples)],
+            ["reconstruct", "--order", "3", "--in", str(triples)],
+            ["oracle", "--order", "2", "--require-positive", "--in", str(data)],
+            ["oracle", "--order", "2", "--in", str(data)],
+            ["gen", "--leaves", "5", "--multifurcating", "--seed", "2"],
+            ["gen", "--leaves", "5"],
+            ["bench", "--sizes", "8,12"],
+            ["bench", "--sizes", "8"],
+            ["bench", "--sizes", "x"],
+            ["check"],
+            [],
+            ["compare", str(tmp_path / "t.nwk"), str(tmp_path / "t.nwk")],
+        ]
+        reused = []
+        for argv in calls:
+            code, out, err = run_cli(capsys, argv)
+            reused.append((code, out, err.split("bench n=")[0]))
+        for argv, want in zip(calls, reused):
+            cli._build_parser.cache_clear()
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out, err.split("bench n=")[0]) == want, argv
+        assert [c for c, _, _ in reused].count(1) == 6
+        assert "--variant applies to --order 2 only" in reused[4][2]

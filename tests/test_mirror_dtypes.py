@@ -16,6 +16,7 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -42,6 +43,7 @@ from treeweights import (
     triples_of_tree,
 )
 from treeweights import reconstruct as reconstruct_mod
+from treeweights import weights as weights_mod
 from treeweights.weights import (
     _DENSE_MAG_CAP,
     _DENSE_SCALE_BITS,
@@ -383,3 +385,78 @@ class TestFractionMirror:
         assert block_elems(ints) == BLOCK_ELEMS * 8 // (8 + 2 * sys.getsizeof(3**20000))
         assert block_elems(np.zeros((2, 2), dtype=np.int64)) == BLOCK_ELEMS
         assert block_elems(np.zeros((2, 2, 2))) == BLOCK_ELEMS
+
+
+def _block_elems_by_entry(arr):
+    """block_elems from its definition: the largest entry over the sorted
+    keys by its bytes, a Fraction's parts included."""
+    if arr.dtype != object:
+        return BLOCK_ELEMS
+    m = arr.shape[0]
+    entries = [arr[k] for k in combinations(range(m), arr.ndim)]
+
+    def size(x):
+        if isinstance(x, Fraction):
+            return sys.getsizeof(x) + sys.getsizeof(x.numerator) + sys.getsizeof(x.denominator)
+        return sys.getsizeof(x)
+
+    return max(1, BLOCK_ELEMS * 8 // (8 + 2 * max(map(size, entries), default=0)))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_block_elems_pinned_on_every_mirror_kind(order):
+    """int64, ``object`` ints (of either sign, the largest magnitude
+    negative too) and Fraction mirrors give the block size of the
+    per-entry definition."""
+    n = 9 if order == 2 else 7
+    of_tree = doubles_of_tree if order == 2 else triples_of_tree
+    cls = DoubleWeights if order == 2 else TripleWeights
+    base = of_tree(random_tree(n, 3))
+    wide = Fraction(2**61 + 1, 2**61 - 1)
+    mirrors = {
+        "int64": base.dense()[1],
+        "object ints": cls({k: v * wide for k, v in base.items()}).dense()[1],
+        "object ints, negative": cls({k: -v * wide for k, v in base.items()}).dense()[1],
+        "fractions": _own_denominators(order, n, 1, _DENSE_SCALE_BITS // 8 + 40).dense()[1],
+    }
+    assert mirrors["int64"].dtype == np.int64
+    assert mirrors["object ints"].dtype == object and not holds_fractions(mirrors["object ints"])
+    assert holds_fractions(mirrors["fractions"])
+    # mixed signs, the largest magnitude negative
+    mixed = np.array([[0, 5, -(3**300)], [5, 0, 2**40], [-(3**300), 2**40, 0]], dtype=object)
+    mirrors["mixed signs"] = mixed if order == 2 else np.stack([mixed] * 3)
+    for name, arr in mirrors.items():
+        assert block_elems(arr) == _block_elems_by_entry(arr), name
+    assert block_elems(mirrors["int64"]) == BLOCK_ELEMS
+    assert block_elems(mirrors["object ints"]) < BLOCK_ELEMS
+
+
+class TestIndexCache:
+    def test_small_sizes_stay_cached(self):
+        """Every size a benchmark-sized run asks for is built once."""
+        firsts = {
+            (build, m): build(m)
+            for m in range(2, 81)
+            for build in (weights_mod._upper_pairs, weights_mod._completion_layout)
+        }
+        firsts.update({(weights_mod._upper_triples, m): weights_mod._upper_triples(m)
+                       for m in range(3, 17)})
+        for (build, m), arrays in firsts.items():
+            assert build(m) is arrays
+
+    def test_held_bytes_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(weights_mod, "_INDEX_CACHE_BYTES", 1 << 20)
+        monkeypatch.setattr(weights_mod, "_index_cache", OrderedDict())
+        for m in range(300, 100, -1):
+            got = weights_mod._upper_pairs(m)
+            assert np.array_equal(np.stack(got), np.stack(np.triu_indices(m, 1)))
+            held = sum(a.nbytes for arrays in weights_mod._index_cache.values() for a in arrays)
+            assert held <= 1 << 20
+        # the most recently used sizes are the ones kept
+        assert weights_mod._upper_pairs(101) is weights_mod._upper_pairs(101)
+        assert (weights_mod._upper_pairs.__wrapped__, 101) in weights_mod._index_cache
+        assert (weights_mod._upper_pairs.__wrapped__, 300) not in weights_mod._index_cache
+        # an array set past the budget is returned, not kept
+        big = weights_mod._upper_pairs(600)
+        assert len(big[0]) == 600 * 599 // 2
+        assert (weights_mod._upper_pairs.__wrapped__, 600) not in weights_mod._index_cache
