@@ -112,26 +112,46 @@ def _cmd_weights(args) -> int:
     return 0
 
 
+def _four_point_proven(args, tree) -> bool:
+    """Whether an accepted reconstruction proves the four-point test passes.
+
+    An exact accept at tol 0 reproduces every value, so each quadruple's
+    three pair sums are those of *tree*: two of them exceed the third by
+    twice the length of the quartet's inner path, and they are the two
+    largest, and equal, when no internal edge is negative.
+    """
+    if args.mode != "rational" or args.tol != 0:
+        return False
+    leaves = set(tree.leaves)
+    return all(w >= 0 for u, v, w in tree.edges if u not in leaves and v not in leaves)
+
+
 def _cmd_check(args) -> int:
     data = _read_weights(args)
     payload = {"order": args.order, "tolerance": _jsonable(args.tol), "n": data.n}
+    payload["realizable"], payload["failure"] = True, None
+    proven = False
+    # every instance on at most order + 1 labels is realisable: a pair set
+    # on 2 or 3 labels by an edge or a star, a triple set on 3 labels (1
+    # value on 3 unknowns) or 4 (an invertible 4x4 star system)
+    if data.n > args.order + 1:
+        try:
+            tree, _ = _reconstructor(args.order)(data, tol=args.tol)
+        except ReconstructionError as err:
+            payload["realizable"], payload["failure"] = False, _failure_payload(err)
+        else:
+            proven = _four_point_proven(args, tree)
     if args.order == 2:
-        verdict = weights_mod.buneman_check(data, args.tol)
+        if proven:
+            verdict = weights_mod.BunemanVerdict(True, None, 0)
+        else:
+            verdict = weights_mod.buneman_check(data, args.tol)
         payload["four_point"] = {
             "passed": verdict.passed,
             "witness": _jsonable(verdict.witness),
             "gap": _jsonable(verdict.gap),
         }
         payload["warnings"] = weights_mod.metric_warnings(data)
-    payload["realizable"], payload["failure"] = True, None
-    # every instance on at most order + 1 labels is realisable: a pair set
-    # on 2 or 3 labels by an edge or a star, a triple set on 3 labels (1
-    # value on 3 unknowns) or 4 (an invertible 4x4 star system)
-    if data.n > args.order + 1:
-        try:
-            _reconstructor(args.order)(data, tol=args.tol)
-        except ReconstructionError as err:
-            payload["realizable"], payload["failure"] = False, _failure_payload(err)
     _write(args.output_path, _dump(payload))
     return 0 if payload["realizable"] else 2
 

@@ -117,12 +117,27 @@ def parse_number(token: str, mode: str):
 
 
 def format_number(value) -> str:
-    """Lossless text form: ``p/q`` for Fractions, shortest repr for floats."""
+    """Lossless text form: ``p/q`` for Fractions, shortest repr for floats.
+
+    Integers of any length are written out in full, also past Python's
+    int-to-string digit limit (see :func:`_int_text`).
+    """
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, Fraction):
-        return str(value)  # "p/q", or "p" when the denominator is 1
-    return str(int(value))
+        if value.denominator == 1:
+            return _int_text(value.numerator)
+        return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+    return _int_text(int(value))
+
+
+def _int_text(x: int) -> str:
+    """``str(x)``; past the interpreter's int-to-string digit limit the
+    digits come from ``decimal``, which that limit does not cover."""
+    try:
+        return str(x)
+    except ValueError:
+        return str(Decimal(x))
 
 
 def half(x):

@@ -33,8 +33,10 @@ solve, positivity certificate) is returned alongside the tree.
 
 from __future__ import annotations
 
+import math
 from copy import copy
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -54,6 +56,9 @@ from .weights import (
     block_elems,
     derived_pairwise_consistent,
     doubles_of_tree,
+    exact_scalar,
+    holds_fractions,
+    int_dtype,
     star_table,
     triples_from_doubles,
     upper_keys,
@@ -229,7 +234,7 @@ def _retention_guard(bells, size, floor):
 def _inconsistent(key, spread):
     return ReconstructionError(
         "prune-inconsistent",
-        f"reduced entry {key} disagrees across representatives (spread {spread})",
+        f"reduced entry {key} disagrees across representatives (spread {format_number(spread)})",
         witness=(key, spread),
     )
 
@@ -390,7 +395,7 @@ def base_case_doubles(d: DoubleWeights, tol=0) -> WeightedTree:
                 residual = gap
     if residual > tol:
         _fail_base(
-            f"quartet system inconsistent (residual {residual})", witness=residual
+            f"quartet system inconsistent (residual {format_number(residual)})", witness=residual
         )
     u, w = fresh, fresh + 1
     quartet = WeightedTree(
@@ -470,7 +475,8 @@ def _base_case_triples_5_record(t: TripleWeights, tol=0):
     twig, f1, f2, residual = _solve_caterpillar_5(t, pair1, pair2, gamma)
     if residual > tol:
         _fail_base(
-            f"caterpillar system inconsistent (residual {residual})", witness=residual
+            f"caterpillar system inconsistent (residual {format_number(residual)})",
+            witness=residual,
         )
     alpha, alpha2 = pair1
     beta, beta2 = pair2
@@ -582,7 +588,8 @@ def _finish(tree, levels, base_record, require_positive):
     if require_positive and not positive:
         raise ReconstructionError(
             "positivity",
-            f"edge ({offender[0]}, {offender[1]}) has non-positive weight {offender[2]}",
+            f"edge ({offender[0]}, {offender[1]}) has non-positive weight "
+            f"{format_number(offender[2])}",
             witness=offender,
             trace=trace,
         )
@@ -620,21 +627,56 @@ def _prune_levels(d: DoubleWeights, tol, floor):
     return state.container(), levels
 
 
+def _exact_gap(got, got_scale, want, want_scale):
+    """(|got - want|, scale): the distance of two exact mirrors' entries in
+    units of one common scale.  Units widen to ``object`` where that scale
+    would take them past the int64 headroom; a mirror of the values' own
+    Fractions makes both sides Fractions over scale 1."""
+    if holds_fractions(got) or holds_fractions(want):
+        got, want = (
+            np.array([Fraction(exact_scalar(x), s) for x in a.tolist()], dtype=object)
+            for a, s in ((got, got_scale), (want, want_scale))
+        )
+        return np.abs(got - want), 1
+    scale = math.lcm(got_scale, want_scale)
+    factors = scale // got_scale, scale // want_scale
+    top = max(int(np.abs(a).max(initial=0)) * f for a, f in zip((got, want), factors))
+    if int_dtype(max(top, *factors)) is object:
+        got, want = got.astype(object), want.astype(object)
+    return np.abs(got * factors[0] - want * factors[1]), scale
+
+
 def _verified(d: DoubleWeights, base_tree, base_record, levels, tol, require_positive):
     """Expand the levels onto the base tree and check its path sums against
     every value of the pairwise set *d*, within the slack the levels'
-    midranges allow."""
+    midranges allow.
+
+    The tree's mirror (:func:`~treeweights.weights.doubles_of_tree`) is
+    compared with d's as arrays: exact data as units on one common scale,
+    float data as |got - want| > slack.  The first key over the slack, in
+    combinations order, is named; d's dict is built only then.
+    """
     tree = contract_zero_internal_edges(_expand_levels(base_tree, levels))
     slack = tol * (1 + 3 * len(levels))
-    back = doubles_of_tree(tree)
-    for key, want in d.items():
-        got = back.value(*key)
-        if abs(got - want) > slack:
-            raise ReconstructionError(
-                "verification",
-                f"assembled tree misses pair {key}: {got} != {want}",
-                witness=(key, got, want),
-            )
+    kind, got, got_scale = doubles_of_tree(tree).dense()
+    _, want, want_scale = d.dense()
+    keys = upper_keys(d.n, 2)
+    got, want = got[keys], want[keys]
+    if kind == "float":
+        gap, scale = np.abs(got - want), None
+    else:
+        gap, scale = _exact_gap(got, got_scale, want, want_scale)
+    miss = _over(gap, slack, scale)
+    if miss.any():
+        k = int(miss.argmax())
+        key = tuple(d.labels[int(axis[k])] for axis in keys)
+        got = float(got[k]) if kind == "float" else Fraction(exact_scalar(got[k]), got_scale)
+        want = d.value(*key)
+        raise ReconstructionError(
+            "verification",
+            f"assembled tree misses pair {key}: {format_number(got)} != {format_number(want)}",
+            witness=(key, got, want),
+        )
     return _finish(tree, levels, base_record, require_positive)
 
 

@@ -21,9 +21,11 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import LabelError, ParseError
 from .numeric import exact_fraction, format_number, half, parse_number
+from .weights import doubles_of_tree, mirror_values
 
 
 class WeightedTree:
@@ -172,14 +174,11 @@ def pairwise_weight(tree: WeightedTree, i, j):
 
 
 def all_pairwise_weights(tree: WeightedTree):
-    """Dict (a, b) -> distance over all leaf pairs a < b."""
-    leaves = tree.leaves
-    out = {}
-    for idx, a in enumerate(leaves):
-        dist = distances_from(tree, a)
-        for b in leaves[idx + 1 :]:
-            out[(a, b)] = dist[b]
-    return out
+    """Dict (a, b) -> distance over all leaf pairs a < b: a view of the
+    path-sum kernel (:func:`~treeweights.weights.path_sums`), with
+    Fractions for exact weights and floats for float ones."""
+    values = mirror_values(*doubles_of_tree(tree).dense())
+    return dict(zip(combinations(tree.leaves, 2), values))
 
 
 def k_weight(tree: WeightedTree, subset):

@@ -37,6 +37,10 @@ rescales units and scale by a factor (moving int64 to ``object`` when the
 headroom requires it); a pruned mirror divides them by their gcd again, so
 it stays what ``dense()`` gives the container of its values.
 
+A tree's path sums are one kernel (:func:`path_sums`), O(n^2) work in
+O(n) numpy calls; :func:`doubles_of_tree` and :func:`triples_of_tree`
+hand its mirror, or its half-sum lift, to ``from_mirror``.
+
 Condition 2 on triples (:func:`derived_pairwise_consistent`) asks whether
 the triples are the half-sum lift T_ijk = (d_ij + d_ik + d_jk) / 2 of one
 pairwise set d.  It fits d from three reductions of the mirror and checks
@@ -53,11 +57,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce, wraps
-from itertools import combinations, islice, permutations, repeat
+from itertools import accumulate, combinations, islice, permutations, repeat
 
 import numpy as np
 
-from . import tree as tree_mod
 from .errors import InstanceTooSmallError, LabelError, ParseError
 from .numeric import (
     MODES,
@@ -149,6 +152,14 @@ def _dense_from_items(labels, items, order):
     return kind, _symmetric(fill, len(labels), order, zero), scale
 
 
+def mirror_values(kind, arr, scale):
+    """The values of a mirror in :meth:`DoubleWeights.dense`'s form, one
+    per sorted key in combinations order, as an iterator: Fractions for
+    kind "int", floats for kind "float"."""
+    values = arr[upper_keys(arr.shape[0], arr.ndim)].tolist()
+    return map(Fraction, values, repeat(scale)) if kind == "int" else iter(values)
+
+
 def exact_scalar(x):
     """An element of an exact mirror or kernel result as a Python int or
     Fraction (a numpy int would carry int64 arithmetic into a Fraction)."""
@@ -191,10 +202,7 @@ class _WeightSet:
     @property
     def _v(self):
         if self._dict is None:
-            kind, arr, scale = self._dense_cache
-            values = arr[upper_keys(self.n, self.order)].tolist()
-            if kind == "int":
-                values = [Fraction(x, scale) for x in values]
+            values = mirror_values(*self._dense_cache)
             self._dict = dict(zip(combinations(self.labels, self.order), values))
         return self._dict
 
@@ -301,15 +309,85 @@ class TripleWeights(_WeightSet):
 # --------------------------------------------------------------------- #
 
 
+def path_sums(tree) -> _Mirror:
+    """Every leaf-to-leaf path sum of *tree*, as a pairwise mirror over its
+    sorted leaves.
+
+    Exact edge weights become units over the LCM of their denominators:
+    int64 while the sum of all |units|, which bounds every path, stays
+    under the headroom of :func:`int_dtype`, else ``object``.  When that
+    scale would pass ``_DENSE_SCALE_BITS`` the weights' own Fractions are
+    summed (scale 1).  If any weight is a float, all are taken as float64.
+    The mirror keeps the edges' scale; :meth:`_Mirror.settle` gives the
+    least one.
+
+    One iterative walk from the smallest leaf lists the nodes in preorder,
+    so the leaves below every node take a contiguous range of sources.  On
+    the (node, source) table P, each edge x - y, y the child, is one step
+    per direction: P[x, below y] = P[y, below y] + w on the way up, then
+    P[y, rest] = P[x, rest] + w on the way down.  Every path is thus
+    summed outward from its source leaf, in the order
+    :func:`~treeweights.tree.distances_from` adds it, so float sums keep
+    their bits; pair (a, b), a < b, is read from source a and mirrored to
+    (b, a).  O(n^2) work in O(n) numpy calls.
+    """
+    adj, leaves = tree._adj, tree.leaves
+    parent = {leaves[0]: (None, None)}  # node -> (parent, weight of the edge to it)
+    pre = []
+    stack = [leaves[0]]
+    while stack:
+        x = stack.pop()
+        pre.append(x)
+        for y, w in adj[x]:
+            if y not in parent:
+                parent[y] = (x, w)
+                stack.append(y)
+    pos = {v: k for k, v in enumerate(pre)}
+    up = [pos[parent[v][0]] for v in pre[1:]]
+    weights = [parent[v][1] for v in pre[1:]]
+    is_leaf = [len(adj[v]) == 1 for v in pre]
+    first = list(accumulate(is_leaf, initial=0))  # leaves before each node
+    below = list(map(int, is_leaf))
+    for k in range(len(pre) - 1, 0, -1):
+        below[up[k - 1]] += below[k]
+
+    if all(map(_exact_type, set(map(type, weights)))):
+        kind = "int"
+        fill, scale, zero = _exact_units(weights)
+        if fill.dtype != object and int_dtype(sum(map(abs, fill.tolist()))) is object:
+            fill = fill.astype(object)
+    else:
+        kind, scale, zero = "float", None, 0.0
+        fill = np.array([float(w) for w in weights], dtype=np.float64)
+    steps = fill.tolist()
+    table = np.full((len(pre), len(leaves)), zero, dtype=fill.dtype)
+    for k in range(len(pre) - 1, 0, -1):
+        x, a, b = up[k - 1], first[k], first[k] + below[k]
+        table[x, a:b] = table[k, a:b] + steps[k - 1]
+    for k in range(1, len(pre)):
+        x, a, b = up[k - 1], first[k], first[k] + below[k]
+        table[k, :a] = table[x, :a] + steps[k - 1]
+        table[k, b:] = table[x, b:] + steps[k - 1]
+
+    rows = [pos[v] for v in leaves]  # each leaf's node row, in label order
+    arr = table.T[np.ix_([first[k] for k in rows], rows)]  # [source, leaf]
+    i, j = _upper_pairs(len(leaves))
+    arr[j, i] = arr[i, j]
+    return _Mirror.of(leaves, kind, arr, scale)
+
+
 def doubles_of_tree(tree) -> DoubleWeights:
-    """Pairwise path weights of a tree as a container."""
-    return DoubleWeights(tree_mod.all_pairwise_weights(tree), labels=tree.leaves)
+    """Pairwise path weights of a tree (:func:`path_sums`) as a container,
+    its mirror in :meth:`DoubleWeights.dense`'s form."""
+    state = path_sums(tree)
+    state.settle()
+    return state.container()
 
 
 def triples_of_tree(tree) -> TripleWeights:
     """Triple subtree weights of a tree: the half-sum lift of its path
-    weights (:func:`triples_from_doubles`)."""
-    return triples_from_doubles(doubles_of_tree(tree))
+    weights, as :func:`triples_from_doubles` takes it."""
+    return _lifted(path_sums(tree))
 
 
 # --------------------------------------------------------------------- #
@@ -404,8 +482,10 @@ def _upper_pairs(m):
 
 @_index_arrays
 def _upper_triples(m):
-    idx = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
-    return idx[:, 0], idx[:, 1], idx[:, 2]
+    r = np.arange(m)
+    # nonzero lists the entries i < j < k of the cube row-major, i.e. in
+    # combinations order
+    return np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
 
 
 def upper_keys(m, order):
@@ -594,6 +674,15 @@ class _Mirror:
         self.labels = list(w.labels)
         self._set(arr)
 
+    @classmethod
+    def of(cls, labels, kind, arr, scale):
+        """The mirror *arr* over *labels* with its kind and scale, not
+        taken from a container (not yet settled)."""
+        state = cls.__new__(cls)
+        state.labels, state.kind, state.scale = list(labels), kind, scale
+        state._set(arr)
+        return state
+
     @property
     def n(self):
         return len(self.labels)
@@ -769,29 +858,41 @@ def derived_pairwise_consistent(t: TripleWeights, tol=0):
     i, j, k = _upper_triples(m)
     gap = 2 * den * arr[i, j, k] - (part[i, j] + part[i, k] + part[j, k])
     worst = max(gap.max() - 3 * c, 3 * c - gap.min())  # 2 den max |T - lift(d)|
-    iu = _upper_pairs(m)
+    fit = part[_upper_pairs(m)] + c
     if kind == "int":
         if not Fraction(exact_scalar(worst), 2 * den * scale) <= tol:
             return False, None
-        values = [Fraction(x, den * scale) for x in (part[iu] + c).tolist()]
+        scale *= den
     else:
         if not worst / (2 * den) <= tol:
             return False, None
-        values = ((part[iu] + c) / den).tolist()
-    return True, DoubleWeights(dict(zip(combinations(t.labels, 2), values)), labels=t.labels)
+        fit = fit / den
+    state = _Mirror.of(t.labels, kind, _symmetric(fit, m, 2, arr.flat[0]), scale)
+    state.settle()
+    return True, state.container()
 
 
 def triples_from_doubles(d: DoubleWeights) -> TripleWeights:
     """Triple values induced by pairwise values via the half-sum identity."""
-    if d.n < 3:
-        raise InstanceTooSmallError(
-            "triples_from_doubles needs n >= 3", required=3, got=d.n
-        )
-    vals = {
-        (i, j, k): half(d.value(i, j) + d.value(i, k) + d.value(j, k))
-        for i, j, k in combinations(d.labels, 3)
-    }
-    return TripleWeights(vals, labels=d.labels)
+    return _lifted(_Mirror(d))
+
+
+def _lifted(state: _Mirror) -> TripleWeights:
+    """The half-sum lift T_ijk = ((d_ij + d_ik) + d_jk) / 2 of a pairwise
+    mirror, added in that order, as a container at the least scale."""
+    n = state.n
+    if n < 3:
+        raise InstanceTooSmallError("triples_from_doubles needs n >= 3", required=3, got=n)
+    i, j, k = _upper_triples(n)
+    arr = state.arr
+    total = (arr[i, j] + arr[i, k]) + arr[j, k]
+    if state.kind == "float":
+        total, scale = 0.5 * total, None
+    else:
+        scale = 2 * state.scale
+    lift = _Mirror.of(state.labels, state.kind, _symmetric(total, n, 3, arr.flat[0]), scale)
+    lift.settle()
+    return lift.container()
 
 
 # --------------------------------------------------------------------- #
@@ -831,7 +932,7 @@ def metric_warnings(d: DoubleWeights):
     warnings = []
     for (a, b), v in d.items():
         if v <= 0:
-            warnings.append(f"non-positive distance for pair ({a}, {b}): {v}")
+            warnings.append(f"non-positive distance for pair ({a}, {b}): {format_number(v)}")
     for i, j, k in combinations(d.labels, 3):
         dij, dik, djk = d.value(i, j), d.value(i, k), d.value(j, k)
         for (x, y, z, lhs, rhs) in (
@@ -1002,11 +1103,16 @@ def parse_triples(text: str, mode: str = "rational") -> TripleWeights:
 
 
 def _emit(container) -> str:
-    if container.labels != tuple(range(1, container.n + 1)):
+    """The file form of a container, one line per sorted key, written from
+    its mirror: the values of the upper triangle (or tetrahedron), one
+    :func:`format_number` each."""
+    labels = container.labels
+    if labels != tuple(range(1, container.n + 1)):
         raise ValueError("only containers labelled 1..n can be written to file")
+    keys = combinations(map(str, labels), container.order)
+    values = map(format_number, mirror_values(*container.dense()))
     lines = [str(container.n)]
-    for key, val in container.items():
-        lines.append(" ".join(map(str, key)) + " " + format_number(val))
+    lines += [f"{' '.join(key)} {text}" for key, text in zip(keys, values)]
     return "\n".join(lines) + "\n"
 
 

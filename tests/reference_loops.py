@@ -5,6 +5,9 @@ container's dense mirror (int64, ``object`` Python ints, or float64).
 These loops compute the same results one entry at a time, straight from
 the container's values, and define the semantics the kernels are held to:
 result for result, bitwise for floats.  They are test oracles only.
+The per-leaf walk that summed a tree's path weights one leaf at a time,
+which the package's path-sum kernel must reproduce (bitwise on floats),
+is kept here too, with the dict loop of the half-sum lift.
 The per-level container driver of reconstruction is kept here too: it
 rebuilds a container at every level and finds its bells on a table of
 star results, where the package carries one mirror from level to level.
@@ -26,6 +29,8 @@ from treeweights.nj import SMatrix, ScanRecord, _assemble, cherry_scan, group_be
 from treeweights.errors import ReconstructionError
 from treeweights.reconstruct import (
     Pseudobell,
+    _expand_levels,
+    _finish,
     _has_two_disjoint_pairs,
     _inconsistent,
     _prune_plan,
@@ -33,13 +38,52 @@ from treeweights.reconstruct import (
     prune_triples,
     twig_length_doubles,
 )
-from treeweights.tree import WeightedTree
+from treeweights.tree import WeightedTree, contract_zero_internal_edges, distances_from
 from treeweights.weights import (
     DoubleWeights,
     StarResult,
+    TripleWeights,
     derived_pairwise,
     derived_pairwise_consistent,
 )
+
+
+def all_pairwise_weights_loop(tree):
+    """Reference path sums: one walk per leaf, adding the weights edge by
+    edge outward from it (:func:`~treeweights.tree.distances_from`)."""
+    leaves = tree.leaves
+    out = {}
+    for idx, a in enumerate(leaves):
+        dist = distances_from(tree, a)
+        for b in leaves[idx + 1 :]:
+            out[(a, b)] = dist[b]
+    return out
+
+
+def verified_loop(d, base_tree, base_record, levels, tol, require_positive):
+    """Reference verification: the assembled tree's path sums by
+    :func:`all_pairwise_weights_loop`, compared with d key by key."""
+    tree = contract_zero_internal_edges(_expand_levels(base_tree, levels))
+    slack = tol * (1 + 3 * len(levels))
+    back = all_pairwise_weights_loop(tree)
+    for key, want in d.items():
+        got = back[key]
+        if abs(got - want) > slack:
+            raise ReconstructionError(
+                "verification",
+                f"assembled tree misses pair {key}: {got} != {want}",
+                witness=(key, got, want),
+            )
+    return _finish(tree, levels, base_record, require_positive)
+
+
+def triples_from_doubles_loop(d):
+    """Reference half-sum lift: one value per triple, added in key order."""
+    vals = {
+        (i, j, k): half(d.value(i, j) + d.value(i, k) + d.value(j, k))
+        for i, j, k in combinations(d.labels, 3)
+    }
+    return TripleWeights(vals, labels=d.labels)
 
 
 def star_window_loop(w, a, b):
