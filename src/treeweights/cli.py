@@ -42,11 +42,14 @@ def _read(path):
 
 
 def _write(path, text):
+    """Write *text*, a string or an iterable of string chunks, to *path*
+    (stdout for None or "-")."""
+    chunks = (text,) if isinstance(text, str) else text
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _read_weights(args):
@@ -105,10 +108,10 @@ def _cmd_gen(args) -> int:
 def _cmd_weights(args) -> int:
     tree = tree_mod.canonicalize(tree_mod.parse_newick(_read(args.input_path), args.mode))
     if args.order == 2:
-        out = weights_mod.emit_doubles(weights_mod.doubles_of_tree(tree))
+        data = weights_mod.doubles_of_tree(tree)
     else:
-        out = weights_mod.emit_triples(weights_mod.triples_of_tree(tree))
-    _write(args.output_path, out)
+        data = weights_mod.triples_of_tree(tree)
+    _write(args.output_path, weights_mod.emit_chunks(data))
     return 0
 
 
@@ -156,14 +159,14 @@ def _cmd_check(args) -> int:
     return 0 if payload["realizable"] else 2
 
 
-def _reconstruct_report(tree, trace):
+def _reconstruct_report(tree, newick, trace):
     return {
         "verdict": "realizable",
         "failure": None,
         "trace": trace.to_report(),
         "positivity": trace.all_twigs_positive,
         "tree": {
-            "newick": tree_mod.to_newick(tree),
+            "newick": newick,
             "json": tree_mod.to_json_dict(tree),
         },
     }
@@ -181,13 +184,15 @@ def _cmd_reconstruct(args) -> int:
             "failure": _failure_payload(err),
             "trace": err.trace.to_report() if err.trace is not None else None,
         }
-        _write(args.output_path, _dump(report))
+        text = _dump(report)
+        _write(args.output_path, text)
         if args.report_path:
-            _write(args.report_path, _dump(report))
+            _write(args.report_path, text)
         return 2
-    _write(args.output_path, tree_mod.to_newick(tree) + "\n")
+    newick = tree_mod.to_newick(tree)
+    _write(args.output_path, newick + "\n")
     if args.report_path:
-        _write(args.report_path, _dump(_reconstruct_report(tree, trace)))
+        _write(args.report_path, _dump(_reconstruct_report(tree, newick, trace)))
     return 0
 
 

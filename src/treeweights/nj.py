@@ -238,18 +238,13 @@ def cherry_scan(d, eps=0) -> CherryScanResult:
     state = d if isinstance(d, _Mirror) else _Mirror(d)
     if state.n < 4:
         raise InstanceTooSmallError("cherry_scan needs n >= 4", required=4, got=state.n)
-    state.widen(4 * state.n)  # S sums up to 4 m units
+    iu, ju, upper = _selection(state)
     labels, arr = state.labels, state.arr
     m = state.n
-    row_sum = arr.sum(axis=1)
     cols = np.arange(m)
-    if state.kind == "int":
-        # exact, so S is symmetric: one value per pair
-        iu, ju = upper_keys(m, 2)
-        S = np.empty_like(arr)
-        S[iu, ju] = S[ju, iu] = _criterion(arr, row_sum, iu, ju)
-    else:
-        S = _criterion(arr, row_sum, cols[:, None], cols)
+    # one value per pair, at both of its places
+    S = np.empty_like(arr)
+    S[iu, ju] = S[ju, iu] = upper
     # row j of `off` is column j of S without its diagonal entry
     off = S.T[~np.eye(m, dtype=bool)].reshape(m, m - 1)
     first = off.argmin(axis=1)  # first minimal index per column

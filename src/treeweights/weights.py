@@ -20,7 +20,9 @@ own Fractions (on an ``object`` array, scale 1) and the same kernels run on
 them.  Float containers use a float64 array.  A container read from a
 well-formed file, or handed over by a carried mirror, starts from the
 mirror alone (:meth:`DoubleWeights.from_mirror`) and builds its dict of
-values only when a lookup first needs it.
+values only when a lookup first needs it.  Exact ``p/q`` tokens are read
+to integer units, and written from them, by array passes with no Fraction
+per value.
 
 The star table over all label pairs is one block kernel for both orders
 (:func:`_star_windows`): pairs are taken in blocks of about
@@ -56,7 +58,7 @@ import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce, wraps
+from functools import cache, reduce, wraps
 from itertools import accumulate, combinations, islice, permutations, repeat
 
 import numpy as np
@@ -67,6 +69,7 @@ from .numeric import (
     THIRD,
     TWO_THIRDS,
     _exact_type,
+    _int_text,
     format_number,
     half,
     midrange,
@@ -113,19 +116,72 @@ def int_dtype(magnitude):
     return np.int64 if magnitude < _DENSE_MAG_CAP else object
 
 
+def _int_array(xs):
+    """Python ints as an int64 array when they all fit, else an ``object`` one."""
+    try:
+        return np.array(xs, dtype=np.int64)
+    except OverflowError:
+        return np.array(xs, dtype=object)
+
+
 def _exact_units(values):
-    """(fill, scale, zero) of exact values: units over the LCM of their
-    denominators (see :func:`int_dtype`), or, when that scale would pass
-    ``_DENSE_SCALE_BITS``, their own Fractions with scale 1."""
+    """(fill, scale, zero) of exact values (ints and Fractions): see
+    :func:`_units_of`."""
+    return _units_of(
+        _int_array([v.numerator for v in values]), _int_array([v.denominator for v in values])
+    )
+
+
+def _units_of(num, den):
+    """(fill, scale, zero) of the exact values num / den, arrays of reduced
+    numerators and positive denominators: units over the LCM of the
+    distinct denominators (see :func:`int_dtype`), or, when that scale
+    would pass ``_DENSE_SCALE_BITS``, the values' own Fractions with scale 1.
+
+    The units are num * (scale // den), taken on int64 when max |num| times
+    the largest factor stays under 2**63, else on Python ints.
+    """
+    dens = set(den.tolist())
     scale = 1
-    for v in values:
-        scale = math.lcm(scale, v.denominator)
+    for q in dens:
+        scale = math.lcm(scale, q)
         if scale.bit_length() > _DENSE_SCALE_BITS:
-            fill = np.empty(len(values), dtype=object)
-            fill[:] = [Fraction(x) for x in values]
+            fill = np.empty(len(num), dtype=object)
+            fill[:] = list(map(Fraction, num.tolist(), den.tolist()))
             return fill, 1, Fraction(0)
-    units = [v.numerator * (scale // v.denominator) for v in values]
-    return np.array(units, dtype=int_dtype(max(map(abs, units), default=0))), scale, 0
+    if num.dtype == den.dtype == np.int64 and scale < 2**63:
+        top = max(int(num.max(initial=0)), -int(num.min(initial=0))) * (scale // min(dens, default=1))
+        if top < 2**63:  # no product can wrap
+            units = num * (scale // den)
+            if top >= _DENSE_MAG_CAP:
+                top = int(np.abs(units).max())
+            return units.astype(int_dtype(top), copy=False), scale, 0
+    units = num.astype(object) * (scale // den.astype(object))
+    return units.astype(int_dtype(np.abs(units).max(initial=0)), copy=False), scale, 0
+
+
+def _least_units(units, scale):
+    """(units, scale) of the exact values units / scale, an int array of
+    any shape, at the least scale: both divided by their gcd, the units
+    int64 or ``object`` by magnitude.  None when that scale still passes
+    ``_DENSE_SCALE_BITS``."""
+    g = math.gcd(scale, int(np.gcd.reduce(units, axis=None)))
+    if g > 1:
+        units, scale = units // g, scale // g
+    if scale.bit_length() > _DENSE_SCALE_BITS:
+        return None
+    return units.astype(int_dtype(int(np.abs(units).max(initial=0))), copy=False), scale
+
+
+def _settled(fill, scale):
+    """(fill, scale, zero) of exact values in :meth:`DoubleWeights.dense`'s
+    form, one per sorted key: *fill* / *scale* are units, or (scale 1) the
+    values' own Fractions."""
+    if not holds_fractions(fill):
+        least = _least_units(fill, scale)
+        if least is not None:
+            return (*least, 0)
+    return _exact_units([Fraction(exact_scalar(x), scale) for x in fill.tolist()])
 
 
 def _symmetric(fill, m, order, zero):
@@ -754,16 +810,11 @@ class _Mirror:
         values' own Fractions past ``_DENSE_SCALE_BITS``."""
         if self.kind == "float":
             return
-        if not holds_fractions(self.arr):
-            g = math.gcd(self.scale, int(np.gcd.reduce(self.arr, axis=None)))
-            if g > 1:
-                self.arr, self.scale = self.arr // g, self.scale // g
-            if self.scale.bit_length() <= _DENSE_SCALE_BITS:
-                top = int(np.abs(self.arr).max(initial=0))
-                self.arr = self.arr.astype(int_dtype(top), copy=False)
-                return
-        keys = upper_keys(self.n, self.order)
-        fill, self.scale, zero = _exact_units([self.value(x) for x in self.arr[keys].tolist()])
+        least = None if holds_fractions(self.arr) else _least_units(self.arr, self.scale)
+        if least is not None:
+            self.arr, self.scale = least
+            return
+        fill, self.scale, zero = _settled(self.arr[upper_keys(self.n, self.order)], self.scale)
         self.arr = _symmetric(fill, self.n, self.order, zero)
 
     def container(self):
@@ -862,14 +913,12 @@ def derived_pairwise_consistent(t: TripleWeights, tol=0):
     if kind == "int":
         if not Fraction(exact_scalar(worst), 2 * den * scale) <= tol:
             return False, None
-        scale *= den
+        fit, scale, zero = _settled(fit, scale * den)
     else:
         if not worst / (2 * den) <= tol:
             return False, None
-        fit = fit / den
-    state = _Mirror.of(t.labels, kind, _symmetric(fit, m, 2, arr.flat[0]), scale)
-    state.settle()
-    return True, state.container()
+        fit, zero = fit / den, 0
+    return True, DoubleWeights.from_mirror(t.labels, kind, _symmetric(fit, m, 2, zero), scale)
 
 
 def triples_from_doubles(d: DoubleWeights) -> TripleWeights:
@@ -879,7 +928,8 @@ def triples_from_doubles(d: DoubleWeights) -> TripleWeights:
 
 def _lifted(state: _Mirror) -> TripleWeights:
     """The half-sum lift T_ijk = ((d_ij + d_ik) + d_jk) / 2 of a pairwise
-    mirror, added in that order, as a container at the least scale."""
+    mirror, added in that order, as a container at the least scale.  The
+    C(n, 3) values are settled before the cube is built from them."""
     n = state.n
     if n < 3:
         raise InstanceTooSmallError("triples_from_doubles needs n >= 3", required=3, got=n)
@@ -887,12 +937,11 @@ def _lifted(state: _Mirror) -> TripleWeights:
     arr = state.arr
     total = (arr[i, j] + arr[i, k]) + arr[j, k]
     if state.kind == "float":
-        total, scale = 0.5 * total, None
+        fill, scale, zero = 0.5 * total, None, 0
     else:
-        scale = 2 * state.scale
-    lift = _Mirror.of(state.labels, state.kind, _symmetric(total, n, 3, arr.flat[0]), scale)
-    lift.settle()
-    return lift.container()
+        fill, scale, zero = _settled(total, 2 * state.scale)
+    del total
+    return TripleWeights.from_mirror(state.labels, state.kind, _symmetric(fill, n, 3, zero), scale)
 
 
 # --------------------------------------------------------------------- #
@@ -927,23 +976,42 @@ def buneman_check(d: DoubleWeights, tol=0) -> BunemanVerdict:
     return BunemanVerdict(True, None, 0)
 
 
+# The three triangle inequalities of a triple i < j < k, in the order
+# they are checked: (x, y, z) positions in (i, j, k) of a breach
+# D(x,y) > D(x,z) + D(z,y).
+_TRIANGLE_ROWS = ((0, 2, 1), (0, 1, 2), (1, 2, 0))
+
+
 def metric_warnings(d: DoubleWeights):
-    """Non-fatal metric violations: non-positive entries, triangle breaches."""
-    warnings = []
-    for (a, b), v in d.items():
-        if v <= 0:
-            warnings.append(f"non-positive distance for pair ({a}, {b}): {format_number(v)}")
-    for i, j, k in combinations(d.labels, 3):
-        dij, dik, djk = d.value(i, j), d.value(i, k), d.value(j, k)
-        for (x, y, z, lhs, rhs) in (
-            (i, j, k, dik, dij + djk),
-            (i, k, j, dij, dik + djk),
-            (j, k, i, djk, dij + dik),
-        ):
-            if lhs > rhs:
-                warnings.append(
-                    f"triangle violation: D({x},{y}) > D({x},{z}) + D({z},{y})"
-                )
+    """Non-fatal metric violations: non-positive entries in key order, then
+    triangle breaches, per triple i < j < k in combinations order the rows
+    d_ik > d_ij + d_jk, d_ij > d_ik + d_jk and d_jk > d_ij + d_ik.
+
+    One block kernel on the mirror, O(n^3) work in all: the triples of a
+    block of first labels are compared at once.  The container's dict is
+    not built.
+    """
+    state = _Mirror(d)
+    labels, arr, m = state.labels, state.arr, state.n
+    i, j = _upper_pairs(m)
+    upper = arr[i, j]
+    bad = np.flatnonzero(upper <= 0).tolist()
+    warnings = [
+        f"non-positive distance for pair ({labels[a]}, {labels[b]}): {format_number(state.value(v))}"
+        for a, b, v in zip(i[bad].tolist(), j[bad].tolist(), upper[bad].tolist())
+    ]
+    r = np.arange(m)
+    rows = max(1, block_elems(arr) // (m * m))
+    for a0 in range(0, m - 2, rows):
+        first = r[a0 : a0 + rows]
+        ia, ib, ic = np.nonzero((first[:, None, None] < r[:, None]) & (r[:, None] < r))
+        ia += a0
+        dij, dik, djk = arr[ia, ib], arr[ia, ic], arr[ib, ic]
+        breach = np.stack([dik > dij + djk, dij > dik + djk, djk > dij + dik], axis=1)
+        at, row = np.nonzero(breach)
+        for triple, k in zip(zip(ia[at].tolist(), ib[at].tolist(), ic[at].tolist()), row.tolist()):
+            x, y, z = (labels[triple[p]] for p in _TRIANGLE_ROWS[k])
+            warnings.append(f"triangle violation: D({x},{y}) > D({x},{z}) + D({z},{y})")
     return warnings
 
 
@@ -1014,9 +1082,65 @@ def _parse_weight_lines(text, order, mode):
     return n, entries
 
 
-# a rational-mode token that int() reads as parse_number does; longer
-# integers go through parse_number and its exponent limit
-_PLAIN_INT = re.compile(r"[+-]?[0-9]{1,18}").fullmatch
+# The shape of a rational-mode token read on int64 arrays, an integer or
+# p/q with each part of at most 18 ASCII digits, once every digit is
+# written "d" and every sign "s" (see _shape_table).  A token of any other
+# shape goes through parse_number.
+_PLAIN_SHAPE = re.compile(r"s?d{1,18}(?:/d{1,18})?").fullmatch
+
+
+@cache
+def _shape_table():
+    """str.translate table of a token's shape: ASCII digits to "d", signs
+    to "s", and the letters d and s themselves to "x"."""
+    return str.maketrans({**dict.fromkeys("0123456789", "d"), "+": "s", "-": "s", "d": "x", "s": "x"})
+
+
+def _put(arr, index, xs):
+    """*arr* with the Python ints *xs* at *index*, moved to ``object`` when
+    one of them does not fit int64."""
+    xs = _int_array(xs)
+    if xs.dtype == object:
+        arr = arr.astype(object)
+    arr[index] = xs
+    return arr
+
+
+def _exact_fill(values):
+    """(fill, scale, zero) of rational-mode value tokens, as
+    :func:`_exact_units` gives them for the values parse_number reads.
+
+    The tokens are checked by their distinct shapes (``_PLAIN_SHAPE``).
+    Plain ones become numerators and denominators on int64 arrays: each
+    token without a denominator gets "/1", and the joined tokens are read
+    by ``np.fromstring`` with each slash taken as a separator, two numbers
+    per token.  Any other token is read by parse_number, whose ValueError
+    propagates.
+    """
+    table = _shape_table()
+    plain = values
+    shapes = " ".join(plain).translate(table)
+    odd = []
+    if not all(map(_PLAIN_SHAPE, set(shapes.split()))):
+        odd = [k for k, v in enumerate(values) if not _PLAIN_SHAPE(v.translate(table))]
+        plain = list(values)
+        for k in odd:
+            plain[k] = "0"
+        shapes = " ".join(plain).translate(table)
+    # one "/" or "" per token once its digits and sign are gone
+    slashes = shapes.replace("d", "").replace("s", "").split(" ")
+    text = " ".join(map(operator.add, plain, map({"": "/1", "/": ""}.__getitem__, slashes)))
+    flat = np.fromstring(text.replace("/", " "), dtype=np.int64, sep=" ")
+    num, den = flat[0::2], flat[1::2]
+    if not den.all():
+        raise ValueError("zero denominator")
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    if odd:
+        exact = [parse_number(values[k], "rational") for k in odd]
+        num = _put(num, odd, [v.numerator for v in exact])
+        den = _put(den, odd, [v.denominator for v in exact])
+    return _units_of(num, den)
 
 
 def _read_bulk(text, order, mode):
@@ -1078,10 +1202,9 @@ def _read_bulk(text, order, mode):
             for k in np.flatnonzero(~np.isfinite(fill) | (fill == 0)).tolist():
                 fill[k] = parse_number(values[k], mode)
             return n, "float", _symmetric(fill, n, order, 0), None
-        exact = [int(v) if _PLAIN_INT(v) else parse_number(v, mode) for v in values]
+        fill, scale, zero = _exact_fill(values)
     except ValueError:
         return None
-    fill, scale, zero = _exact_units(exact)
     return n, "int", _symmetric(fill, n, order, zero), scale
 
 
@@ -1102,23 +1225,53 @@ def parse_triples(text: str, mode: str = "rational") -> TripleWeights:
     return _parse(text, mode, TripleWeights)
 
 
-def _emit(container) -> str:
+# Lines per chunk of a written weight file.
+_EMIT_LINES = 1 << 16
+
+
+def _value_texts(kind, vals, scale):
+    """The file text of mirror values *vals*, a 1-D slice of units (kind
+    "int"), of the values' own Fractions, or of floats: :func:`format_number`
+    of each value, but written from the units directly.  A unit u over the
+    scale s is p/q, with p = u / g, q = s / g and g = gcd(u, s), or p alone
+    when q is 1: one ``np.gcd`` on int64, ``math.gcd`` on Python ints."""
+    if kind == "float" or holds_fractions(vals):
+        return list(map(format_number, vals.tolist()))
+    if vals.dtype == np.int64 and scale < 2**63:
+        g = np.gcd(vals, scale)
+        p, q, text = (vals // g).tolist(), (scale // g).tolist(), str
+    else:
+        units = vals.tolist()
+        g = list(map(math.gcd, units, repeat(scale)))
+        p = list(map(operator.floordiv, units, g))
+        q = list(map(operator.floordiv, repeat(scale), g))
+        text = _int_text
+    return [text(a) if b == 1 else f"{text(a)}/{text(b)}" for a, b in zip(p, q)]
+
+
+def emit_chunks(container):
     """The file form of a container, one line per sorted key, written from
-    its mirror: the values of the upper triangle (or tetrahedron), one
-    :func:`format_number` each."""
-    labels = container.labels
-    if labels != tuple(range(1, container.n + 1)):
+    its mirror's upper triangle (or tetrahedron), as an iterator of text
+    chunks of at most ``_EMIT_LINES`` lines each."""
+    if container.labels != tuple(range(1, container.n + 1)):
         raise ValueError("only containers labelled 1..n can be written to file")
-    keys = combinations(map(str, labels), container.order)
-    values = map(format_number, mirror_values(*container.dense()))
-    lines = [str(container.n)]
-    lines += [f"{' '.join(key)} {text}" for key, text in zip(keys, values)]
-    return "\n".join(lines) + "\n"
+    return _chunks(container)
+
+
+def _chunks(container):
+    kind, arr, scale = container.dense()
+    keys = map(" ".join, combinations(map(str, container.labels), container.order))
+    upper = upper_keys(container.n, container.order)
+    yield f"{container.n}\n"
+    for s in range(0, len(upper[0]), _EMIT_LINES):
+        vals = arr[tuple(k[s : s + _EMIT_LINES] for k in upper)]
+        texts = _value_texts(kind, vals, scale)
+        yield "".join(map("{} {}\n".format, islice(keys, len(texts)), texts))
 
 
 def emit_doubles(d: DoubleWeights) -> str:
-    return _emit(d)
+    return "".join(emit_chunks(d))
 
 
 def emit_triples(t: TripleWeights) -> str:
-    return _emit(t)
+    return "".join(emit_chunks(t))

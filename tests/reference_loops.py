@@ -17,6 +17,9 @@ walking the candidates one star condition at a time, which the package's
 array-resident NJ engine must reproduce byte for byte (bitwise on
 floats); and the triple-space NJ loop, which triple NJ on the pairwise
 fit must reproduce on exact lifts.
+The weight-file writer that built one Fraction per value and joined every
+line at once, and the metric warnings' loop over the container's values,
+are kept here too.
 """
 
 import math
@@ -24,8 +27,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
 
-from treeweights.numeric import THIRD, half, midrange
-from treeweights.nj import SMatrix, ScanRecord, _assemble, cherry_scan, group_bells
+from treeweights.numeric import THIRD, format_number, half, midrange
+from treeweights.nj import SMatrix, ScanRecord, _assemble, _scan_cost, group_bells
 from treeweights.errors import ReconstructionError
 from treeweights.reconstruct import (
     Pseudobell,
@@ -45,6 +48,7 @@ from treeweights.weights import (
     TripleWeights,
     derived_pairwise,
     derived_pairwise_consistent,
+    mirror_values,
 )
 
 
@@ -495,7 +499,7 @@ def merge_bells_loop(d, bells):
 
 def nj_pruning_loop(d, eps=0):
     """Reference pruning NJ: (tree, rounds), per round the column minima of
-    a cherry scan of a new container, each confirmed by its loop window,
+    :func:`scan_pure` on a new container, each confirmed by its loop window,
     and :func:`merge_bells_loop` for its bells."""
     if d.n == 2:
         a, b = d.labels
@@ -509,10 +513,9 @@ def nj_pruning_loop(d, eps=0):
             merges.append(merge)
             rounds.append({"size": 3, "bells": [], "fallback": True, "entries_examined": 0})
             continue
-        scan = cherry_scan(current, eps)
         pairs = {
             (min(r.row, r.column), max(r.row, r.column))
-            for r in scan.records
+            for r in scan_pure(current, eps)
             if star_condition_loop(current, r.row, r.column, eps).holds
         }
         bells = group_bells(sorted(pairs))
@@ -520,7 +523,7 @@ def nj_pruning_loop(d, eps=0):
             "size": current.n,
             "bells": [list(b) for b in bells],
             "fallback": not bells,
-            "entries_examined": scan.entries_examined,
+            "entries_examined": _scan_cost(current.n),
         })
         if not bells:
             current, merge = _min_join_loop(current)
@@ -557,3 +560,34 @@ def nj_from_triples_walk(t, eps=0):
         merges.append(merge)
     finish = nj_classic_loop(current)
     return _assemble(finish.edges, merges)
+
+
+def emit_loop(container):
+    """Reference writer: one Fraction per value (``mirror_values``), each
+    written by :func:`format_number`, every line joined at once."""
+    keys = combinations(map(str, container.labels), container.order)
+    values = map(format_number, mirror_values(*container.dense()))
+    lines = [str(container.n)]
+    lines += [f"{' '.join(key)} {text}" for key, text in zip(keys, values)]
+    return "\n".join(lines) + "\n"
+
+
+def metric_warnings_loop(d):
+    """Reference metric warnings: the non-positive values in key order,
+    then per triple i < j < k the breaches of d_ik <= d_ij + d_jk,
+    d_ij <= d_ik + d_jk and d_jk <= d_ij + d_ik, each named by the
+    inequality it compares."""
+    warnings = []
+    for (a, b), v in d.items():
+        if v <= 0:
+            warnings.append(f"non-positive distance for pair ({a}, {b}): {format_number(v)}")
+    for i, j, k in combinations(d.labels, 3):
+        dij, dik, djk = d.value(i, j), d.value(i, k), d.value(j, k)
+        for x, y, z, lhs, rhs in (
+            (i, k, j, dik, dij + djk),
+            (i, j, k, dij, dik + djk),
+            (j, k, i, djk, dij + dik),
+        ):
+            if lhs > rhs:
+                warnings.append(f"triangle violation: D({x},{y}) > D({x},{z}) + D({z},{y})")
+    return warnings

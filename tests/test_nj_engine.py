@@ -30,7 +30,7 @@ from treeweights import (
 )
 from treeweights import nj as nj_mod
 from treeweights.weights import _DENSE_MAG_CAP, _DENSE_SCALE_BITS, holds_fractions
-from reference_loops import nj_classic_loop, nj_from_triples_walk, nj_pruning_loop
+from reference_loops import nj_classic_loop, nj_from_triples_walk, nj_pruning_loop, scan_pure
 from test_mirror_dtypes import _own_denominators
 
 SHAPES = ["binary", "multifurcating", "negative", "zero", "star", "symmetric-star", "jitter",
@@ -180,6 +180,20 @@ class TestFloatDataMatchesTheLoops:
         d = DoubleWeights({k: v + rng.uniform(-noise, noise) for k, v in d.items()})
         got, ref = newicks(d, eps)
         assert got == ref
+
+
+    def test_s_ties_break_as_the_loops_do(self):
+        # zero inner edges tie S exactly at rows 2, 3 and 8 of column 7 (and
+        # nearly in columns 8 and 9); row sums added by numpy's pairwise
+        # summation along axis 1 broke the ties at rows 3, 3 and 3 instead
+        # of the loop's 2, 9 and 8, and pruning NJ joined other bells
+        d = pair_case(387, 9, "zero", mode="float")
+        fields = [(r.column, r.row, r.minimum, r.spread, r.confirmed)
+                  for r in nj_mod.cherry_scan(d, 0.0).records]
+        assert fields == [(r.column, r.row, r.minimum, r.spread, r.confirmed)
+                          for r in scan_pure(d, 0.0)]
+        assert [f[:2] for f in fields[6:]] == [(7, 2), (8, 9), (9, 8)]
+        assert to_newick(nj_pruning(d, 0.0)) == to_newick(nj_pruning_loop(d, 0.0)[0])
 
 
 class TestFloatTripleNJ:
