@@ -22,18 +22,22 @@ dense mirror (int64, ``object`` Python ints past the int64 headroom or
 Fractions past the scale cap, or float64) is built once and carried from
 join to join, so exact data stays exact and no container is rebuilt
 inside a loop.  A classic join costs one O(m^2) array S on m labels plus
-an O(m) row update (Studier & Keppler, Mol. Biol. Evol. 1988); a pruning
-round costs one cherry scan and one array merge of every bell.  Exact
-halves and means that leave the units rescale the mirror.  The tests hold
-the engine to the dict loops in ``tests/reference_loops.py``:
-byte-identical trees on exact data, bitwise on floats.
+an O(m) row update (Studier & Keppler, Mol. Biol. Evol. 1988).  A pruning
+round takes S once, for the cherry scan and, when nothing confirms, for
+the fallback join, then merges every bell in top^2 array steps for the
+largest bell of top members, whatever the number of bells or of bell
+sizes, and O(m^2) element operations in all.  Exact halves and means
+that leave the units rescale the mirror.  The tests hold the engine to
+the dict loops in ``tests/reference_loops.py``: byte-identical trees on
+exact data, bitwise on floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -50,7 +54,9 @@ from .weights import (
     _skip,
     _star_windows,
     derived_pairwise_consistent,
+    exact_scalar,
     upper_keys,
+    upper_mask,
 )
 
 # Unused here, but perfbench's tracer wraps these two names in this module.
@@ -58,22 +64,21 @@ from .reconstruct import prune_triples  # noqa: F401
 from .weights import star_condition_triples  # noqa: F401
 
 
-def _criterion(arr, row_sum, rows, cols):
-    """S at the index pairs (rows, cols): (m - 2) D[r, c] - row_r - row_c,
-    evaluated left to right as the dict loop does."""
-    return (len(arr) - 2) * arr[rows, cols] - row_sum[rows] - row_sum[cols]
-
-
 def _selection(state: _Mirror):
     """S over the upper triangle of the mirror, in combinations order, with
     the row sums taken along axis 0: that adds each row in ascending label
     order, one value at a time, as a loop over the pairs does, so float S
-    is the same bit for bit.  The mirror is widened first: S sums up to
-    4 m units."""
+    is the same bit for bit.  Each entry is (m - 2) D[i, j] - row_i - row_j,
+    evaluated left to right as the dict loop does, on the triangle only
+    (read through a boolean mask, the fastest gather).  The mirror is
+    widened first: S sums up to 4 m units."""
     state.widen(4 * state.n)
     arr = state.arr
-    iu, ju = upper_keys(len(arr), 2)
-    return iu, ju, _criterion(arr, arr.sum(axis=0), iu, ju)
+    m = len(arr)
+    iu, ju = upper_keys(m, 2)
+    (upper,) = upper_mask(m)
+    row = arr.sum(axis=0)
+    return iu, ju, (m - 2) * arr[upper] - row[iu] - row[ju]
 
 
 @dataclass(frozen=True)
@@ -154,22 +159,24 @@ def _classic_join(state: _Mirror, i, j, a_i):
     # the diagonal, read after the halve: an int64 scalar stored in an
     # object mirror would turn the Python-int sums over its column int64
     zero = state.arr[0, 0]
-    keep = np.delete(np.arange(len(arr)), (i, j))
-    m = len(keep) + 1
+    keep = np.ones(len(arr), dtype=bool)
+    keep[[i, j]] = False
+    m = len(arr) - 1
     new = np.empty((m, m), dtype=state.arr.dtype)
-    new[:-1, :-1] = state.arr[np.ix_(keep, keep)]
+    new[:-1, :-1] = state.arr[keep][:, keep]
     new[-1, :-1] = new[:-1, -1] = row[keep]
     new[-1, -1] = zero
     z = labels[-1] + 1
-    state.labels = [labels[k] for k in keep.tolist()] + [z]
+    state.labels = labels[:i] + labels[i + 1 : j] + labels[j + 1 :] + [z]
     state._set(new)
     return z, [(labels[i], a_i), (labels[j], a_j)]
 
 
-def _min_join(state: _Mirror):
+def _min_join(state: _Mirror, selection=None):
     """Join the global-minimum S pair; ties break lexicographically, and the
-    twig uses the smallest third label."""
-    iu, ju, S = _selection(state)
+    twig uses the smallest third label.  *selection* is :func:`_selection`
+    of the mirror as it stands, when a scan has already taken it."""
+    iu, ju, S = selection or _selection(state)
     k = int(S.argmin())  # the first minimum, in combinations order
     i, j = int(iu[k]), int(ju[k])
     return _classic_join(state, i, j, state.twig(i, j, int(_skip(0, i, j))))
@@ -217,11 +224,43 @@ class ScanRecord:
     confirmed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CherryScanResult:
+    """A scan's confirmed pairs and its cost, with the per-column arrays
+    they came from.  The records are built from those arrays when first
+    read: the pruning driver reads only the pairs, and joins on the
+    scan's S (``selection``) in a round where none confirms.  Results
+    compare by identity, since arrays have no single truth value."""
+
     pairs: list  # confirmed unordered pairs, deduplicated, sorted
-    records: list  # one ScanRecord per column, in label order
     entries_examined: int
+    labels: tuple = field(repr=False)  # the columns' labels, ascending
+    rows: np.ndarray = field(repr=False)  # per column: first row of the minimum
+    minima: np.ndarray = field(repr=False)  # per column: S at that row
+    spreads: np.ndarray = field(repr=False)  # per column: the pair's star spread
+    confirmed: np.ndarray = field(repr=False)  # per column: spread within eps
+    scale: object = field(repr=False)  # the mirror's unit denominator; None on floats
+    selection: tuple = field(repr=False)  # _selection's (iu, ju, S)
+
+    @cached_property
+    def records(self):
+        """One ScanRecord per column, in label order."""
+        if self.scale is None:
+            value = float
+        else:
+            def value(x):
+                return Fraction(exact_scalar(x), self.scale)
+        labels = self.labels
+        return [
+            ScanRecord(j, labels[i], value(mn), value(w), ok)
+            for j, i, mn, w, ok in zip(
+                labels,
+                self.rows.tolist(),
+                self.minima.tolist(),
+                self.spreads.tolist(),
+                self.confirmed.tolist(),
+            )
+        ]
 
 
 def _scan_cost(m: int) -> int:
@@ -238,34 +277,41 @@ def cherry_scan(d, eps=0) -> CherryScanResult:
     state = d if isinstance(d, _Mirror) else _Mirror(d)
     if state.n < 4:
         raise InstanceTooSmallError("cherry_scan needs n >= 4", required=4, got=state.n)
-    iu, ju, upper = _selection(state)
-    labels, arr = state.labels, state.arr
+    selection = _, _, upper = _selection(state)
+    arr = state.arr
     m = state.n
     cols = np.arange(m)
     # one value per pair, at both of its places
+    (mask,) = upper_mask(m)
     S = np.empty_like(arr)
-    S[iu, ju] = S[ju, iu] = upper
+    S[mask] = upper
+    S.T[mask] = upper
     # row j of `off` is column j of S without its diagonal entry
     off = S.T[~np.eye(m, dtype=bool)].reshape(m, m - 1)
     first = off.argmin(axis=1)  # first minimal index per column
     rows = first + (first >= cols)
     mins = off[cols, first]
     # a window and its negation have the same spread, so the pair's order is free
-    lo, hi = _star_windows(arr, 2, (np.minimum(rows, cols), np.maximum(rows, cols)))
+    lo_i, hi_i = np.minimum(rows, cols), np.maximum(rows, cols)
+    lo, hi = _star_windows(arr, 2, (lo_i, hi_i))
     width = hi - lo
-    confirmed = (~_over(width, eps, state.scale)).tolist()
-    records = [
-        ScanRecord(j, labels[ci], state.value(mn), state.value(w), ok)
-        for j, ci, mn, w, ok in zip(labels, rows.tolist(), mins.tolist(), width.tolist(), confirmed)
-    ]
+    confirmed = ~_over(width, eps, state.scale)
+    # labels ascend with the index, so (labels[lo], labels[hi]) is a sorted pair
+    labels = tuple(state.labels)
     pairs = sorted(
-        {
-            (min(r.row, r.column), max(r.row, r.column))
-            for r in records
-            if r.confirmed
-        }
+        {(labels[a], labels[b]) for a, b in zip(lo_i[confirmed].tolist(), hi_i[confirmed].tolist())}
     )
-    return CherryScanResult(pairs=pairs, records=records, entries_examined=_scan_cost(m))
+    return CherryScanResult(
+        pairs=pairs,
+        entries_examined=_scan_cost(m),
+        labels=labels,
+        rows=rows,
+        minima=mins,
+        spreads=width,
+        confirmed=confirmed,
+        scale=state.scale,
+        selection=selection,
+    )
 
 
 def group_bells(pairs):
@@ -299,56 +345,66 @@ def _merge_bells(state: _Mirror, bells):
     the per-member reductions D[a, b] - twig[a] - twig[b] over the two
     labels' members (identical on exact data).
 
-    Each mean is summed member pair by member pair in the order of the
-    dict loop it replaces, vectorised over every pair of new labels of the
-    same two bell sizes, so float entries are the same bit for bit.  An
+    The new labels' member groups are the survivors, one member of twig
+    0 each, then the bells.  Ranked by size, largest first, the groups
+    with a member at position p are the first cnt[p], so the sums take
+    one array step ((acc + D[a, b]) - tw[a]) - tw[b] per pair of member
+    positions (p, q), on the leading cnt[p] x cnt[q] block: top^2 steps
+    for the largest bell of top members, and (sum of sizes)^2 = m^2
+    element operations in all.  Each mean is summed in the order of the
+    dict loop it replaces, so float entries are the same bit for bit.  An
     exact mean that is not a whole unit widens the scale by the count.
     Returns the merges.
     """
     labels = state.labels
     index = {lab: k for k, lab in enumerate(labels)}
-    groups = [tuple(index[lab] for lab in b) for b in bells]
+    groups = [[index[lab] for lab in b] for b in bells]
     mem, units, values = _bell_twigs(state, groups)
     twigs = dict(zip(mem.tolist(), values))
     z0 = labels[-1] + 1
     merges = [
         (z0 + b, [(labels[k], twigs[k]) for k in g]) for b, g in enumerate(groups)
     ]
-    owned = set(mem.tolist())
+    owned = set(twigs)
     survivors = [k for k in range(len(labels)) if k not in owned]
-    new_groups = [(k,) for k in survivors] + groups
+    new_groups = [[k] for k in survivors] + groups
     sizes = np.array([len(g) for g in new_groups])
+    top = int(sizes.max())
+    rank = np.argsort(-sizes, kind="stable")
+    ranked = [new_groups[g] for g in rank.tolist()]
+    # at[p]: member p of each group that has one, largest groups first
+    at = [
+        np.array([g[p] for g in ranked[: int((sizes > p).sum())]], dtype=np.intp)
+        for p in range(top)
+    ]
 
-    # a mean sums up to max(sizes)^2 terms, each within 4 max|unit|
-    state.widen(4 * int(sizes.max()) ** 2)
+    # a mean sums up to top^2 terms, each within 4 max|unit|
+    state.widen(4 * top**2)
     arr = state.arr
     zero = arr[0, 0]
     tw = np.full(len(labels), zero, dtype=arr.dtype)
     tw[mem] = units
     m2 = len(new_groups)
-    sums = np.empty((m2, m2), dtype=arr.dtype)
-    classes = [
-        (np.flatnonzero(sizes == s), np.array([g for g in new_groups if len(g) == s]))
-        for s in sorted(set(sizes.tolist()))
-    ]
-    for rows, xs in classes:
-        for cols, ys in classes:
-            acc = 0
-            for a in xs.T:
-                for b in ys.T:
-                    acc = acc + arr[a[:, None], b] - tw[a][:, None] - tw[b]
-            sums[np.ix_(rows, cols)] = acc
-    counts = np.outer(sizes, sizes)
+    # 0 + D first: the loop's sum starts at 0, which turns a float -0.0 into 0.0
+    acc = np.zeros((m2, m2), dtype=arr.dtype)
+    for a in at:
+        for b in at:
+            block = acc[: len(a), : len(b)]
+            block[...] = block + arr[a[:, None], b] - tw[a][:, None] - tw[b]
+    # back to the new labels' order
+    place = np.argsort(rank)
+    sums = acc[place[:, None], place]
+    # each key (x, y), x < y, as the loop sums it: x's members outermost
+    (upper,) = upper_mask(m2)
+    sums.T[upper] = sums[upper]
     np.fill_diagonal(sums, zero)
+    counts = np.outer(sizes, sizes)
     if state.in_units():
         state.arr = sums
-        state.rescale(math.lcm(*np.unique(counts[sums % counts != 0]).tolist()))
+        state.rescale(math.lcm(*set(counts[sums % counts != 0].tolist())))
         new = state.arr // counts
     else:
         new = sums / (counts if state.kind == "float" else counts.astype(object))
-    # each key (x, y), x < y, as the loop sums it: x's members outermost
-    iu, ju = upper_keys(m2, 2)
-    new[ju, iu] = new[iu, ju]
     state.labels = [labels[k] for k in survivors] + [z for z, _ in merges]
     state._set(new)
     return merges
@@ -393,7 +449,7 @@ def nj_pruning_detailed(d: DoubleWeights, eps=0):
         }
         rounds.append(info)
         if not bells:
-            merges.append(_min_join(state))
+            merges.append(_min_join(state, scan.selection))
             continue
         if len(bells) == 1 and len(bells[0]) == state.n:
             return _terminal_star(state, merges), rounds

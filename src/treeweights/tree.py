@@ -235,9 +235,11 @@ def triple_weight(tree: WeightedTree, i, j, k):
 def canonicalize(tree: WeightedTree) -> WeightedTree:
     """Suppress every internal degree-2 node, summing its two edge weights.
 
-    All subtree weights are preserved exactly.  Returns the same structure
-    when the tree is already canonical.
+    All subtree weights are preserved exactly.  Returns *tree* itself when
+    it is already canonical (trees are immutable).
     """
+    if tree.is_canonical():
+        return tree
     leafset = set(tree.leaves)
     adj = {v: dict(nb) for v, nb in tree._adj.items()}
     while True:
@@ -264,8 +266,14 @@ def contract_zero_internal_edges(tree: WeightedTree) -> WeightedTree:
     Zero-weight internal edges are invisible to every subtree-weight query,
     so assembly procedures contract them to return a unique representative.
     Zero-weight *twigs* (leaf edges) are kept: the data pins them.
+    Returns *tree* itself when no internal edge weighs zero.
     """
     leafset = set(tree.leaves)
+    zeros = [
+        (u, v) for u, v, w in tree.edges if w == 0 and u not in leafset and v not in leafset
+    ]
+    if not zeros:
+        return tree
     find = {}
 
     def root_of(x):
@@ -274,11 +282,10 @@ def contract_zero_internal_edges(tree: WeightedTree) -> WeightedTree:
             x = find[x]
         return x
 
-    for u, v, w in tree.edges:
-        if w == 0 and u not in leafset and v not in leafset:
-            ru, rv = root_of(u), root_of(v)
-            if ru != rv:
-                find[max(ru, rv)] = min(ru, rv)
+    for u, v in zeros:
+        ru, rv = root_of(u), root_of(v)
+        if ru != rv:
+            find[max(ru, rv)] = min(ru, rv)
     edges = []
     for u, v, w in tree.edges:
         ru, rv = root_of(u), root_of(v)

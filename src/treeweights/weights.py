@@ -544,6 +544,13 @@ def _upper_triples(m):
     return np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
 
 
+@_index_arrays
+def upper_mask(m):
+    """(mask,): True at i < j of an m x m array.  Indexing with it reads
+    and writes the upper triangle row-major, i.e. in combinations order."""
+    return (~np.tri(m, dtype=bool),)
+
+
 def upper_keys(m, order):
     """Index arrays of every sorted key over range(m), in combinations order."""
     return _upper_pairs(m) if order == 2 else _upper_triples(m)

@@ -8,8 +8,14 @@ int64 headroom, the values' own Fractions past the scale cap, and float64.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,3 +251,187 @@ class TestNoNumpyScalarsInTrees:
         allowed = {Fraction, int} if exact else {float}
         for tree in trees:
             assert {type(w) for _, _, w in tree.edges} <= allowed
+
+
+def noisy_float(n, seed, noise=1e-7):
+    """Float path sums of a binary tree, each moved by at most *noise*."""
+    d = doubles_of_tree(random_tree(n, seed, mode="float"))
+    rng = random.Random(seed)
+    return DoubleWeights({k: v + rng.uniform(-noise, noise) for k, v in d.items()})
+
+
+def assert_rounds_match(d, eps):
+    """nj_pruning_detailed against nj_pruning_loop: the same Newick, the
+    same rounds (size, bells, fallback, cost) and every edge weight the
+    same value of the same type, bit for bit on floats.  Returns the
+    rounds."""
+    tree, rounds = nj_mod.nj_pruning_detailed(d, eps)
+    ref, ref_rounds = nj_pruning_loop(d, eps)
+    assert to_newick(tree) == to_newick(ref)
+    assert rounds == ref_rounds
+
+    def bits(edges):
+        return [(u, v, type(w), w.hex() if isinstance(w, float) else w) for u, v, w in edges]
+
+    assert bits(tree.edges) == bits(ref.edges)
+    return rounds
+
+
+class TestPruningAtBenchmarkSizes:
+    """Many rounds per call, at the sizes the benchmark's NJ operations
+    run; the tests above stop where a call runs two or three rounds."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_float_n80_noisy_within_eps(self, seed):
+        rounds = assert_rounds_match(noisy_float(80, seed), 1e-5)
+        assert len(rounds) > 10 and not any(r["fallback"] for r in rounds[:-1])
+        # the scan's records, when read, are still the reference scan's
+        d = noisy_float(80, seed)
+        fields = [(r.column, r.row, r.minimum, r.spread, r.confirmed)
+                  for r in nj_mod.cherry_scan(d, 1e-5).records]
+        assert fields == [(r.column, r.row, r.minimum, r.spread, r.confirmed)
+                          for r in scan_pure(d, 1e-5)]
+
+    @pytest.mark.parametrize("seed, binary", [(1, True), (2, False)])
+    def test_exact_n48(self, seed, binary):
+        rounds = assert_rounds_match(doubles_of_tree(random_tree(48, seed, binary_only=binary)), 0)
+        assert len(rounds) > 5
+
+    def test_rounds_mixing_survivors_and_bells_of_every_size(self):
+        # a round whose bells have 2, 3 and 4 or more members next to
+        # survivors: each member position reaches a different count of groups
+        mixed = 0
+        for seed, n in [(2, 60), (4, 40), (5, 60), (6, 40)]:
+            rounds = assert_rounds_match(doubles_of_tree(random_tree(n, seed, binary_only=False)), 0)
+            for r in rounds:
+                sizes = {len(b) for b in r["bells"]}
+                owned = sum(len(b) for b in r["bells"])
+                mixed += {2, 3} <= sizes and max(sizes) >= 4 and owned < r["size"]
+        assert mixed >= 4
+
+    @pytest.mark.parametrize("seed", [0, 2, 5])
+    def test_mixed_bells_whose_means_leave_the_units(self, seed):
+        rounds = assert_rounds_match(pair_case(seed, 40, "jitter"), Fraction(1, 3))
+        assert any(len({len(b) for b in r["bells"]}) > 1 for r in rounds)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_one_large_bell_beside_many_cherries(self, mode):
+        # a 60-leaf star and 30 cherries on one center: the first round
+        # merges a bell of 60 members beside 30 of 2, which must cost about
+        # m^2 element operations, not (bells x largest bell)^2
+        rng = random.Random(7)
+
+        def w():
+            return rng.randint(1, 9) if mode == "rational" else rng.uniform(0.5, 3.0)
+
+        n, center = 120, 121
+        edges = [(k, center, w()) for k in range(1, 61)]
+        for h in range(30):
+            z, a = 122 + h, 61 + 2 * h
+            edges += [(center, z, w()), (a, z, w()), (a + 1, z, w())]
+        d = doubles_of_tree(WeightedTree(edges))
+        eps = 1e-9 if mode == "float" else 0
+        peaks = []
+        merge = nj_mod._merge_bells
+
+        def measured(state, bells):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = merge(state, bells)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(nj_mod, "_merge_bells", measured)
+                rounds = assert_rounds_match(d, eps)
+        finally:
+            tracemalloc.stop()
+        assert sorted(len(b) for b in rounds[0]["bells"]) == [2] * 30 + [60]
+        # a few copies of the 120 x 120 mirror; a padded 31 x 31 x 60 x 60
+        # member table alone would take 27 MB
+        assert max(peaks) < 16 * n * n * 8
+
+    def test_object_int_mirror(self):
+        d = scaled(doubles_of_tree(random_tree(48, 5, binary_only=False)),
+                   Fraction(2**61 + 1, 2**61 - 1))
+        kind, arr, _ = d.dense()
+        assert arr.dtype == object and not holds_fractions(arr)
+        assert_rounds_match(d, 0)
+
+    @pytest.mark.parametrize("tree", [True, False])
+    def test_fraction_mirror(self, tree):
+        d = _own_denominators(2, 16, 6, _DENSE_SCALE_BITS // 20, tree)
+        assert holds_fractions(d.dense()[1])
+        assert_rounds_match(d, Fraction(1, 3))
+
+    def test_every_round_falls_back(self):
+        # rounding leaves no star spread at exactly 0
+        rounds = assert_rounds_match(doubles_of_tree(random_tree(40, 4, mode="float")), 0.0)
+        assert len(rounds) == 38 and all(r["fallback"] for r in rounds)
+
+
+class TestPruningRoundCost:
+    def test_one_selection_per_round(self, monkeypatch):
+        # a fallback round joins on the S its failed scan already took
+        d = doubles_of_tree(random_tree(40, 4, mode="float"))
+        ref = to_newick(nj_pruning_loop(d, 0.0)[0])
+        calls = []
+        selection = nj_mod._selection
+
+        def counted(state):
+            calls.append(state.n)
+            return selection(state)
+
+        monkeypatch.setattr(nj_mod, "_selection", counted)
+        tree, rounds = nj_mod.nj_pruning_detailed(d, 0.0)
+        assert to_newick(tree) == ref
+        assert all(r["fallback"] for r in rounds)
+        assert calls == [r["size"] for r in rounds]
+
+    def test_the_driver_builds_no_scan_records(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a ScanRecord was built")
+
+        d = noisy_float(40, 3)
+        ref = to_newick(nj_pruning(d, 1e-5))
+        monkeypatch.setattr(nj_mod, "ScanRecord", refused)
+        assert to_newick(nj_pruning(d, 1e-5)) == ref
+        with pytest.raises(AssertionError, match="ScanRecord"):
+            nj_mod.cherry_scan(d, 1e-5).records
+
+    def test_exact_bell_means_import_no_numpy_ma(self):
+        # the bell-mean rescale once took its LCM through np.unique, which
+        # imports numpy.ma (some 1.6 MB) in numpy 2; where numpy itself
+        # loads numpy.ma at import, the run must only add nothing
+        script = textwrap.dedent("""
+            import random, sys
+            from fractions import Fraction
+            from treeweights import DoubleWeights, doubles_of_tree, nj, random_tree, weights
+
+            factors = []
+            rescale = weights._Mirror.rescale
+
+            def recorded(state, factor):
+                factors.append(factor)
+                rescale(state, factor)
+
+            weights._Mirror.rescale = recorded
+            rng = random.Random(0)
+            d = doubles_of_tree(random_tree(12, 0, binary_only=False))
+            d = DoubleWeights({k: v + Fraction(rng.choice((-1, 0, 1)), 40) for k, v in d.items()})
+            before = "numpy.ma" in sys.modules
+            nj.nj_pruning(d, Fraction(1, 3))
+            print(before, "numpy.ma" in sys.modules, max(factors))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        before, after, factor = done.stdout.split()
+        assert int(factor) > 2  # a mean over 2 x 4 members left the units
+        assert after == before

@@ -140,6 +140,41 @@ class TestCanonicalize:
         assert contract_zero_internal_edges(t2).edges == t2.edges
 
 
+class TestNoRebuildWhenNothingChanges:
+    """canonicalize and contract_zero_internal_edges return their input
+    when there is nothing to suppress or contract; trees that do need
+    them are written and compared as before."""
+
+    def test_canonical_tree_is_returned_as_is(self, caterpillar, quartet):
+        for t in (caterpillar, quartet, random_tree(30, 1, binary_only=False)):
+            assert canonicalize(t) is t
+
+    def test_no_zero_internal_edge_returns_the_input(self, caterpillar):
+        # a zero twig is not contracted either
+        twig = WeightedTree([(1, 4, 0), (2, 4, 1), (3, 4, 2)])
+        for t in (caterpillar, twig, random_tree(30, 2, mode="float")):
+            assert contract_zero_internal_edges(t) is t
+
+    def test_degree_two_node_still_suppressed(self, quartet):
+        # node 9 splits the quartet's inner edge of 5 into 2 + 3
+        sub = WeightedTree([(1, 5, 1), (2, 5, 2), (5, 9, 2), (9, 6, 3), (3, 6, 3), (4, 6, 4)])
+        assert canonicalize(sub) is not sub
+        assert canonicalize(sub).edges == quartet.edges
+        assert to_newick(sub) == to_newick(quartet) == "(1:1,2:2,(3:3,4:4):5);"
+        assert tree_equal(sub, quartet, 0) and tree_equal(quartet, sub, 0)
+
+    def test_zero_internal_edge_still_contracted(self):
+        t = WeightedTree(
+            [(1, 6, 1), (2, 6, 2), (6, 7, 0), (3, 7, 3), (7, 8, 7), (4, 8, 4), (5, 8, 5)]
+        )
+        c = contract_zero_internal_edges(t)
+        assert c is not t
+        assert c.edges == ((1, 6, 1), (2, 6, 2), (3, 6, 3), (4, 8, 4), (5, 8, 5), (6, 8, 7))
+        assert to_newick(t) == "(1:1,2:2,(3:3,(4:4,5:5):7):0);"
+        assert to_newick(c) == "(1:1,2:2,3:3,(4:4,5:5):7);"
+        assert not tree_equal(t, c, 0) and tree_equal(c, c, 0)
+
+
 class TestTreeEqual:
     def test_reflexive(self, caterpillar):
         assert tree_equal(caterpillar, caterpillar, 0)
