@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import InstanceTooSmallError
 from .numeric import half
-from .tree import WeightedTree, contract_zero_internal_edges
+from .tree import WeightedTree, _min_roots, contract_zero_internal_edges
 from .weights import (
     DoubleWeights,
     TripleWeights,
@@ -54,7 +54,7 @@ from .weights import (
     _skip,
     _star_windows,
     derived_pairwise_consistent,
-    exact_scalar,
+    unit_value,
     upper_keys,
     upper_mask,
 )
@@ -245,14 +245,9 @@ class CherryScanResult:
     @cached_property
     def records(self):
         """One ScanRecord per column, in label order."""
-        if self.scale is None:
-            value = float
-        else:
-            def value(x):
-                return Fraction(exact_scalar(x), self.scale)
-        labels = self.labels
+        labels, scale = self.labels, self.scale
         return [
-            ScanRecord(j, labels[i], value(mn), value(w), ok)
+            ScanRecord(j, labels[i], unit_value(mn, scale), unit_value(w, scale), ok)
             for j, i, mn, w, ok in zip(
                 labels,
                 self.rows.tolist(),
@@ -316,19 +311,7 @@ def cherry_scan(d, eps=0) -> CherryScanResult:
 
 def group_bells(pairs):
     """Union confirmed pairs that share members into full bells."""
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    find = _min_roots(pairs)
     groups = {}
     for a, b in pairs:
         groups.setdefault(find(a), set()).update((a, b))
@@ -507,6 +490,5 @@ def nj_from_triples(t: TripleWeights, eps=0) -> WeightedTree:
         y = int(_skip(x + 1, i, j))
         a_i = half(state.twig(i, j, x) + state.twig(i, j, y))
         merges.append(_classic_join(state, i, j, a_i))
-    last = _join_down(state, 2)
-    finish = _assemble([state.final_edge()], last)
-    return _assemble(finish.edges, merges)
+    merges += _join_down(state, 2)
+    return _assemble([state.final_edge()], merges)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from copy import copy
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -44,7 +43,7 @@ import numpy as np
 
 from .errors import InstanceTooSmallError, ReconstructionError
 from .numeric import THIRD, format_number, half
-from .tree import WeightedTree, contract_zero_internal_edges
+from .tree import WeightedTree, _json_weight, contract_zero_internal_edges
 from .weights import (
     DoubleWeights,
     TripleWeights,
@@ -56,9 +55,6 @@ from .weights import (
     block_elems,
     derived_pairwise_consistent,
     doubles_of_tree,
-    exact_scalar,
-    holds_fractions,
-    int_dtype,
     star_table,
     triples_from_doubles,
     upper_keys,
@@ -126,7 +122,7 @@ class ReconstructionTrace:
                         {
                             "members": list(pb.members),
                             "z": pb.z,
-                            "twigs": {str(k): _num_or_float(v) for k, v in pb.twig_lengths.items()},
+                            "twigs": {str(k): _json_weight(v) for k, v in pb.twig_lengths.items()},
                         }
                         for pb in lv.pseudobells
                     ],
@@ -135,7 +131,7 @@ class ReconstructionTrace:
             ],
             "base_case": {
                 "labels": list(self.base_case.labels),
-                "residual": _num_or_float(self.base_case.residual),
+                "residual": _json_weight(self.base_case.residual),
                 "detail": self.base_case.detail,
             },
             "all_twigs_positive": self.all_twigs_positive,
@@ -367,12 +363,11 @@ def base_case_doubles(d: DoubleWeights, tol=0) -> WeightedTree:
         return WeightedTree([(a, b, d.value(a, b))])
     if m == 3:
         i, j, k = labels
-        c = fresh
         return WeightedTree(
             [
-                (i, c, half(d.value(i, j) + d.value(i, k) - d.value(j, k))),
-                (j, c, half(d.value(i, j) + d.value(j, k) - d.value(i, k))),
-                (k, c, half(d.value(i, k) + d.value(j, k) - d.value(i, j))),
+                (i, fresh, twig_length_doubles(d, i, j, k)),
+                (j, fresh, twig_length_doubles(d, j, i, k)),
+                (k, fresh, twig_length_doubles(d, k, i, j)),
             ]
         )
 
@@ -382,9 +377,9 @@ def base_case_doubles(d: DoubleWeights, tol=0) -> WeightedTree:
         _fail_base(f"no star pair among {labels}; not realisable at tol {tol}")
     alpha, alpha2 = pair
     beta, beta2 = [x for x in labels if x not in pair]
-    a = half(d.value(alpha, alpha2) + d.value(alpha, beta) - d.value(alpha2, beta))
+    a = twig_length_doubles(d, alpha, alpha2, beta)
     b = d.value(alpha, alpha2) - a
-    dd = half(d.value(beta, beta2) + d.value(alpha, beta) - d.value(alpha, beta2))
+    dd = twig_length_doubles(d, beta, beta2, alpha)
     e = d.value(beta, beta2) - dd
     f = d.value(alpha, beta) - a - dd
     residual = 0
@@ -499,9 +494,9 @@ def _base_case_triples_5_record(t: TripleWeights, tol=0):
         "pairs": [list(pair1), list(pair2)],
         "gamma": gamma,
         "edges": {
-            **{str(k): _num_or_float(v) for k, v in twig.items()},
-            "inner_1": _num_or_float(f1),
-            "inner_2": _num_or_float(f2),
+            **{str(k): _json_weight(v) for k, v in twig.items()},
+            "inner_1": _json_weight(f1),
+            "inner_2": _json_weight(f2),
         },
         # the two 4-element sets obtained by pruning each base pair, with
         # the twig values living on them (positivity detail)
@@ -509,19 +504,19 @@ def _base_case_triples_5_record(t: TripleWeights, tol=0):
             {
                 "pruned_pair": list(pair1),
                 "twigs": {
-                    str(zed1): _num_or_float(f1),
-                    str(gamma): _num_or_float(twig[gamma]),
-                    str(beta): _num_or_float(twig[beta]),
-                    str(beta2): _num_or_float(twig[beta2]),
+                    str(zed1): _json_weight(f1),
+                    str(gamma): _json_weight(twig[gamma]),
+                    str(beta): _json_weight(twig[beta]),
+                    str(beta2): _json_weight(twig[beta2]),
                 },
             },
             {
                 "pruned_pair": list(pair2),
                 "twigs": {
-                    str(alpha): _num_or_float(twig[alpha]),
-                    str(alpha2): _num_or_float(twig[alpha2]),
-                    str(gamma): _num_or_float(twig[gamma]),
-                    str(zed2): _num_or_float(f2),
+                    str(alpha): _json_weight(twig[alpha]),
+                    str(alpha2): _json_weight(twig[alpha2]),
+                    str(gamma): _json_weight(twig[gamma]),
+                    str(zed2): _json_weight(f2),
                 },
             },
         ],
@@ -530,10 +525,6 @@ def _base_case_triples_5_record(t: TripleWeights, tol=0):
         labels=tuple(labels), instance=t, tree=tree, residual=residual, detail=detail
     )
     return tree, record
-
-
-def _num_or_float(v):
-    return v if isinstance(v, float) else format_number(v)
 
 
 # --------------------------------------------------------------------- #
@@ -627,51 +618,29 @@ def _prune_levels(d: DoubleWeights, tol, floor):
     return state.container(), levels
 
 
-def _exact_gap(got, got_scale, want, want_scale):
-    """(|got - want|, scale): the distance of two exact mirrors' entries in
-    units of one common scale.  Units widen to ``object`` where that scale
-    would take them past the int64 headroom; a mirror of the values' own
-    Fractions makes both sides Fractions over scale 1."""
-    if holds_fractions(got) or holds_fractions(want):
-        got, want = (
-            np.array([Fraction(exact_scalar(x), s) for x in a.tolist()], dtype=object)
-            for a, s in ((got, got_scale), (want, want_scale))
-        )
-        return np.abs(got - want), 1
-    scale = math.lcm(got_scale, want_scale)
-    factors = scale // got_scale, scale // want_scale
-    top = max(int(np.abs(a).max(initial=0)) * f for a, f in zip((got, want), factors))
-    if int_dtype(max(top, *factors)) is object:
-        got, want = got.astype(object), want.astype(object)
-    return np.abs(got * factors[0] - want * factors[1]), scale
-
-
 def _verified(d: DoubleWeights, base_tree, base_record, levels, tol, require_positive):
     """Expand the levels onto the base tree and check its path sums against
     every value of the pairwise set *d*, within the slack the levels'
     midranges allow.
 
     The tree's mirror (:func:`~treeweights.weights.doubles_of_tree`) is
-    compared with d's as arrays: exact data as units on one common scale,
-    float data as |got - want| > slack.  The first key over the slack, in
-    combinations order, is named; d's dict is built only then.
+    compared with d's as arrays: exact data as units on the LCM of the two
+    scales, float data as |got - want| > slack.  The first key over the
+    slack, in combinations order, is named; d's dict is built only then.
     """
     tree = contract_zero_internal_edges(_expand_levels(base_tree, levels))
     slack = tol * (1 + 3 * len(levels))
-    kind, got, got_scale = doubles_of_tree(tree).dense()
-    _, want, want_scale = d.dense()
+    got, want = _Mirror(doubles_of_tree(tree)), _Mirror(d)
+    if got.kind == "int":
+        scale = math.lcm(got.scale, want.scale)
+        got.rescale(scale // got.scale)
+        want.rescale(scale // want.scale)
     keys = upper_keys(d.n, 2)
-    got, want = got[keys], want[keys]
-    if kind == "float":
-        gap, scale = np.abs(got - want), None
-    else:
-        gap, scale = _exact_gap(got, got_scale, want, want_scale)
-    miss = _over(gap, slack, scale)
+    miss = _over(np.abs(got.arr[keys] - want.arr[keys]), slack, want.scale)
     if miss.any():
         k = int(miss.argmax())
         key = tuple(d.labels[int(axis[k])] for axis in keys)
-        got = float(got[k]) if kind == "float" else Fraction(exact_scalar(got[k]), got_scale)
-        want = d.value(*key)
+        got, want = got.value(got.arr[keys][k]), d.value(*key)
         raise ReconstructionError(
             "verification",
             f"assembled tree misses pair {key}: {format_number(got)} != {format_number(want)}",

@@ -260,6 +260,25 @@ def canonicalize(tree: WeightedTree) -> WeightedTree:
     return WeightedTree(edges)
 
 
+def _min_roots(pairs):
+    """Union the members of every pair; returns the find function, which
+    maps a node to the smallest member of its class (a node in no pair is
+    its own root)."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return find
+
+
 def contract_zero_internal_edges(tree: WeightedTree) -> WeightedTree:
     """Merge endpoints of internal edges whose weight is exactly zero.
 
@@ -274,18 +293,7 @@ def contract_zero_internal_edges(tree: WeightedTree) -> WeightedTree:
     ]
     if not zeros:
         return tree
-    find = {}
-
-    def root_of(x):
-        while find.get(x, x) != x:
-            find[x] = find.get(find[x], find[x])
-            x = find[x]
-        return x
-
-    for u, v in zeros:
-        ru, rv = root_of(u), root_of(v)
-        if ru != rv:
-            find[max(ru, rv)] = min(ru, rv)
+    root_of = _min_roots(zeros)
     edges = []
     for u, v, w in tree.edges:
         ru, rv = root_of(u), root_of(v)
@@ -462,33 +470,12 @@ def random_tree(
         edges.remove([a, b])
         edges.extend(([a, v], [v, b], [leaf, v]))
 
-    if not binary_only:
-        # contract a random subset of internal edges into multifurcations
-        internal = set(range(n + 1, next_internal))
-        find = {}
-
-        def root_of(x):
-            while find.get(x, x) != x:
-                find[x] = find.get(find[x], find[x])
-                x = find[x]
-            return x
-
-        for a, b in sorted((min(e), max(e)) for e in edges):
-            if a in internal and b in internal and rng.random() < 0.35:
-                ra, rb = root_of(a), root_of(b)
-                if ra != rb:
-                    find[max(ra, rb)] = min(ra, rb)
-        merged = []
-        for a, b in edges:
-            ra, rb = root_of(a), root_of(b)
-            if ra != rb:
-                merged.append([ra, rb])
-        edges = merged
-
-    weighted = [
-        (a, b, draw())
+    # a random subset of inner edges weighs 0 and contracts into multifurcations
+    shape = WeightedTree(
+        (a, b, 0 if not binary_only and a > n and rng.random() < 0.35 else 1)
         for a, b in sorted((min(e), max(e)) for e in edges)
-    ]
+    )
+    weighted = [(a, b, draw()) for a, b, _ in contract_zero_internal_edges(shape).edges]
     return canonicalize(WeightedTree(weighted))
 
 
@@ -550,8 +537,10 @@ def parse_newick(text: str, mode: str = "float") -> WeightedTree:
     """Parse standard Newick with branch lengths into a WeightedTree.
 
     Leaf names must be positive integers; internal names (support values)
-    are ignored, as is a length on the root.  Every non-root branch must
-    carry a length.  ``mode`` selects Fraction or float lengths.
+    are ignored, as is a length on the root.  A root with one child is a
+    stem, not a leaf: the child becomes the root, and the stem's length is
+    ignored too.  Every other branch must carry a length.  ``mode``
+    selects Fraction or float lengths.
     """
     s = text.strip()
     if not s.endswith(";"):
@@ -619,6 +608,9 @@ def parse_newick(text: str, mode: str = "float") -> WeightedTree:
     skip_ws()
     if pos != len(s):
         raise ParseError(f"trailing characters after tree (at char {pos})")
+    # a root with one child is a stem, whose length is ignored like the root's
+    while len(root[0]) == 1:
+        root = root[0][0]
 
     # leaves left to right, by a preorder walk
     leaf_names = []
@@ -639,6 +631,8 @@ def parse_newick(text: str, mode: str = "float") -> WeightedTree:
         labels.append(lab)
     if len(set(labels)) != len(labels):
         raise ParseError("duplicate leaf labels")
+    if len(labels) < 2:
+        raise ParseError("a tree needs at least two leaves")
 
     # internal ids in preorder after the largest label
     next_id = max(labels) + 1

@@ -181,7 +181,7 @@ def _settled(fill, scale):
         least = _least_units(fill, scale)
         if least is not None:
             return (*least, 0)
-    return _exact_units([Fraction(exact_scalar(x), scale) for x in fill.tolist()])
+    return _exact_units([unit_value(x, scale) for x in fill.tolist()])
 
 
 def _symmetric(fill, m, order, zero):
@@ -213,13 +213,19 @@ def mirror_values(kind, arr, scale):
     per sorted key in combinations order, as an iterator: Fractions for
     kind "int", floats for kind "float"."""
     values = arr[upper_keys(arr.shape[0], arr.ndim)].tolist()
-    return map(Fraction, values, repeat(scale)) if kind == "int" else iter(values)
+    return map(unit_value, values, repeat(scale)) if kind == "int" else iter(values)
 
 
 def exact_scalar(x):
     """An element of an exact mirror or kernel result as a Python int or
     Fraction (a numpy int would carry int64 arithmetic into a Fraction)."""
     return x if isinstance(x, (int, Fraction)) else int(x)
+
+
+def unit_value(x, scale):
+    """An element of a mirror or kernel result in units over *scale* (or a
+    sum of them) as a Python Fraction; scale None (float) as a float."""
+    return float(x) if scale is None else Fraction(exact_scalar(x), scale)
 
 
 def holds_fractions(arr):
@@ -302,6 +308,8 @@ class DoubleWeights(_WeightSet):
             pair = (a, b) if a < b else (b, a)
             if pair in norm:
                 raise ValueError(f"duplicate entry for pair {pair}")
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValueError(f"non-finite value {val!r} for pair {pair}")
             norm[pair] = val
         if labels is None:
             labels = {x for pair in norm for x in pair}
@@ -338,6 +346,8 @@ class TripleWeights(_WeightSet):
                 raise ValueError(f"triple key with repeated labels: {key}")
             if trip in norm:
                 raise ValueError(f"duplicate entry for triple {trip}")
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValueError(f"non-finite value {val!r} for triple {trip}")
             norm[trip] = val
         if labels is None:
             labels = {x for trip in norm for x in trip}
@@ -664,8 +674,8 @@ def star_table(w, tol=0):
     kind, arr, scale = w.dense()
     lo, hi = _star_windows(arr, order)
     if kind == "int":
-        spreads = [Fraction(x, scale) for x in (hi - lo).tolist()]
-        mids = [Fraction(x, 2 * scale) for x in (lo + hi).tolist()]
+        spreads = [unit_value(x, scale) for x in (hi - lo).tolist()]
+        mids = [unit_value(x, 2 * scale) for x in (lo + hi).tolist()]
     else:
         spreads = (hi - lo).tolist()
         mids = (0.5 * (lo + hi)).tolist()
@@ -781,9 +791,7 @@ class _Mirror:
 
     def value(self, x):
         """A mirror element (or a sum of them) as a Python Fraction or float."""
-        if self.kind == "float":
-            return float(x)
-        return Fraction(exact_scalar(x), self.scale)
+        return unit_value(x, self.scale)
 
     def units(self, values):
         """Python numbers in the mirror's arithmetic; exact ones whose
@@ -918,7 +926,7 @@ def derived_pairwise_consistent(t: TripleWeights, tol=0):
     worst = max(gap.max() - 3 * c, 3 * c - gap.min())  # 2 den max |T - lift(d)|
     fit = part[_upper_pairs(m)] + c
     if kind == "int":
-        if not Fraction(exact_scalar(worst), 2 * den * scale) <= tol:
+        if not unit_value(worst, 2 * den * scale) <= tol:
             return False, None
         fit, scale, zero = _settled(fit, scale * den)
     else:

@@ -220,6 +220,13 @@ class TestCherryScan:
         assert group_bells([(1, 2), (1, 3), (4, 5)]) == [(1, 2, 3), (4, 5)]
         assert group_bells([]) == []
 
+    def test_group_bells_chained_unsorted(self):
+        # pairs in no order, chained through shared members
+        assert group_bells([(7, 9), (5, 7), (1, 2), (3, 9), (4, 6)]) == [
+            (1, 2), (3, 5, 7, 9), (4, 6)
+        ]
+        assert group_bells([(8, 9), (6, 7), (7, 8), (2, 3)]) == [(2, 3), (6, 7, 8, 9)]
+
 
 class TestNJPruning:
     def test_quartet_single_round(self, quartet_doubles, quartet):

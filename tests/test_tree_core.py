@@ -139,6 +139,17 @@ class TestCanonicalize:
         t2 = WeightedTree([(1, 4, 0), (2, 4, 1), (3, 4, 2)])
         assert contract_zero_internal_edges(t2).edges == t2.edges
 
+    def test_zero_chain_takes_the_smallest_id(self):
+        # the zero chain 12 - 9 - 11 - 8 merges into its smallest node, 8
+        t = WeightedTree(
+            [(1, 12, 1), (2, 12, 2), (12, 9, 0), (3, 9, 3), (9, 11, 0), (4, 11, 4),
+             (11, 8, 0), (8, 10, 6), (5, 10, 5), (6, 10, 6), (8, 7, 7)]
+        )
+        assert contract_zero_internal_edges(t).edges == (
+            (1, 8, 1), (2, 8, 2), (3, 8, 3), (4, 8, 4), (5, 10, 5), (6, 10, 6),
+            (7, 8, 7), (8, 10, 6),
+        )
+
 
 class TestNoRebuildWhenNothingChanges:
     """canonicalize and contract_zero_internal_edges return their input
@@ -228,6 +239,45 @@ class TestRandomTree:
         with pytest.raises(ValueError):
             random_tree(1, 0)
 
+    @pytest.mark.parametrize(
+        "n, seed, mode, newick, internal",
+        [
+            (6, 0, "rational",
+             "(1:8.641,(((2:3.79,6:6.373):3.007,4:5.392):9.217,3:9.919):9.361,5:4.294);",
+             (7, 8, 9, 10)),
+            (9, 3, "rational",
+             "(1:7.606,2:5.329,(3:5.977,4:8.704,(5:6.058,7:4.654,8:6.886):3.133):2.386,"
+             "6:5.383,9:8.929);",
+             (10, 11, 14)),
+            (12, 5, "rational",
+             "(1:9.442,(2:8.992,(3:8.056,(5:2.467,(6:8.02,7:8.344,9:2.278,10:6.688,"
+             "11:6.688):9.955):1.009):2.161,4:4.582,12:5.095):2.215,8:1.657);",
+             (13, 15, 16, 17, 18)),
+            (6, 0, "float",
+             "(1:8.46867613293,(((2:9.71019995428,6:2.25346334678):8.19462316673,"
+             "4:9.02494593839):2.2577120647,3:4.22244437225):1.85347687129,5:2.96598454224);",
+             (7, 8, 9, 10)),
+            (9, 3, "float",
+             "(1:9.96080351959,2:5.2323715677,(3:8.52815306147,4:5.28717887829,"
+             "(5:6.7516132649,7:6.71374592457,8:8.81240776429):7.04270327833):7.67126670581,"
+             "6:2.35554781621,9:5.70863089345);",
+             (10, 11, 14)),
+            (12, 5, "float",
+             "(1:9.24710834628,(2:7.89152906466,(3:2.43643791122,(5:2.24890676559,"
+             "(6:6.5570726842,7:2.14029309295,9:8.84264270252,10:2.88510744246,"
+             "11:2.93933052302):5.85301121984):9.65330190055):8.85166988893,"
+             "4:8.17432292288,12:9.84178997943):3.60374650972,8:1.01597375982);",
+             (13, 15, 16, 17, 18)),
+        ],
+    )
+    def test_multifurcating_pinned(self, n, seed, mode, newick, internal):
+        # the shape, the merged nodes' ids and the weights drawn per edge
+        t = random_tree(n, seed, binary_only=False, mode=mode)
+        assert to_newick(t) == newick
+        assert t.internal_nodes == internal
+        weight_type = Fraction if mode == "rational" else float
+        assert all(type(w) is weight_type for _, _, w in t.edges)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_binary_trees_have_cherries(self, seed):
         t = random_tree(4 + seed, seed)
@@ -306,6 +356,16 @@ class TestNewick:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_newick(bad)
+
+    def test_root_stem_dropped(self):
+        # a root with one child is a stem, not a leaf: its child is the root
+        t = parse_newick("((1:1,2:2):3);", "rational")
+        assert t.leaves == (1, 2) and pairwise_weight(t, 1, 2) == 3
+        t = parse_newick("(((1:1,2:2,4:1):3):4);", "rational")
+        assert t.leaves == (1, 2, 4)
+        assert to_newick(t) == "(1:1,2:2,4:1);"
+        with pytest.raises(ParseError, match="a tree needs at least two leaves"):
+            parse_newick("(1:1);")
 
     def test_deep_caterpillar_round_trip(self):
         # the walks are iterative, so depth is not bounded by recursion

@@ -111,6 +111,24 @@ class TestContainers:
         moved = quartet_doubles.relabel({1: 11, 2: 12, 3: 13, 4: 14})
         assert moved.value(11, 13) == 9
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_float_rejected(self, bad):
+        vals = dict(QUARTET_DOUBLES)
+        vals[(2, 4)] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DoubleWeights(vals)
+        trip = {k: 1.0 for k in combinations(range(1, 6), 3)}
+        trip[(1, 3, 5)] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            TripleWeights(trip)
+
+    def test_huge_fraction_accepted(self):
+        # finiteness is checked on floats only: a Fraction past the float
+        # range is a finite exact value
+        vals = dict(QUARTET_DOUBLES)
+        vals[(2, 4)] = Fraction(10**400, 3)
+        assert DoubleWeights(vals).value(2, 4) == Fraction(10**400, 3)
+
     def test_min_sizes(self):
         with pytest.raises(ValueError):
             DoubleWeights({}, labels=[1])
