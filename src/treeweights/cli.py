@@ -64,25 +64,89 @@ def _reconstructor(order):
     return rec_mod.reconstruct_from_triples
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return format_number(value)
+# --------------------------------------------------------------------- #
+# JSON output                                                            #
+# --------------------------------------------------------------------- #
+
+_ascii = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x):
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _fraction_text(x):
+    return _ascii(format_number(x))
+
+
+# The text of a scalar, by its exact type.
+_SCALARS = {
+    str: _ascii,
+    int: int.__repr__,
+    float: _float_text,
+    Fraction: _fraction_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, pad):
+    """The JSON text of *value*, nested at line prefix *pad* (a newline and
+    its indent).
+
+    Writes what ``json.dumps(obj, sort_keys=True, indent=2)`` writes for
+    *value* with each Fraction replaced by its :func:`format_number` string
+    and each dict key by ``str(key)``.  Scalars are dispatched on their
+    exact type, and a list whose items share one scalar type is joined in
+    one call; subclasses (namedtuples, ``OrderedDict``, ``np.float64``) are
+    written as their base type, and any other type raises TypeError.
+    """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, value))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, value) if scalar else [_json_text(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        if set(map(type, value)) != {str}:
+            value = {str(k): v for k, v in value.items()}
+        items = []
+        for k, v in sorted(value.items()):
+            scalar = _SCALARS.get(type(v))
+            items.append(f"{_ascii(k)}: {scalar(v) if scalar else _json_text(v, inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if isinstance(value, Fraction):  # after the containers: an ABC check is slow
+        return _fraction_text(value)
+    if isinstance(value, str):
+        return _ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _dump(payload) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    """The JSON document of *payload*: sorted keys, two-space indent, ASCII
+    escapes, Fractions as ``"p/q"`` strings and floats in shortest repr."""
+    return _json_text(payload, "\n") + "\n"
 
 
 def _failure_payload(err: ReconstructionError):
     return {
         "kind": err.kind,
         "level": err.level,
-        "witness": _jsonable(err.witness),
+        "witness": err.witness,
         "message": str(err),
     }
 
@@ -131,7 +195,7 @@ def _four_point_proven(args, tree) -> bool:
 
 def _cmd_check(args) -> int:
     data = _read_weights(args)
-    payload = {"order": args.order, "tolerance": _jsonable(args.tol), "n": data.n}
+    payload = {"order": args.order, "tolerance": args.tol, "n": data.n}
     payload["realizable"], payload["failure"] = True, None
     proven = False
     # every instance on at most order + 1 labels is realisable: a pair set
@@ -151,8 +215,8 @@ def _cmd_check(args) -> int:
             verdict = weights_mod.buneman_check(data, args.tol)
         payload["four_point"] = {
             "passed": verdict.passed,
-            "witness": _jsonable(verdict.witness),
-            "gap": _jsonable(verdict.gap),
+            "witness": verdict.witness,
+            "gap": verdict.gap,
         }
         payload["warnings"] = weights_mod.metric_warnings(data)
     _write(args.output_path, _dump(payload))
@@ -212,7 +276,7 @@ def _cmd_compare(args) -> int:
     t1 = tree_mod.parse_newick(_read(args.tree1), args.mode)
     t2 = tree_mod.parse_newick(_read(args.tree2), args.mode)
     equal = tree_mod.tree_equal(t1, t2, args.tol)
-    _write(args.output_path, _dump({"equal": equal, "tolerance": _jsonable(args.tol)}))
+    _write(args.output_path, _dump({"equal": equal, "tolerance": args.tol}))
     return 0 if equal else 2
 
 

@@ -166,16 +166,39 @@ def complete_pseudobells(w, tol=0):
     adj = np.zeros((m, m), dtype=bool)
     iu, ju = upper_keys(m, 2)
     adj[iu, ju] = adj[ju, iu] = ~_over(hi - lo, tol, state.scale)
+    return _clique_bells(adj, labels)
 
-    bells = []
+
+def _clique_bells(adj, labels):
+    """The pseudobells of a star graph, a symmetric boolean matrix *adj*
+    over *labels* with a false diagonal: its cliques of two or more labels,
+    ordered by their smallest member.  A graph that is not a union of
+    cliques raises the ``pseudobell-graph`` error of :func:`_name_open_triple`."""
+    m = len(labels)
+    # a union of cliques exactly when each label's closed neighbourhood is
+    # that of its smallest member; the bells are the rows with a neighbour
+    # that are their own smallest member, in label order
+    closed = adj | np.eye(m, dtype=bool)
+    first = closed.argmax(axis=1)
+    if not (closed == closed[first]).all():
+        _name_open_triple(adj, labels)
+    own = np.flatnonzero((first == np.arange(m)) & adj.any(axis=1))
+    return [Pseudobell(members=tuple(labels[k] for k in np.flatnonzero(closed[r]).tolist()))
+            for r in own.tolist()]
+
+
+def _name_open_triple(adj, labels):
+    """Raise the ``pseudobell-graph`` error of a star graph *adj* that is
+    not a union of cliques, naming the first open triple met when the
+    cliques are grown from each unassigned label in order."""
+    m = len(labels)
     index = np.arange(m)
     assigned = np.zeros(m, dtype=bool)
     for alpha in np.flatnonzero(adj.any(axis=1)).tolist():
         if assigned[alpha]:
             continue
         clique = adj[alpha] | (index == alpha)
-        members = np.flatnonzero(clique).tolist()
-        for beta in members:
+        for beta in np.flatnonzero(clique).tolist():
             inside = clique & (index != beta)
             if (adj[beta] != inside).any():
                 extra, missing = adj[beta] & ~inside, inside & ~adj[beta]
@@ -184,8 +207,7 @@ def complete_pseudobells(w, tol=0):
                 msg = f"star graph is not a clique union around {witness}"
                 raise ReconstructionError("pseudobell-graph", msg, witness=witness)
         assigned |= clique
-        bells.append(Pseudobell(members=tuple(labels[k] for k in members)))
-    return bells
+    raise AssertionError("no open triple in a star graph that failed the clique test")
 
 
 def _has_two_disjoint_pairs(bells) -> bool:

@@ -188,9 +188,12 @@ def _symmetric(fill, m, order, zero):
     """The (m,) * order array holding *fill*, one value per sorted key in
     combinations order, at every permutation of its key; *zero* elsewhere."""
     arr = np.full((m,) * order, zero, dtype=fill.dtype)
-    keys = upper_keys(m, order)
-    for perm in permutations(range(order)):
-        arr[tuple(keys[k] for k in perm)] = fill
+    s = 0
+    for keys in key_blocks(m, order):
+        part = fill[s : s + len(keys[0])]
+        for perm in permutations(range(order)):
+            arr[tuple(keys[k] for k in perm)] = part
+        s += len(part)
     return arr
 
 
@@ -548,10 +551,18 @@ def _upper_pairs(m):
 
 @_index_arrays
 def _upper_triples(m):
+    return _triples_from(m, 0, m)
+
+
+def _triples_from(m, a, b):
+    """Index arrays (i, j, k) of the triples i < j < k over range(m) with
+    a <= i < b, in combinations order."""
     r = np.arange(m)
-    # nonzero lists the entries i < j < k of the cube row-major, i.e. in
-    # combinations order
-    return np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    # nonzero lists the entries i < j < k of the (b - a) x m x m block
+    # row-major, i.e. in combinations order
+    i, j, k = np.nonzero((r[a:b, None, None] < r[:, None]) & (r[:, None] < r))
+    i += a
+    return i, j, k
 
 
 @_index_arrays
@@ -569,6 +580,20 @@ def upper_keys(m, order):
 # Largest temporary the block kernels build, in array elements (8 MB of
 # int64 or float64); a block always holds at least one pair or label.
 BLOCK_ELEMS = 1 << 20
+
+
+def key_blocks(m, order):
+    """:func:`upper_keys` in consecutive blocks, as an iterator of index
+    arrays.  Triples come in blocks of first labels whose mask takes at
+    most ``BLOCK_ELEMS`` cells (at least one first label each), so that no
+    index over the whole cube is built; keys that fit one block, and
+    pairs, come as one block, the cached :func:`upper_keys`."""
+    if order == 2 or m**3 <= BLOCK_ELEMS:
+        yield upper_keys(m, order)
+        return
+    step = max(1, BLOCK_ELEMS // (m * m))
+    for a in range(0, m, step):
+        yield _triples_from(m, a, a + step)
 
 
 def block_elems(arr):
@@ -944,13 +969,17 @@ def triples_from_doubles(d: DoubleWeights) -> TripleWeights:
 def _lifted(state: _Mirror) -> TripleWeights:
     """The half-sum lift T_ijk = ((d_ij + d_ik) + d_jk) / 2 of a pairwise
     mirror, added in that order, as a container at the least scale.  The
-    C(n, 3) values are settled before the cube is built from them."""
+    C(n, 3) values are summed over :func:`key_blocks` and settled before
+    the cube is built from them."""
     n = state.n
     if n < 3:
         raise InstanceTooSmallError("triples_from_doubles needs n >= 3", required=3, got=n)
-    i, j, k = _upper_triples(n)
     arr = state.arr
-    total = (arr[i, j] + arr[i, k]) + arr[j, k]
+    total = np.empty(math.comb(n, 3), dtype=arr.dtype)
+    s = 0
+    for i, j, k in key_blocks(n, 3):
+        total[s : s + len(i)] = (arr[i, j] + arr[i, k]) + arr[j, k]
+        s += len(i)
     if state.kind == "float":
         fill, scale, zero = 0.5 * total, None, 0
     else:
@@ -1015,12 +1044,9 @@ def metric_warnings(d: DoubleWeights):
         f"non-positive distance for pair ({labels[a]}, {labels[b]}): {format_number(state.value(v))}"
         for a, b, v in zip(i[bad].tolist(), j[bad].tolist(), upper[bad].tolist())
     ]
-    r = np.arange(m)
     rows = max(1, block_elems(arr) // (m * m))
     for a0 in range(0, m - 2, rows):
-        first = r[a0 : a0 + rows]
-        ia, ib, ic = np.nonzero((first[:, None, None] < r[:, None]) & (r[:, None] < r))
-        ia += a0
+        ia, ib, ic = _triples_from(m, a0, a0 + rows)
         dij, dik, djk = arr[ia, ib], arr[ia, ic], arr[ib, ic]
         breach = np.stack([dik > dij + djk, dij > dik + djk, djk > dij + dik], axis=1)
         at, row = np.nonzero(breach)
@@ -1276,12 +1302,12 @@ def emit_chunks(container):
 def _chunks(container):
     kind, arr, scale = container.dense()
     keys = map(" ".join, combinations(map(str, container.labels), container.order))
-    upper = upper_keys(container.n, container.order)
     yield f"{container.n}\n"
-    for s in range(0, len(upper[0]), _EMIT_LINES):
-        vals = arr[tuple(k[s : s + _EMIT_LINES] for k in upper)]
-        texts = _value_texts(kind, vals, scale)
-        yield "".join(map("{} {}\n".format, islice(keys, len(texts)), texts))
+    for block in key_blocks(container.n, container.order):
+        for s in range(0, len(block[0]), _EMIT_LINES):
+            vals = arr[tuple(k[s : s + _EMIT_LINES] for k in block)]
+            texts = _value_texts(kind, vals, scale)
+            yield "".join(map("{} {}\n".format, islice(keys, len(texts)), texts))
 
 
 def emit_doubles(d: DoubleWeights) -> str:

@@ -19,7 +19,8 @@ floats); and the triple-space NJ loop, which triple NJ on the pairwise
 fit must reproduce on exact lifts.
 The weight-file writer that built one Fraction per value and joined every
 line at once, and the metric warnings' loop over the container's values,
-are kept here too.
+are kept here too, with the walk that made a CLI payload ready for
+``json.dumps``.
 """
 
 import math
@@ -164,9 +165,16 @@ def pseudobells_loop(w, tol):
         if res.holds:
             adj[a].add(b)
             adj[b].add(a)
+    return clique_bells_loop(adj, w.labels)
+
+
+def clique_bells_loop(adj, labels):
+    """Reference clique search on a star graph given as neighbour sets
+    {label: set}: grown from each unassigned label in order and checked
+    one member at a time."""
     bells = []
     assigned = set()
-    for alpha in w.labels:
+    for alpha in labels:
         if alpha in assigned or not adj[alpha]:
             continue
         clique = {alpha} | adj[alpha]
@@ -591,3 +599,18 @@ def metric_warnings_loop(d):
             if lhs > rhs:
                 warnings.append(f"triangle violation: D({x},{y}) > D({x},{z}) + D({z},{y})")
     return warnings
+
+
+def jsonable(value):
+    """Reference JSON payload: each Fraction as its :func:`format_number`
+    string, each list and tuple as a list and each dict key as ``str(key)``,
+    walked once before ``json.dumps`` walks it again; the CLI's one-pass
+    writer must give ``json.dumps(jsonable(p), sort_keys=True, indent=2)``
+    byte for byte."""
+    if isinstance(value, Fraction):
+        return format_number(value)
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    return value

@@ -14,6 +14,7 @@ import io
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -24,12 +25,14 @@ from treeweights import (
     DoubleWeights,
     ParseError,
     TripleWeights,
+    WeightedTree,
     doubles_of_tree,
     emit_doubles,
     emit_triples,
     parse_doubles,
     parse_triples,
     random_tree,
+    triples_of_tree,
 )
 from treeweights import cli
 from treeweights import tree as tree_mod
@@ -41,6 +44,7 @@ from treeweights.weights import (
     _read_bulk,
     emit_chunks,
     holds_fractions,
+    key_blocks,
     metric_warnings,
 )
 from reference_loops import emit_loop, metric_warnings_loop
@@ -227,6 +231,69 @@ class TestWriter:
         d = DoubleWeights({(2, 3): 1, (2, 4): 1, (3, 4): 1})
         with pytest.raises(ValueError):
             emit_chunks(d)
+
+
+def _lift_cases():
+    t = random_tree(11, 4)
+    yield "int64", t
+    yield "float", random_tree(11, 4, mode="float")
+    yield "object", WeightedTree([(u, v, w * Fraction(2**61 + 1, 2**61 - 1)) for u, v, w in t.edges])
+    own = _own_denominators(len(t.edges))
+    yield "fractions", WeightedTree([(u, v, w + x) for (u, v, w), x in zip(t.edges, own)])
+
+
+class TestTripleKeyBlocks:
+    """The triple lift, the cube and the file, built over blocks of first
+    labels, are those of one block over every triple."""
+
+    @pytest.mark.parametrize("budget", [1, 40, 200])
+    def test_blocks_concatenate_to_every_key(self, budget, monkeypatch):
+        monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", budget)
+        for m in range(12):
+            blocks = list(key_blocks(m, 3))
+            want = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T
+            got = [np.concatenate([b[p] for b in blocks]) for p in range(3)]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), m
+            if m**3 > budget:
+                step = max(1, budget // (m * m))
+                assert len(blocks) == -(-m // step)
+                assert all(set(b[0].tolist()) <= set(range(k * step, (k + 1) * step))
+                           for k, b in enumerate(blocks))
+
+    @pytest.mark.parametrize("name, tree", list(_lift_cases()))
+    def test_lift_and_file_per_first_label(self, name, tree, monkeypatch):
+        want = triples_of_tree(tree)
+        text = emit_triples(want)
+        assert text == emit_loop(want)
+        kind, arr, scale = want.dense()
+        monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", 1)  # one first label per block
+        got = triples_of_tree(tree)
+        assert emit_triples(got) == emit_triples(want) == text
+        gkind, garr, gscale = got.dense()
+        assert (gkind, gscale, garr.dtype) == (kind, scale, arr.dtype)
+        if arr.dtype == object:
+            assert garr.tolist() == arr.tolist()
+        else:
+            assert garr.tobytes() == arr.tobytes()
+
+    def test_no_index_over_the_whole_cube(self, monkeypatch):
+        # 110**3 cells pass BLOCK_ELEMS: the lift, the cube and the file
+        # take their keys in blocks of first labels
+        tree, budget = random_tree(110, 2), weights_mod.BLOCK_ELEMS
+        assert 110**3 > budget
+        monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", 110**3)
+        one_block = emit_triples(triples_of_tree(tree))
+
+        def refuse(m):
+            raise AssertionError(f"index of every triple over range({m}) built")
+
+        monkeypatch.setattr(weights_mod, "_upper_triples", refuse)
+        with pytest.raises(AssertionError, match="index of every triple"):
+            triples_of_tree(tree)
+        monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", budget)
+        text = emit_triples(triples_of_tree(tree))
+        assert text.count("\n") == 1 + comb(110, 3)
+        assert text == one_block
 
 
 def _metric_cases():

@@ -49,6 +49,7 @@ from conftest import (
     exact_or_float,
 )
 from reference_loops import (
+    clique_bells_loop,
     condition2_values,
     derived_common_values,
     lift_check_loop,
@@ -143,6 +144,51 @@ class TestCompletePseudobells:
     def test_size_gate(self):
         with pytest.raises(InstanceTooSmallError):
             complete_pseudobells(triples_of_tree(random_tree(4, 0)))
+
+
+@st.composite
+def star_graphs(draw):
+    """(adjacency, labels): a union of cliques over a random partition of
+    sorted labels, with a few edges flipped, so that both clique unions and
+    graphs with open triples come up."""
+    m = draw(st.integers(1, 12))
+    labels = sorted(draw(st.lists(st.integers(1, 40), min_size=m, max_size=m, unique=True)))
+    part = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    adj = np.equal.outer(part, part)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                              max_size=3)):
+        adj[i, j] = adj[j, i] = not adj[i, j]
+    np.fill_diagonal(adj, False)
+    return adj, tuple(labels)
+
+
+class TestCliqueBells:
+    """The one-pass clique test gives the bells, their order and the
+    open-triple witness of the clique search grown label by label."""
+
+    @staticmethod
+    def _outcome(find, adj, labels):
+        try:
+            return [b.members for b in find(adj, labels)]
+        except ReconstructionError as err:
+            return (err.kind, err.witness, str(err))
+
+    @given(star_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop(self, graph):
+        adj, labels = graph
+        sets = {lab: {labels[k] for k in np.flatnonzero(row)} for lab, row in zip(labels, adj)}
+        assert self._outcome(reconstruct_mod._clique_bells, adj, labels) == self._outcome(
+            lambda _, labels: clique_bells_loop(sets, labels), adj, labels)
+
+    def test_open_triple_past_a_closed_clique(self):
+        # {1, 2} closes; 3-4 and 4-5 hold while 3-5 does not
+        adj = np.zeros((5, 5), dtype=bool)
+        for i, j in [(0, 1), (2, 3), (3, 4)]:
+            adj[i, j] = adj[j, i] = True
+        with pytest.raises(ReconstructionError) as exc:
+            reconstruct_mod._clique_bells(adj, (1, 2, 3, 4, 5))
+        assert (exc.value.kind, exc.value.witness) == ("pseudobell-graph", (3, 4, 5))
 
 
 class TestTwigLengths:
