@@ -10,9 +10,8 @@ bells are re-attached in reverse order.
 There is one pruning loop, on pairwise data.  Triple data is realisable
 exactly when it is the half-sum lift of one pairwise set d and d is
 realisable, so :func:`reconstruct_from_triples` checks the lift in O(n^3)
-(condition 2, :func:`~treeweights.weights.derived_pairwise_consistent`),
-prunes d down to 5 labels instead of 4, and solves the lift of those 5 by
-the caterpillar system.
+(condition 2, :func:`~treeweights.weights.derived_pairwise_consistent`)
+and hands d to :func:`reconstruct_from_doubles`.
 
 Every step doubles as a realisability check and fails fast with a named
 witness (:class:`~treeweights.errors.ReconstructionError`): the data must
@@ -42,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InstanceTooSmallError, ReconstructionError
-from .numeric import THIRD, format_number, half
+from .numeric import format_number, half
 from .tree import WeightedTree, _json_weight, contract_zero_internal_edges
 from .weights import (
     DoubleWeights,
@@ -421,132 +420,19 @@ def base_case_doubles(d: DoubleWeights, tol=0) -> WeightedTree:
     return contract_zero_internal_edges(quartet)
 
 
-def _solve_caterpillar_5(t: TripleWeights, pair1, pair2, gamma):
-    """Closed-form solve of the ten 5-leaf caterpillar equations.
-
-    Shape: alpha, alpha2 on stalk u; gamma on the middle node v; beta,
-    beta2 on stalk w; inner edges u-v (f1) and v-w (f2).  Returns the
-    seven edge values plus the worst absolute residual over all ten input
-    entries.
-    """
-    alpha, alpha2 = pair1
-    beta, beta2 = pair2
-    e1 = t.value(alpha, alpha2, gamma)
-    e2 = t.value(alpha, alpha2, beta)
-    e3 = t.value(alpha, gamma, beta)
-    e4 = t.value(alpha2, gamma, beta)
-    e5 = t.value(alpha, alpha2, beta2)
-    e8 = t.value(alpha, beta, beta2)
-    e10 = t.value(gamma, beta, beta2)
-
-    p = e1 - (e3 - e4) + (e2 - e3)
-    q = e10 + (e2 - e3) - (e8 - e5) - (e8 - e2)
-    r = e2 - (e3 - e4) - (e8 - e5)
-    f1 = r - q
-    f2 = r - p
-    b = THIRD * (p + q - r)
-    a = b + (e3 - e4)
-    c = b - (e2 - e3)
-    e = b + (e8 - e2)
-    dd = e + (e2 - e5)
-
-    twig = {alpha: a, alpha2: b, gamma: c, beta: dd, beta2: e}
-    residual = 0
-    for i, j, k in combinations(sorted(twig), 3):
-        members = {i, j, k}
-        # the inner edges join exactly when the triple spans across them
-        spans_left = bool(members & {alpha, alpha2})
-        spans_right = bool(members & {beta, beta2})
-        has_mid = gamma in members
-        inner = 0
-        if spans_left and (spans_right or has_mid):
-            inner = inner + f1
-        if spans_right and (spans_left or has_mid):
-            inner = inner + f2
-        predicted = inner + sum(twig[x] for x in members)
-        gap = abs(t.value(i, j, k) - predicted)
-        if gap > residual:
-            residual = gap
-    return twig, f1, f2, residual
-
-
 def base_case_triples_5(t: TripleWeights, tol=0) -> WeightedTree:
-    """Solve a 5-label triple instance via the caterpillar system."""
+    """Solve a 5-label triple instance: condition 2's fit d, pruned by one
+    level to 4 labels and solved as a quartet
+    (:func:`reconstruct_from_triples` on 5 labels)."""
     tree, _ = _base_case_triples_5_record(t, tol)
     return tree
 
 
 def _base_case_triples_5_record(t: TripleWeights, tol=0):
-    labels = t.labels
     if t.n != 5:
         raise ValueError("base_case_triples_5 needs exactly 5 labels")
-    table = star_table(t, tol)
-    holding = [p for p in combinations(labels, 2) if table[p].holds]
-    pick = next(((p1, p2) for p1 in holding for p2 in holding if not set(p1) & set(p2)), None)
-    if pick is None:
-        _fail_base(
-            f"no two disjoint star pairs among {labels}; not realisable at tol {tol}"
-        )
-    pair1, pair2 = pick
-    gamma = next(x for x in labels if x not in pair1 and x not in pair2)
-    twig, f1, f2, residual = _solve_caterpillar_5(t, pair1, pair2, gamma)
-    if residual > tol:
-        _fail_base(
-            f"caterpillar system inconsistent (residual {format_number(residual)})",
-            witness=residual,
-        )
-    alpha, alpha2 = pair1
-    beta, beta2 = pair2
-    u, v, w = max(labels) + 1, max(labels) + 2, max(labels) + 3
-    cat = WeightedTree(
-        [
-            (alpha, u, twig[alpha]),
-            (alpha2, u, twig[alpha2]),
-            (u, v, f1),
-            (gamma, v, twig[gamma]),
-            (v, w, f2),
-            (beta, w, twig[beta]),
-            (beta2, w, twig[beta2]),
-        ]
-    )
-    tree = contract_zero_internal_edges(cat)
-    zed1, zed2 = max(labels) + 1, max(labels) + 2  # names for the 4-set records
-    detail = {
-        "shape": "caterpillar",
-        "pairs": [list(pair1), list(pair2)],
-        "gamma": gamma,
-        "edges": {
-            **{str(k): _json_weight(v) for k, v in twig.items()},
-            "inner_1": _json_weight(f1),
-            "inner_2": _json_weight(f2),
-        },
-        # the two 4-element sets obtained by pruning each base pair, with
-        # the twig values living on them (positivity detail)
-        "four_element_sets": [
-            {
-                "pruned_pair": list(pair1),
-                "twigs": {
-                    str(zed1): _json_weight(f1),
-                    str(gamma): _json_weight(twig[gamma]),
-                    str(beta): _json_weight(twig[beta]),
-                    str(beta2): _json_weight(twig[beta2]),
-                },
-            },
-            {
-                "pruned_pair": list(pair2),
-                "twigs": {
-                    str(alpha): _json_weight(twig[alpha]),
-                    str(alpha2): _json_weight(twig[alpha2]),
-                    str(gamma): _json_weight(twig[gamma]),
-                    str(zed2): _json_weight(f2),
-                },
-            },
-        ],
-    }
-    record = BaseCaseRecord(
-        labels=tuple(labels), instance=t, tree=tree, residual=residual, detail=detail
-    )
-    return tree, record
+    tree, trace = reconstruct_from_triples(t, tol)
+    return tree, trace.base_case
 
 
 # --------------------------------------------------------------------- #
@@ -677,18 +563,17 @@ def reconstruct_from_triples(t: TripleWeights, tol=0, require_positive=False):
     A tree's triple weights are the half-sums of its pairwise weights, so
     *t* is realisable exactly when it is the lift of one pairwise set d and
     d is realisable.  Condition 2 (:func:`derived_pairwise_consistent`)
-    fits d and checks the lift in O(n^3); the pairwise pruning loop then
-    prunes d down to 5 labels, the five-leaf caterpillar system solves the
-    lift of what is left, and the expanded tree's path sums are checked
-    against d.  With slack = tol * (1 + 3 * levels) on each pair, the tree's
-    triples are then within tol + 1.5 * slack of *t*: the lift moves a
-    triple by at most 1.5 times the largest pair error, and d's lift is
-    within tol of *t*.  At tol 0, *t* is d's lift exactly and the lift is
-    one-to-one for n >= 5, so the tree reproduces every value of *t*.
+    fits d and checks the lift in O(n^3), failing as ``condition2`` at
+    level 0; :func:`reconstruct_from_doubles` then decides d and builds its
+    tree.  With slack = tol * (1 + 3 * levels) on each pair, the tree's
+    triples are within tol + 1.5 * slack of *t*: the lift moves a triple by
+    at most 1.5 times the largest pair error, and d's lift is within tol of
+    *t*.  At tol 0, *t* is d's lift exactly and the lift is one-to-one for
+    n >= 5, so the tree reproduces every value of *t*.
 
-    Returns (tree, trace); raises ReconstructionError with a named kind
-    and witness when the data is not realisable at the given tolerance.
-    With rational values and tol=0 the decision is exact.
+    Returns (tree, trace), the trace that of d; raises ReconstructionError
+    with a named kind and witness when the data is not realisable at the
+    given tolerance.  With rational values and tol=0 the decision is exact.
     """
     if t.n < 5:
         raise InstanceTooSmallError(
@@ -701,19 +586,21 @@ def reconstruct_from_triples(t: TripleWeights, tol=0, require_positive=False):
             f"triple values are not the half-sum lift of one pairwise set at tol {tol}",
             level=0,
         )
-    current, levels = _prune_levels(derived, tol, 5)
-    try:
-        base_tree, base_record = _base_case_triples_5_record(triples_from_doubles(current), tol)
-    except ReconstructionError as err:
-        raise _attach_level(err, len(levels))
-    return _verified(derived, base_tree, base_record, levels, tol, require_positive)
+    return reconstruct_from_doubles(derived, tol, require_positive)
 
 
 def reconstruct_from_doubles(d: DoubleWeights, tol=0, require_positive=False):
-    """Pairwise-weight analogue of :func:`reconstruct_from_triples`.
+    """Decide whether *d* is the pairwise-weight set of a tree and build it.
 
-    Any n >= 2 is accepted; instances with up to 4 labels go straight to
-    the closed-form base case.
+    The levels prune *d* down to 4 labels, :func:`base_case_doubles` solves
+    what is left, and the expanded tree's path sums are checked against
+    every value of *d* (slack tol * (1 + 3 * levels) per pair).  Any n >= 2
+    is accepted; instances with up to 4 labels go straight to the
+    closed-form base case.
+
+    Returns (tree, trace); raises ReconstructionError with a named kind and
+    witness when the data is not realisable at the given tolerance.  With
+    rational values and tol=0 the decision is exact.
     """
     current, levels = _prune_levels(d, tol, 4)
     try:

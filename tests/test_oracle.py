@@ -321,10 +321,12 @@ class TestBatchedOracle:
 
 
 class TestOracleAgreesWithReconstruction:
-    """At n = 7 and 8 the oracle referees the decision procedures."""
+    """At n = 5 to 8 the oracle referees the decision procedures: at each
+    size, three random trees (one multifurcating) are rebuilt, and two
+    constrained entries of each, bumped one at a time, are rejected."""
 
     @pytest.mark.parametrize("order", [2, 3])
-    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_sampled_topologies(self, n, order):
         rng = random.Random(10 * n + order)
         of = _of_order(order)

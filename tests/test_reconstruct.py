@@ -399,10 +399,11 @@ class TestBaseCaseTriples:
 
     def test_no_disjoint_star_pairs(self, cat_triples):
         vals = dict(cat_triples.items())
-        vals[(1, 3, 4)] = vals[(1, 3, 4)] + 1  # kills (1,2); (4,5) survives? no: both
+        vals[(1, 3, 4)] = vals[(1, 3, 4)] + 1  # the fit d then has no star pair at all
         with pytest.raises(ReconstructionError) as exc:
             base_case_triples_5(TripleWeights(vals))
-        assert exc.value.kind == "base-case"
+        assert (exc.value.kind, exc.value.level) == ("no-disjoint-pseudobells", 0)
+        assert exc.value.witness == ()
 
     def test_exactly_five(self, cat_triples):
         with pytest.raises(ValueError):
@@ -438,8 +439,13 @@ class TestReconstructTriples:
     def test_caterpillar(self, cat_triples, caterpillar):
         tree, trace = reconstruct_from_triples(cat_triples)
         assert tree_equal(tree, caterpillar, 0)
-        assert trace.levels == []
-        assert trace.base_case.labels == (1, 2, 3, 4, 5)
+        # one level merges the cherry (1, 2), then d's quartet is the base case
+        (level,) = trace.levels
+        (bell,) = level.pseudobells
+        assert (bell.members, bell.z, bell.twig_lengths) == ((1, 2), 6, {1: 1, 2: 2})
+        assert level.labels_after == (3, 4, 5, 6)
+        assert trace.base_case.labels == (3, 4, 5, 6)
+        assert trace.base_case.detail == {"shape": "doubles-4"}
         assert trace.all_twigs_positive is True
 
     @pytest.mark.parametrize("seed", range(5))
