@@ -2,9 +2,14 @@
 
 Two leaves are neighbours (form a 2-bell, or cherry) when their paths meet
 at a common branching node.  That structural fact leaves a fingerprint in
-the weight data: the differences D[a, rest] - D[a', rest] over all
-completions are constant exactly for bell pairs, once there are enough
-leaves (3 for pairwise data, 5 for triple data).
+the weight data: the differences D[a, g] - D[a', g] over all other leaves
+g are constant exactly for bell pairs, once there are enough leaves (3).
+
+Triple data is read through the pairwise set d it is the half-sum lift of
+(condition 2's fit).  On a lift, the triple difference D[a, g, h] -
+D[a', g, h] is the mean of d's differences at g and at h, so the two star
+conditions agree once there are 5 leaves, and the queries report d's
+differences: their spread and midrange where a pair fails.
 """
 
 from treeweights import (
@@ -27,7 +32,7 @@ for bell in cherries(caterpillar):
     print(f"  stalk {bell.stalk}: members {bell.members}, twigs {bell.twig_lengths}")
 
 triples = triples_of_tree(caterpillar)
-print("\nstar condition on triple data:")
+print("\nstar condition on triple data (on its pairwise fit):")
 for pair in [(1, 2), (1, 3), (4, 5)]:
     res = star_condition_triples(triples, *pair)
     print(

@@ -13,8 +13,10 @@ Theta(n^2) round identifies all bells at once.  All variants always
 return a tree; correctness is only guaranteed for additive input.
 
 Triple NJ runs on the pairwise engine too: condition 2's least-squares
-fit d keeps every pair sum of the triples, so the triple criterion is an
-affine image of d's, S_T = (n - 4)/4 * S_d - sum d, and the joins run on d.
+fit d (:func:`~treeweights.weights.pairwise_fit`, the fit every triple
+query reads) keeps every pair sum of the triples, so the triple criterion
+is an affine image of d's, S_T = (n - 4)/4 * S_d - sum d, and the joins run
+on d.
 
 All three variants run on the array-resident engine that reconstruction
 prunes on too (:class:`~treeweights.weights._Mirror`): the container's
@@ -53,7 +55,7 @@ from .weights import (
     _over,
     _skip,
     _star_windows,
-    derived_pairwise_consistent,
+    pairwise_fit,
     unit_value,
     upper_keys,
     upper_mask,
@@ -132,7 +134,7 @@ def s_matrix_triples(t: TripleWeights) -> SMatrix:
         raise InstanceTooSmallError(
             "s_matrix_triples needs n >= 5", required=5, got=t.n
         )
-    _, d = derived_pairwise_consistent(t, math.inf)
+    d = pairwise_fit(t)
     S = s_matrix(d)
     factor = Fraction(t.n - 4, 4)
     total = sum(v for _, v in d.items())
@@ -288,7 +290,7 @@ def cherry_scan(d, eps=0) -> CherryScanResult:
     mins = off[cols, first]
     # a window and its negation have the same spread, so the pair's order is free
     lo_i, hi_i = np.minimum(rows, cols), np.maximum(rows, cols)
-    lo, hi = _star_windows(arr, 2, (lo_i, hi_i))
+    lo, hi = _star_windows(arr, (lo_i, hi_i))
     width = hi - lo
     confirmed = ~_over(width, eps, state.scale)
     # labels ascend with the index, so (labels[lo], labels[hi]) is a sorted pair
@@ -458,7 +460,7 @@ def _confirmed_min_pair(state: _Mirror, eps):
     diff = np.delete(arr[i] - arr[j], (i, j))
     if not _over(diff.max(keepdims=True) - diff.min(keepdims=True), eps, state.scale)[0]:
         return i, j
-    lo, hi = _star_windows(arr, 2)
+    lo, hi = _star_windows(arr)
     ok = ~_over(hi - lo, eps, state.scale)
     if ok.any():
         k = int(np.flatnonzero(ok)[S[ok].argmin()])
@@ -481,7 +483,7 @@ def nj_from_triples(t: TripleWeights, eps=0) -> WeightedTree:
         raise InstanceTooSmallError(
             "nj_from_triples needs n >= 5", required=5, got=t.n
         )
-    _, d = derived_pairwise_consistent(t, math.inf)
+    d = pairwise_fit(t)
     state = _Mirror(d)
     merges = []
     while state.n > 5:

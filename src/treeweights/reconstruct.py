@@ -11,7 +11,10 @@ There is one pruning loop, on pairwise data.  Triple data is realisable
 exactly when it is the half-sum lift of one pairwise set d and d is
 realisable, so :func:`reconstruct_from_triples` checks the lift in O(n^3)
 (condition 2, :func:`~treeweights.weights.derived_pairwise_consistent`)
-and hands d to :func:`reconstruct_from_doubles`.
+and hands d to :func:`reconstruct_from_doubles`.  The public triple steps,
+:func:`complete_pseudobells` and :func:`prune_triples`, run on the same fit
+(:func:`~treeweights.weights.pairwise_fit`), so every kernel here is
+pairwise.
 
 Every step doubles as a realisability check and fails fast with a named
 witness (:class:`~treeweights.errors.ReconstructionError`): the data must
@@ -54,6 +57,7 @@ from .weights import (
     block_elems,
     derived_pairwise_consistent,
     doubles_of_tree,
+    pairwise_fit,
     star_table,
     triples_from_doubles,
     upper_keys,
@@ -148,20 +152,18 @@ def complete_pseudobells(w, tol=0):
     With exact data the star relation is transitive, so the graph is a
     disjoint union of cliques; with a positive tolerance near-equalities
     need not chain, and a non-clique component is reported as a structural
-    inconsistency naming an open triple.  *w* is a weight container, or
-    the reconstruction's carried mirror: the graph is one star window
+    inconsistency naming an open triple.  *w* is a weight container (a
+    triple set stands for its :func:`~treeweights.weights.pairwise_fit`),
+    or the reconstruction's carried mirror: the graph is one star window
     kernel's spreads, compared with tol in the mirror's units.
     """
-    state = w if isinstance(w, _Mirror) else _Mirror(w)
-    required = 3 if state.order == 2 else 5
-    if state.n < required:
+    state = w if isinstance(w, _Mirror) else _Mirror(pairwise_fit(w))
+    if state.n < 3:
         raise InstanceTooSmallError(
-            f"pseudobell search needs n >= {required} for order {state.order}",
-            required=required,
-            got=state.n,
+            "pseudobell search needs n >= 3 for order 2", required=3, got=state.n
         )
     m, labels = state.n, state.labels
-    lo, hi = _star_windows(state.arr, state.order)
+    lo, hi = _star_windows(state.arr)
     adj = np.zeros((m, m), dtype=bool)
     iu, ju = upper_keys(m, 2)
     adj[iu, ju] = adj[ju, iu] = ~_over(hi - lo, tol, state.scale)
@@ -257,49 +259,43 @@ def _inconsistent(key, spread):
 
 
 def _reduce_dense(state, groups, tw, new_labels, tol):
-    """(array, scale) of a mirror's reduction; *tw* holds every index's
-    twig in the mirror's units (zero outside the bells).
+    """(array, scale) of a pairwise mirror's reduction; *tw* holds every
+    index's twig in the mirror's units (zero outside the bells).
 
-    The mirror, less the twig of every index on every axis, is permuted so
+    The mirror, less the twig of every index on both axes, is permuted so
     that each new label's representatives are contiguous; min and max
-    reductions over those segments give every key's window at once.  Rows
+    reductions over those segments give every pair's window at once.  Rows
     go in blocks of whole segments, so no temporary outgrows the block
     budget (:func:`~treeweights.weights.block_elems`) by more than one
     segment.  A window wider than tol raises; else the midranges come back
     as a symmetric array with a zero diagonal, exact ones as the units
     lo + hi over twice the scale (:meth:`_Mirror.settle` halves them).
     """
-    arr, order = state.arr, state.order
+    arr = state.arr
     perm = np.array([k for g in groups for k in g], dtype=np.intp)
     tw = tw[perm]
-    # the reference sums 0 + t1 + t2 (+ t3), in key order
+    # the reference sums 0 + t1 + t2, in key order
     first = tw + 0.0 if state.kind == "float" else tw
     bounds = np.cumsum([0] + [len(g) for g in groups])
     m2 = len(groups)
-    lo = np.empty((m2,) * order, dtype=arr.dtype)
-    hi = np.empty((m2,) * order, dtype=arr.dtype)
-    rows_per = max(1, block_elems(arr) // len(perm) ** (order - 1))
+    lo = np.empty((m2, m2), dtype=arr.dtype)
+    hi = np.empty((m2, m2), dtype=arr.dtype)
+    rows_per = max(1, block_elems(arr) // len(perm))
     g0 = 0
     while g0 < m2:
         g1 = g0 + 1
         while g1 < m2 and bounds[g1 + 1] - bounds[g0] <= rows_per:
             g1 += 1
         r0, r1 = bounds[g0], bounds[g1]
-        block = arr[np.ix_(perm[r0:r1], *(perm,) * (order - 1))]
-        drop = first[r0:r1]
-        for _ in range(1, order):
-            drop = np.add.outer(drop, tw)
-        block = block - drop
-        mn, mx = block, block
-        for axis in range(order):
-            starts = bounds[g0:g1] - r0 if axis == 0 else bounds[:-1]
-            mn = np.minimum.reduceat(mn, starts, axis=axis)
-            mx = np.maximum.reduceat(mx, starts, axis=axis)
+        block = arr[np.ix_(perm[r0:r1], perm)] - np.add.outer(first[r0:r1], tw)
+        starts = bounds[g0:g1] - r0
+        mn = np.minimum.reduceat(np.minimum.reduceat(block, starts), bounds[:-1], axis=1)
+        mx = np.maximum.reduceat(np.maximum.reduceat(block, starts), bounds[:-1], axis=1)
         lo[g0:g1] = mn
         hi[g0:g1] = mx
         g0 = g1
 
-    keys = upper_keys(m2, order)
+    keys = upper_keys(m2, 2)
     lo, hi = lo[keys], hi[keys]
     spread = hi - lo
     over = _over(spread, tol, state.scale)
@@ -308,13 +304,14 @@ def _reduce_dense(state, groups, tw, new_labels, tol):
         key = tuple(new_labels[int(k[bad])] for k in keys)
         raise _inconsistent(key, state.value(spread[bad]))
     if state.kind == "float":
-        return _symmetric(0.5 * (lo + hi), m2, order, 0), None
-    return _symmetric(lo + hi, m2, order, arr.flat[0]), 2 * state.scale
+        return _symmetric(0.5 * (lo + hi), m2, 2, 0), None
+    return _symmetric(lo + hi, m2, 2, arr.flat[0]), 2 * state.scale
 
 
 def _prune(w, bells, tol, floor):
-    """Prune *bells* on the mirror of *w*, or on *w* itself, a carried
-    mirror.  Returns the reduced container (or that mirror) and the level."""
+    """Prune *bells* on the mirror of the pairwise set *w*, or on *w*
+    itself, a carried mirror.  Returns the reduced container (or that
+    mirror) and the level."""
     state = w if isinstance(w, _Mirror) else _Mirror(w)
     labels = tuple(state.labels)
     bells = sorted(bells, key=lambda b: b.smallest)
@@ -354,8 +351,13 @@ def prune_doubles(d: DoubleWeights, pseudobells, tol=0):
 
 
 def prune_triples(t: TripleWeights, pseudobells, tol=0):
-    """Triple-weight analogue of :func:`prune_doubles`, floor 5."""
-    return _prune(t, pseudobells, tol, floor=5)
+    """Triple-weight analogue of :func:`prune_doubles`, floor 5: the prune
+    runs on *t*'s :func:`~treeweights.weights.pairwise_fit` d, so entries
+    are checked (and a failure named) on d's pair keys.  Returns the
+    half-sum lift of the reduced d and the level, whose ``reduced`` is d's.
+    On a lift with consistent twigs that lift is the triple reduction."""
+    reduced, level = _prune(pairwise_fit(t), pseudobells, tol, floor=5)
+    return triples_from_doubles(reduced), level
 
 
 # --------------------------------------------------------------------- #

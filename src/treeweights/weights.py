@@ -24,14 +24,14 @@ values only when a lookup first needs it.  Exact ``p/q`` tokens are read
 to integer units, and written from them, by array passes with no Fraction
 per value.
 
-The star table over all label pairs is one block kernel for both orders
-(:func:`_star_windows`): pairs are taken in blocks of about
+The star table over all label pairs is one block kernel on a pairwise
+mirror (:func:`_star_windows`): pairs are taken in blocks of about
 ``BLOCK_ELEMS * 8`` bytes (see :func:`block_elems`), each block differences
-the mirror rows of its pairs over every completion at once, and the
-completions that contain a pair's own labels are neutralised by
-overwriting them in place.  A single-pair star query is one window of
-the same kernel; the tests hold the kernels to reference loops result
-for result, bitwise for floats.
+the mirror rows of its pairs over every other label at once, and the
+entries at a pair's own labels are neutralised by overwriting them in
+place.  A single-pair star query is one window of the same kernel; the
+tests hold the kernels to reference loops result for result, bitwise for
+floats.  A triple set is queried on its pairwise fit (:func:`pairwise_fit`).
 
 Neighbor joining and the reconstruction's pruning carry one mirror from
 step to step (:class:`_Mirror`).  An exact step that leaves the units
@@ -46,7 +46,11 @@ hand its mirror, or its half-sum lift, to ``from_mirror``.
 Condition 2 on triples (:func:`derived_pairwise_consistent`) asks whether
 the triples are the half-sum lift T_ijk = (d_ij + d_ik + d_jk) / 2 of one
 pairwise set d.  It fits d from three reductions of the mirror and checks
-the lift residual, O(n^3) in all, the size of the input.
+the lift residual, O(n^3) in all, the size of the input.  Every star query
+on a triple set runs on that fit d: on a lift, the triple window of a pair
+at completion {g, h} is the mean of d's windows at g and at h, so with
+n >= 5 one holds at tol 0 exactly when the other does, with the same common
+difference.
 """
 
 from __future__ import annotations
@@ -480,30 +484,25 @@ class StarResult:
 
 
 def _star_condition(w, alpha, alpha2, tol=0) -> StarResult:
-    """Is D[alpha, rest] - D[alpha2, rest] the same for every completion
-    rest of the pair: every other label g (doubles), every other label
-    pair g1 < g2 (triples)?
+    """Is d[alpha, g] - d[alpha2, g] the same for every other label g of
+    the pairwise set d, *w* itself or a triple set's :func:`pairwise_fit`?
 
-    One window of :func:`_star_windows` on the container's mirror, taken
-    for the labels in index order and negated when *alpha* sorts after
-    *alpha2*.  Bound as :func:`star_condition_doubles` and
+    One window of :func:`_star_windows` on d's mirror, taken for the
+    labels in index order and negated when *alpha* sorts after *alpha2*.
+    Bound as :func:`star_condition_doubles` and
     :func:`star_condition_triples`.
     """
     if alpha == alpha2:
         raise ValueError("star condition needs two distinct labels")
-    order = w.order
-    if w.n < order + 1:
-        raise InstanceTooSmallError(
-            f"star condition on {'doubles' if order == 2 else 'triples'} needs n >= {order + 1}",
-            required=order + 1,
-            got=w.n,
-        )
+    w = pairwise_fit(w)
+    if w.n < 3:
+        raise InstanceTooSmallError("star condition on doubles needs n >= 3", required=3, got=w.n)
     for x in (alpha, alpha2):
         if x not in w.labels:
             raise LabelError(f"label {x} not in container")
     state = _Mirror(w)
     ia, ib = sorted(map(w.labels.index, (alpha, alpha2)))
-    window = _star_windows(state.arr, order, (np.array([ia]), np.array([ib])))
+    window = _star_windows(state.arr, (np.array([ia]), np.array([ib])))
     lo, hi = (state.value(x[0]) for x in window)
     if alpha > alpha2:
         # 0 - x, not -x: a float window of +0.0 stays +0.0, as the
@@ -620,84 +619,53 @@ def block_elems(arr):
     return max(1, BLOCK_ELEMS * 8 // (8 + 2 * top))
 
 
-@_index_arrays
-def _completion_layout(m):
-    """Completions g1 < g2 of a triple star window over range(m).
-
-    Returns (cols, touch, rank): ``cols`` are the flat positions g1*m + g2
-    in the (m, m*m) view of a mirror, in combinations order; ``touch[g]``
-    the indices into ``cols`` of the m - 1 completions containing g; and
-    ``rank[g1, g2]`` the index of completion (g1, g2).
-    """
-    g1, g2 = _upper_pairs(m)
-    rank = np.zeros((m, m), dtype=np.intp)
-    rank[g1, g2] = rank[g2, g1] = np.arange(len(g1))
-    touch = rank[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-    return g1 * m + g2, touch, rank
-
-
 def _skip(g, ia, ib):
     """Smallest index >= g outside {ia, ib}, elementwise; needs ia < ib."""
     g = g + (g == ia)
     return g + (g == ib)
 
 
-def _star_windows(arr, order, pairs=None):
-    """(lo, hi) of every label pair's star window, in combinations order,
-    or of the index *pairs* (ia, ib), ia < ib elementwise, when given.
+def _star_windows(arr, pairs=None):
+    """(lo, hi) of every label pair's star window on a pairwise mirror, in
+    combinations order, or of the index *pairs* (ia, ib), ia < ib
+    elementwise, when given.
 
-    One block kernel for both orders: a pair (a, b) differences row a
-    against row b of the mirror over every completion (a label g, or a
-    pair g1 < g2).  The completions that contain a or b are overwritten
-    with the difference at a completion free of both, which leaves the
-    window's min and max unchanged without a per-pair index list.
+    A pair (a, b) differences row a against row b of the mirror over every
+    label g.  The entries at g = a and g = b are overwritten with the
+    difference at a label free of both, which leaves the window's min and
+    max unchanged without a per-pair index list.
     """
     m = arr.shape[0]
     ia, ib = _upper_pairs(m) if pairs is None else pairs
-    flat = arr.reshape(m, -1)
     free = _skip(np.zeros_like(ia), ia, ib)
-    if order == 2:
-        width = m
-        touch = np.arange(m)[:, None]
-    else:
-        cols, touch, rank = _completion_layout(m)
-        width = len(cols)
-        free = rank[free, _skip(free + 1, ia, ib)]
     lo = np.empty(len(ia), dtype=arr.dtype)
     hi = np.empty(len(ia), dtype=arr.dtype)
-    step = max(1, block_elems(arr) // width)
+    step = max(1, block_elems(arr) // m)
     for s in range(0, len(ia), step):
         a, b = ia[s : s + step], ib[s : s + step]
-        if order == 2:
-            diff = flat[a] - flat[b]
-        else:
-            diff = flat[a[:, None], cols] - flat[b[:, None], cols]
+        diff = arr[a] - arr[b]
         rows = np.arange(len(a))
-        keep = diff[rows, free[s : s + step]][:, None]
-        diff[rows[:, None], touch[a]] = keep
-        diff[rows[:, None], touch[b]] = keep
+        keep = diff[rows, free[s : s + step]]
+        diff[rows, a] = keep
+        diff[rows, b] = keep
         lo[s : s + step] = diff.min(axis=1)
         hi[s : s + step] = diff.max(axis=1)
     return lo, hi
 
 
 def star_table(w, tol=0):
-    """StarResult for every label pair at once.
+    """StarResult for every label pair at once, on *w* or, for a triple
+    set, on its :func:`pairwise_fit`.
 
     Semantically identical to looping the single-pair queries.  The block
     kernel runs on the dense mirror; the results are built in bulk (int
     windows become Fractions over the mirror's scale).
     """
-    labels = w.labels
-    order = w.order
-    if w.n < order + 1:
-        raise InstanceTooSmallError(
-            f"star table needs n >= {order + 1} for order {order}",
-            required=order + 1,
-            got=w.n,
-        )
+    w = pairwise_fit(w)
+    if w.n < 3:
+        raise InstanceTooSmallError("star table needs n >= 3 for order 2", required=3, got=w.n)
     kind, arr, scale = w.dense()
-    lo, hi = _star_windows(arr, order)
+    lo, hi = _star_windows(arr)
     if kind == "int":
         spreads = [unit_value(x, scale) for x in (hi - lo).tolist()]
         mids = [unit_value(x, 2 * scale) for x in (lo + hi).tolist()]
@@ -706,25 +674,18 @@ def star_table(w, tol=0):
         mids = (0.5 * (lo + hi)).tolist()
     return {
         key: StarResult(spread <= tol, mid, spread)
-        for key, spread, mid in zip(combinations(labels, 2), spreads, mids)
+        for key, spread, mid in zip(combinations(w.labels, 2), spreads, mids)
     }
 
 
 def neighbor_pairs(w, tol=0):
     """All pairs satisfying the star condition, sorted lexicographically.
 
-    Requires n >= 3 for doubles and n >= 5 for triples: below those sizes
-    the condition no longer characterises bells, so the query refuses.
+    Requires n >= 3 for doubles and n >= 5 for triples (see
+    :func:`star_table`): below those sizes the condition no longer
+    characterises bells, so the query refuses.
     """
-    required = 3 if isinstance(w, DoubleWeights) else 5
-    if w.n < required:
-        raise InstanceTooSmallError(
-            f"neighbor_pairs needs n >= {required} for order {w.order}",
-            required=required,
-            got=w.n,
-        )
-    table = star_table(w, tol)
-    return sorted(pair for pair, res in table.items() if res.holds)
+    return sorted(pair for pair, res in star_table(w, tol).items() if res.holds)
 
 
 # --------------------------------------------------------------------- #
@@ -753,7 +714,7 @@ def _over(spread, tol, scale):
 
 
 class _Mirror:
-    """A weight set carried as its dense mirror from step to step: labels
+    """A pairwise set carried as its dense mirror from step to step: labels
     in index order (ascending, so a fresh label max + 1 takes the last
     slot), array, scale and kind as :meth:`DoubleWeights.dense` gives them.
 
@@ -766,6 +727,7 @@ class _Mirror:
     """
 
     __slots__ = ("labels", "arr", "scale", "kind")
+    order = 2  # what a container's ``order`` says; perfbench's tracer reads it
 
     def __init__(self, w):
         self.kind, arr, self.scale = w.dense()
@@ -784,10 +746,6 @@ class _Mirror:
     @property
     def n(self):
         return len(self.labels)
-
-    @property
-    def order(self):
-        return self.arr.ndim
 
     def widen(self, factor, top=0):
         """Move an int64 mirror to ``object`` ints when factor * max|unit|,
@@ -854,12 +812,11 @@ class _Mirror:
         if least is not None:
             self.arr, self.scale = least
             return
-        fill, self.scale, zero = _settled(self.arr[upper_keys(self.n, self.order)], self.scale)
-        self.arr = _symmetric(fill, self.n, self.order, zero)
+        fill, self.scale, zero = _settled(self.arr[_upper_pairs(self.n)], self.scale)
+        self.arr = _symmetric(fill, self.n, 2, zero)
 
     def container(self):
-        cls = DoubleWeights if self.order == 2 else TripleWeights
-        return cls.from_mirror(self.labels, self.kind, self.arr, self.scale)
+        return DoubleWeights.from_mirror(self.labels, self.kind, self.arr, self.scale)
 
     def twig(self, i, j, x):
         """(d_ij + d_ix - d_jx) / 2, i's twig against j, as a Python value."""
@@ -959,6 +916,14 @@ def derived_pairwise_consistent(t: TripleWeights, tol=0):
             return False, None
         fit, zero = fit / den, 0
     return True, DoubleWeights.from_mirror(t.labels, kind, _symmetric(fit, m, 2, zero), scale)
+
+
+def pairwise_fit(w) -> DoubleWeights:
+    """The pairwise set d a star query or prune runs on: a
+    :class:`DoubleWeights` itself, or a triple set's condition-2
+    least-squares fit (:func:`derived_pairwise_consistent` with the check
+    off), which on a lift is the lifted set.  Triples need n >= 5."""
+    return w if w.order == 2 else derived_pairwise_consistent(w, math.inf)[1]
 
 
 def triples_from_doubles(d: DoubleWeights) -> TripleWeights:

@@ -39,7 +39,6 @@ from treeweights.reconstruct import (
     _inconsistent,
     _prune_plan,
     _retention_guard,
-    prune_triples,
     twig_length_doubles,
 )
 from treeweights.tree import WeightedTree, contract_zero_internal_edges, distances_from
@@ -50,6 +49,7 @@ from treeweights.weights import (
     derived_pairwise,
     derived_pairwise_consistent,
     mirror_values,
+    pairwise_fit,
 )
 
 
@@ -211,6 +211,14 @@ def prune_loop(container, bells, tol, floor):
         reduced=reduced,
     )
     return reduced, level
+
+
+def prune_fit_loop(t, bells, tol):
+    """Reference triple prune: :func:`prune_loop` on condition 2's pairwise
+    fit of *t*, floor 5, the reduced set lifted back by
+    :func:`triples_from_doubles_loop`.  Returns (lift, level)."""
+    reduced, level = prune_loop(pairwise_fit(t), bells, tol, 5)
+    return triples_from_doubles_loop(reduced), level
 
 
 def prune_levels_loop(d, tol, floor):
@@ -407,7 +415,7 @@ def nj_from_triples_loop(t, eps=0):
         a_i = half(d_ij + current.value(i, x, y) - current.value(j, x, y))
         a_j = d_ij - a_i
         pb = Pseudobell(members=(i, j), twig_lengths={i: a_i, j: a_j})
-        current, level = prune_triples(current, [pb], tol=math.inf)
+        current, level = prune_loop(current, [pb], math.inf, 5)
         merges.append((level.pseudobells[0].z, [(i, a_i), (j, a_j)]))
     labels = current.labels
     d5 = DoubleWeights(

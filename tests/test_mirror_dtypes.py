@@ -50,12 +50,14 @@ from treeweights.weights import (
     BLOCK_ELEMS,
     block_elems,
     holds_fractions,
+    pairwise_fit,
 )
 from conftest import QUARTET_DOUBLES, exact_or_float
 from reference_loops import (
     condition2_values,
     derived_common_values,
     lift_check_loop,
+    prune_fit_loop,
     prune_loop,
     scan_pure,
     star_table_loop,
@@ -113,8 +115,16 @@ def _prune(w, bells, tol, prune=None):
 
 
 def _loop_prune(w, bells, tol):
-    """:func:`_prune` on the reference prune."""
-    return _prune(w, bells, tol, lambda w, bells, tol: prune_loop(w, bells, tol, w.order + 2))
+    """:func:`_prune` on the reference prune (a triple set's on its
+    pairwise fit, lifted back)."""
+    if w.order == 3:
+        return _prune(w, bells, tol, prune_fit_loop)
+    return _prune(w, bells, tol, lambda w, bells, tol: prune_loop(w, bells, tol, 4))
+
+
+def _loop_table(w, tol):
+    """The reference star table of *w*, a triple set's on its pairwise fit."""
+    return star_table_loop(pairwise_fit(w), tol)
 
 
 class TestDtypeSwitch:
@@ -150,7 +160,7 @@ class TestKernelsAcrossTheSwitch:
         order = data.draw(st.sampled_from((2, 3)))
         w = data.draw(scaled_data(order, st.integers(5, 9 if order == 2 else 7)))
         tol = Fraction(data.draw(st.integers(0, 20)), data.draw(st.sampled_from(PRIMES)))
-        fast, slow = star_table(w, tol), star_table_loop(w, tol)
+        fast, slow = star_table(w, tol), _loop_table(w, tol)
         assert list(fast) == list(slow)
         for pair, res in fast.items():
             assert (res.holds, res.max_spread, res.common_difference) == (
@@ -306,7 +316,7 @@ class TestFractionMirror:
         w = _own_denominators(order, n, seed, bits=130, tree=tree)
         assert holds_fractions(w.dense()[1]) and w.dense()[2] == 1
         tol = Fraction(2, 3**90)
-        fast, slow = star_table(w, tol), star_table_loop(w, tol)
+        fast, slow = star_table(w, tol), _loop_table(w, tol)
         assert [(k, r.holds, r.max_spread, r.common_difference) for k, r in fast.items()] == [
             (k, r.holds, r.max_spread, r.common_difference) for k, r in slow.items()
         ]
@@ -434,11 +444,7 @@ def test_block_elems_pinned_on_every_mirror_kind(order):
 class TestIndexCache:
     def test_small_sizes_stay_cached(self):
         """Every size a benchmark-sized run asks for is built once."""
-        firsts = {
-            (build, m): build(m)
-            for m in range(2, 81)
-            for build in (weights_mod._upper_pairs, weights_mod._completion_layout)
-        }
+        firsts = {(weights_mod._upper_pairs, m): weights_mod._upper_pairs(m) for m in range(2, 81)}
         firsts.update({(weights_mod._upper_triples, m): weights_mod._upper_triples(m)
                        for m in range(3, 17)})
         for (build, m), arrays in firsts.items():

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeweights import nj as nj_mod
 from treeweights import reconstruct as reconstruct_mod
 from treeweights import weights as weights_mod
 from treeweights import (
@@ -53,6 +52,7 @@ from reference_loops import (
     condition2_values,
     derived_common_values,
     lift_check_loop,
+    prune_fit_loop,
     prune_levels_loop,
     prune_loop,
     star_table_loop,
@@ -64,8 +64,10 @@ def _prune_outcome(w, bells, tol, reference=False):
     the reference loop when *reference* is set."""
     prune = prune_doubles if w.order == 2 else prune_triples
     if reference:
-        def prune(w, bells, tol, floor=w.order + 2):
-            return prune_loop(w, bells, tol, floor)
+        def prune(w, bells, tol):
+            if w.order == 3:  # on the pairwise fit, lifted back
+                return prune_fit_loop(w, bells, tol)
+            return prune_loop(w, bells, tol, 4)
     bells = [Pseudobell(members=m, twig_lengths=dict(t)) for m, t in bells]
     try:
         reduced, level = prune(w, bells, tol)
@@ -721,7 +723,8 @@ class TestCrossPath:
             m.setattr(reconstruct_mod, "_prune_levels", prune_levels_loop)
             m.setattr(reconstruct_mod, "star_table", star_table_loop)
             m.setattr(reconstruct_mod, "derived_pairwise_consistent", lift_check_loop)
-            m.setattr(nj_mod, "derived_pairwise_consistent", lift_check_loop)
+            # triple NJ takes its fit through weights.pairwise_fit
+            m.setattr(weights_mod, "derived_pairwise_consistent", lift_check_loop)
             return cls._outcome(w, tol)
 
     @pytest.mark.parametrize("order", [2, 3])

@@ -1,0 +1,84 @@
+"""Triple star queries and ``prune_triples`` run on condition 2's pairwise fit.
+
+A triple set comes from a tree exactly when it is the half-sum lift of one
+pairwise set d that comes from a tree, so the triple queries read d
+(:func:`~treeweights.weights.pairwise_fit`).  On an exact lift with at
+least 5 labels at tol 0 this keeps every answer the triple windows give:
+which pairs hold, their common difference, the bells, and the prune with
+consistent twigs.  The triple-space reference loops referee that here.
+"""
+
+from itertools import product
+
+import pytest
+
+from treeweights import (
+    InstanceTooSmallError,
+    Pseudobell,
+    complete_pseudobells,
+    doubles_of_tree,
+    neighbor_pairs,
+    prune_triples,
+    random_tree,
+    star_condition_triples,
+    star_table,
+    triples_of_tree,
+)
+from treeweights.reconstruct import _prune_plan
+from reference_loops import bell_twigs_loop, prune_loop, pseudobells_loop, star_table_loop
+
+TREES = [
+    (n, seed, multi) for n, seed, multi in product(range(5, 9), range(4), (False, True))
+]
+
+
+@pytest.mark.parametrize("n, seed, multi", TREES)
+def test_triple_table_is_the_pair_table(n, seed, multi):
+    tree = random_tree(n, seed, binary_only=not multi)
+    assert star_table(triples_of_tree(tree)) == star_table(doubles_of_tree(tree))
+
+
+@pytest.mark.parametrize("n, seed, multi", TREES)
+def test_holds_and_bells_match_the_triple_loops(n, seed, multi):
+    t = triples_of_tree(random_tree(n, seed, binary_only=not multi))
+    table, slow = star_table(t), star_table_loop(t, 0)
+    assert list(table) == list(slow)
+    for pair, res in table.items():
+        assert res.holds == slow[pair].holds, pair
+        if res.holds:
+            assert res.common_difference == slow[pair].common_difference, pair
+    assert [b.members for b in complete_pseudobells(t)] == [
+        b.members for b in pseudobells_loop(t, 0)
+    ]
+    assert neighbor_pairs(t) == sorted(p for p, r in slow.items() if r.holds)
+
+
+@pytest.mark.parametrize("n, seed, multi", [x for x in TREES if x[0] > 5])
+def test_prune_matches_the_triple_loop(n, seed, multi):
+    # the bells of a lift with their true twigs: the prune through the fit
+    # gives the triple reduction, its labels and its merged labels
+    tree = random_tree(n, seed, binary_only=not multi)
+    t, d = triples_of_tree(tree), doubles_of_tree(tree)
+    plan = _prune_plan(complete_pseudobells(t), n, 5)
+    assert plan
+    twigs = {pb.members: bell_twigs_loop(d, pb.members) for pb in plan}
+
+    def bells():
+        return [Pseudobell(members=m, twig_lengths=dict(tw)) for m, tw in twigs.items()]
+
+    reduced, level = prune_triples(t, bells())
+    ref, ref_level = prune_loop(t, bells(), 0, 5)
+    assert reduced.items() == ref.items()
+    assert level.labels_after == ref_level.labels_after
+    assert [(b.members, b.z) for b in level.pseudobells] == [
+        (b.members, b.z) for b in ref_level.pseudobells
+    ]
+    # the level's reduced set is the fit's, whose lift is the reduction
+    assert level.reduced.order == 2 and level.reduced.labels == reduced.labels
+
+
+@pytest.mark.parametrize("query", [star_table, lambda t: star_condition_triples(t, 1, 2)])
+def test_four_labels_refused(query):
+    with pytest.raises(InstanceTooSmallError) as exc:
+        query(triples_of_tree(random_tree(4, 1)))
+    assert (exc.value.required, exc.value.got) == (5, 4)

@@ -39,7 +39,7 @@ from treeweights import (
     triples_of_tree,
 )
 from treeweights.numeric import EXPONENT_LIMIT, is_exact, parse_number
-from treeweights.weights import holds_fractions
+from treeweights.weights import holds_fractions, pairwise_fit
 from conftest import (
     CATERPILLAR_TRIPLES,
     CROSS_PATH_SEEDS,
@@ -158,8 +158,10 @@ class TestStarCondition:
     def test_caterpillar_triples(self, cat_triples):
         assert star_condition_triples(cat_triples, 1, 2).common_difference == -1
         assert star_condition_triples(cat_triples, 4, 5).common_difference == -1
+        # the window is the pairwise fit's: d(1, g) - d(3, g) = -8, 4, 4 for
+        # g = 2, 4, 5 (the triple differences -2, -2, 4 are their pair means)
         res = star_condition_triples(cat_triples, 1, 3)
-        assert not res.holds and res.max_spread == 6  # differences -2, -2, 4
+        assert not res.holds and res.max_spread == 12 and res.common_difference == -2
 
     def test_star_table_matches_single_queries(self, cat_triples):
         table = star_table(cat_triples)
@@ -181,7 +183,7 @@ class TestStarCondition:
             assert res.max_spread == single.max_spread
         # the block kernel on int64, float64 and object mirrors (of ints and
         # of Fractions) against the reference loops, entry by entry, bitwise
-        # for floats
+        # for floats; a triple set's table is its pairwise fit's
         for order, seed in product((2, 3), CROSS_PATH_SEEDS):
             single = star_condition_doubles if order == 2 else star_condition_triples
             for name, w, tol in cross_path_cases(seed, order):
@@ -189,7 +191,7 @@ class TestStarCondition:
                 dtype = {"wide-scale": "int64", "fractions": "object"}.get(prefix, prefix)
                 assert w.dense()[1].dtype == np.dtype(dtype), name
                 assert holds_fractions(w.dense()[1]) == (prefix == "fractions"), name
-                fast, slow = star_table(w, tol), star_table_loop(w, tol)
+                fast, slow = star_table(w, tol), star_table_loop(pairwise_fit(w), tol)
                 assert list(fast) == list(slow) == list(combinations(w.labels, 2))
                 for pair, res in fast.items():
                     ref = slow[pair]
@@ -204,12 +206,14 @@ class TestStarCondition:
 
     def test_single_pair_queries_match_the_loop_windows(self):
         # one kernel window per query, in both argument orders, against the
-        # pure-Python window on every mirror; bitwise for floats
+        # pure-Python window on every mirror (a triple set's on its pairwise
+        # fit); bitwise for floats
         for order, seed in product((2, 3), CROSS_PATH_SEEDS):
             query = star_condition_doubles if order == 2 else star_condition_triples
             for name, w, tol in cross_path_cases(seed, order):
+                d = pairwise_fit(w)
                 for a, b in permutations(w.labels, 2):
-                    got, ref = query(w, a, b, tol=tol), star_condition_loop(w, a, b, tol)
+                    got, ref = query(w, a, b, tol=tol), star_condition_loop(d, a, b, tol)
                     assert got.holds == ref.holds, (name, seed, a, b)
                     for x, y in (
                         (got.max_spread, ref.max_spread),
