@@ -201,9 +201,6 @@ def _assemble(final_edges, merges) -> WeightedTree:
 
 def nj_classic(d: DoubleWeights) -> WeightedTree:
     """Plain neighbor joining; exact on additive input, total otherwise."""
-    if d.n == 2:
-        a, b = d.labels
-        return WeightedTree([(a, b, d.value(a, b))])
     state = _Mirror(d)
     merges = _join_down(state, 2)
     return _assemble([state.final_edge()], merges)
@@ -412,9 +409,6 @@ def nj_pruning(d: DoubleWeights, eps=0) -> WeightedTree:
 
 def nj_pruning_detailed(d: DoubleWeights, eps=0):
     """nj_pruning plus per-round telemetry dicts."""
-    if d.n == 2:
-        a, b = d.labels
-        return WeightedTree([(a, b, d.value(a, b))]), []
     state = _Mirror(d)
     merges = []
     rounds = []

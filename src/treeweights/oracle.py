@@ -21,7 +21,9 @@ L·A = I for its 0/1 incidence matrix A.  Every enumerated topology has
 full column rank here, so a realisation is unique, and x = L·b realises
 b exactly when A·x == b.  Triples on 3 or 4 labels, where the formula
 does not apply and the binary shapes are rank-deficient, keep exact row
-reduction (:func:`_solve_general`).
+reduction (:func:`_solve_general`), which sets free variables to 0.  So
+with positive edges required, one triple on 3 labels is realised by the
+star with a third of it per edge when it is positive, and not at all else.
 
 **Stacks.**  For each (n, order), A and c·L of every topology are stacked
 in enumeration order as int8 arrays, zero-padded to the largest edge
@@ -56,9 +58,9 @@ _INT64_HEADROOM = 1 << 62
 
 
 class Topology:
-    """Unweighted leaf-labelled tree shape; hashable by canonical form."""
+    """Unweighted leaf-labelled tree shape."""
 
-    __slots__ = ("edges", "leaves", "_adj", "_key")
+    __slots__ = ("edges", "leaves", "_adj")
 
     def __init__(self, edges):
         adj = {}
@@ -71,7 +73,6 @@ class Topology:
         self.edges = tuple(sorted(canon))
         self._adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
         self.leaves = tuple(sorted(v for v, nb in adj.items() if len(nb) == 1))
-        self._key = None
 
     @property
     def n(self):
@@ -84,33 +85,6 @@ class Topology:
     def internal_nodes(self):
         leafset = set(self.leaves)
         return [v for v in sorted(self._adj) if v not in leafset]
-
-    def canonical_key(self):
-        if self._key is not None:
-            return self._key
-        if self.n == 2:
-            self._key = ("edge", self.leaves)
-            return self._key
-        root = self._adj[self.leaves[0]][0]
-        parent = {root: None}
-        order = [root]
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in self._adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    order.append(y)
-                    stack.append(y)
-        key = {}
-        for v in reversed(order):
-            kids = sorted(key[y] for y in self._adj[v] if y != parent[v])
-            if not kids:
-                key[v] = (v,)
-            else:
-                key[v] = (min(k[0] for k in kids), tuple(kids))
-        self._key = key[root]
-        return self._key
 
     def with_weights(self, weight_map) -> WeightedTree:
         return WeightedTree([(u, v, weight_map[(u, v)]) for u, v in self.edges])
@@ -428,7 +402,11 @@ def realizable_brute(target, require_positive: bool = False):
         tree = WeightedTree([(a, b, w)])
         return tree if back is None else _relabel_tree(tree, back)
     stack = _stack(n, work.order)
-    hit = stack.first_fit(_exact_values(work), require_positive)
+    b = _exact_values(work)
+    if require_positive and work.order == n == 3:
+        hit = (0, [Fraction(b[0]) / 3] * 3) if b[0] > 0 else None
+    else:
+        hit = stack.first_fit(b, require_positive)
     if hit is None:
         return None
     t, weights = hit

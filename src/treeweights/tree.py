@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .errors import LabelError, ParseError
 from .numeric import exact_fraction, format_number, half, parse_number
-from .weights import doubles_of_tree, mirror_values
+from .weights import _preorder, doubles_of_tree, mirror_values
 
 
 class WeightedTree:
@@ -67,16 +67,7 @@ class WeightedTree:
             raise ValueError("a tree needs at least one edge")
         if len(canon) != len(adj) - 1:
             raise ValueError("edge list is not a tree (wrong edge count)")
-        # connectivity
-        start = next(iter(adj))
-        stack, reached = [start], {start}
-        while stack:
-            x = stack.pop()
-            for y, _ in adj[x]:
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-        if len(reached) != len(adj):
+        if len(_preorder(adj, next(iter(adj)))[0]) != len(adj):
             raise ValueError("edge list is not connected")
 
         leaves = tuple(sorted(v for v, nb in adj.items() if len(nb) == 1))
@@ -150,17 +141,14 @@ class Bell:
 
 
 def distances_from(tree: WeightedTree, source):
-    """Map every node to its path weight from *source* (single DFS)."""
+    """Map every node to its path weight from *source* (one preorder walk)."""
     if source not in tree._adj:
         raise LabelError(f"label {source} not in tree")
+    pre, parent = _preorder(tree._adj, source)
     dist = {source: 0}
-    stack = [source]
-    while stack:
-        x = stack.pop()
-        for y, w in tree._adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + w
-                stack.append(y)
+    for v in pre[1:]:
+        p, w = parent[v]
+        dist[v] = dist[p] + w
     return dist
 
 
@@ -185,8 +173,8 @@ def k_weight(tree: WeightedTree, subset):
     """Total weight of the minimal subtree spanning the given leaves.
 
     An edge belongs to that subtree exactly when removing it separates two
-    requested leaves, so one rooted traversal counting members per side
-    suffices.
+    requested leaves, so one preorder walk counting members per side,
+    children before parents, suffices.
     """
     members = list(subset)
     if len(set(members)) != len(members):
@@ -197,22 +185,10 @@ def k_weight(tree: WeightedTree, subset):
         if m not in tree._adj or not tree.is_leaf(m):
             raise LabelError(f"label {m} is not a leaf of the tree")
     wanted = set(members)
-    root = members[0]
-    parent = {root: None}
-    order = [root]
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y, w in tree._adj[x]:
-            if y not in parent:
-                parent[y] = (x, w)
-                order.append(y)
-                stack.append(y)
-    count = {v: 1 if v in wanted else 0 for v in order}
+    pre, parent = _preorder(tree._adj, members[0])
+    count = {v: 1 if v in wanted else 0 for v in pre}
     total = 0
-    for v in reversed(order):
-        if parent[v] is None:
-            continue
+    for v in reversed(pre[1:]):
         p, w = parent[v]
         count[p] += count[v]
         if 0 < count[v] < len(members):
@@ -302,30 +278,6 @@ def contract_zero_internal_edges(tree: WeightedTree) -> WeightedTree:
     return WeightedTree(edges)
 
 
-def _min_leaf_map(tree: WeightedTree, root):
-    """Smallest descendant leaf per node, for the rooted canonical order."""
-    parent = {root: None}
-    order = [root]
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y, _ in tree._adj[x]:
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                stack.append(y)
-    mini = {}
-    for v in reversed(order):
-        best = v if tree.is_leaf(v) else None
-        for y, _ in tree._adj[v]:
-            if y != parent[v]:
-                child_min = mini[y]
-                if best is None or child_min < best:
-                    best = child_min
-        mini[v] = best
-    return parent, mini
-
-
 def _rooted_form(tree: WeightedTree):
     """Nested tuples (min_leaf, leaf_label_or_None, weight, children).
 
@@ -339,16 +291,13 @@ def _rooted_form(tree: WeightedTree):
         a, b = tree.leaves
         return (a, None, None, ((a, a, tree.weight(a, b), ()), (b, b, 0, ())))
     root = tree._adj[first][0][0]
-    parent, mini = _min_leaf_map(tree, root)
-    # preorder with each node's incoming weight; forms are built bottom-up
-    order = [(root, None)]
-    for v, _ in order:
-        order.extend((y, w) for y, w in tree._adj[v] if y != parent[v])
+    pre, parent = _preorder(tree._adj, root)
+    # bottom-up: a node's smallest leaf is its first child's, or its own label
     form = {}
-    for v, w_in in reversed(order):
-        kids = sorted((mini[y], y) for y, _ in tree._adj[v] if y != parent[v])
-        label = v if tree.is_leaf(v) else None
-        form[v] = (mini[v], label, w_in, tuple(form.pop(y) for _, y in kids))
+    for v in reversed(pre):
+        up, w_in = parent[v]
+        kids = sorted(form.pop(y) for y, _ in tree._adj[v] if y != up)
+        form[v] = (kids[0][0], None, w_in, tuple(kids)) if kids else (v, v, w_in, ())
     return form[root]
 
 
@@ -508,26 +457,23 @@ def to_newick(tree: WeightedTree) -> str:
         a, b = t.leaves
         tw = _fmt_branch(half(t.weight(a, b)))
         return f"({a}:{tw},{b}:{tw});"
-    root = t._adj[t.leaves[0]][0][0]
-    parent, mini = _min_leaf_map(t, root)
     out = []
-    # pending items: literal text, or a (node, incoming weight) to render
-    pending = [(root, None)]
+    # pending items: literal text, or a node of the rooted form to render
+    pending = [_rooted_form(t)]
     while pending:
         item = pending.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        v, w_in = item
+        _, label, w_in, kids = item
         suffix = "" if w_in is None else f":{_fmt_branch(w_in)}"
-        kids = sorted((mini[y], y, w) for y, w in t._adj[v] if y != parent[v])
         if not kids:
-            out.append(f"{v}{suffix}")
+            out.append(f"{label}{suffix}")
             continue
         out.append("(")
         pending.append(")" + suffix)
         for k in range(len(kids) - 1, -1, -1):
-            pending.append(kids[k][1:])
+            pending.append(kids[k])
             if k:
                 pending.append(",")
     return "".join(out) + ";"

@@ -248,8 +248,35 @@ class _WeightSet:
     the dense mirror :meth:`dense` gives, or both.  A container built from
     its mirror (:meth:`from_mirror`) builds the dict when a lookup first
     needs it, with the values the mirror stands for: Fractions for kind
-    "int", floats for kind "float".
+    "int", floats for kind "float".  Keys and lookups take ``order``
+    distinct labels in any order; errors name the key by ``noun``.
     """
+
+    def __init__(self, values, labels=None):
+        order, noun = self.order, self.noun
+        norm = {}
+        for key, val in values.items():
+            if len(key) != order:
+                raise ValueError(f"{noun} key needs {order} labels: {key}")
+            k = tuple(sorted(key))
+            if len(set(k)) != order:
+                raise ValueError(f"{noun} key with repeated labels: {key}")
+            if k in norm:
+                raise ValueError(f"duplicate entry for {noun} {k}")
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValueError(f"non-finite value {val!r} for {noun} {k}")
+            norm[k] = val
+        if labels is None:
+            labels = {x for k in norm for x in k}
+        labels = tuple(sorted(labels))
+        _validate_labels(labels)
+        if len(labels) < order:
+            raise ValueError(f"{type(self).__name__} needs at least {order} labels")
+        _check_keys(norm, labels, order, noun)
+        self.labels = labels
+        self.n = len(labels)
+        self._dict = norm
+        self._dense_cache = None  # not yet computed
 
     @classmethod
     def from_mirror(cls, labels, kind, arr, scale):
@@ -262,18 +289,24 @@ class _WeightSet:
         w._dense_cache = (kind, arr, scale)
         return w
 
-    def _setup(self, norm, labels):
-        self.labels = labels
-        self.n = len(labels)
-        self._dict = norm
-        self._dense_cache = None  # not yet computed
-
     @property
     def _v(self):
         if self._dict is None:
             values = mirror_values(*self._dense_cache)
             self._dict = dict(zip(combinations(self.labels, self.order), values))
         return self._dict
+
+    def value(self, *labels):
+        """The value at *labels*, ``order`` distinct labels in any order."""
+        v = self._v.get(labels)  # labels given sorted skip the sort
+        if v is None:
+            key = tuple(sorted(labels))
+            v = self._v.get(key)
+            if v is None:
+                if len(key) != self.order or len(set(key)) != self.order:
+                    raise ValueError(f"{self.noun} lookup needs {self.order} distinct labels: {labels}")
+                raise LabelError(f"{self.noun} {key} not in container")
+        return v
 
     def items(self):
         return sorted(self._v.items())
@@ -304,82 +337,45 @@ class DoubleWeights(_WeightSet):
     arbitrary label sets.  Immutable after construction.
     """
 
-    order = 2
-
-    def __init__(self, values, labels=None):
-        norm = {}
-        for key, val in values.items():
-            a, b = key
-            if a == b:
-                raise ValueError(f"pair key with equal labels: {key}")
-            pair = (a, b) if a < b else (b, a)
-            if pair in norm:
-                raise ValueError(f"duplicate entry for pair {pair}")
-            if isinstance(val, float) and not math.isfinite(val):
-                raise ValueError(f"non-finite value {val!r} for pair {pair}")
-            norm[pair] = val
-        if labels is None:
-            labels = {x for pair in norm for x in pair}
-        labels = tuple(sorted(labels))
-        _validate_labels(labels)
-        if len(labels) < 2:
-            raise ValueError("DoubleWeights needs at least 2 labels")
-        _check_keys(norm, labels, 2, "pair")
-        self._setup(norm, labels)
-
-    dense = _WeightSet.dense  # in the class's own namespace, where perfbench wraps it
-
-    def value(self, i, j):
-        if i == j:
-            raise ValueError("pair lookup needs distinct labels")
-        pair = (i, j) if i < j else (j, i)
-        try:
-            return self._v[pair]
-        except KeyError:
-            raise LabelError(f"pair {pair} not in container") from None
+    order, noun = 2, "pair"
+    # in the class's own namespace, where perfbench wraps them
+    __init__ = _WeightSet.__init__
+    dense = _WeightSet.dense
 
 
 class TripleWeights(_WeightSet):
     """All C(n, 3) values over unordered triples of a label set."""
 
-    order = 3
-
-    def __init__(self, values, labels=None):
-        norm = {}
-        for key, val in values.items():
-            a, b, c = key
-            trip = tuple(sorted((a, b, c)))
-            if len(set(trip)) != 3:
-                raise ValueError(f"triple key with repeated labels: {key}")
-            if trip in norm:
-                raise ValueError(f"duplicate entry for triple {trip}")
-            if isinstance(val, float) and not math.isfinite(val):
-                raise ValueError(f"non-finite value {val!r} for triple {trip}")
-            norm[trip] = val
-        if labels is None:
-            labels = {x for trip in norm for x in trip}
-        labels = tuple(sorted(labels))
-        _validate_labels(labels)
-        if len(labels) < 3:
-            raise ValueError("TripleWeights needs at least 3 labels")
-        _check_keys(norm, labels, 3, "triple")
-        self._setup(norm, labels)
-
-    dense = _WeightSet.dense  # in the class's own namespace, where perfbench wraps it
-
-    def value(self, i, j, k):
-        trip = tuple(sorted((i, j, k)))
-        if len(set(trip)) != 3:
-            raise ValueError("triple lookup needs three distinct labels")
-        try:
-            return self._v[trip]
-        except KeyError:
-            raise LabelError(f"triple {trip} not in container") from None
+    order, noun = 3, "triple"
+    __init__ = _WeightSet.__init__
+    dense = _WeightSet.dense
 
 
 # --------------------------------------------------------------------- #
 # Builders from trees                                                    #
 # --------------------------------------------------------------------- #
+
+
+def _preorder(adj, root):
+    """(nodes, parent) of one iterative walk from *root* over *adj*, a map
+    node -> iterable of (neighbour, edge weight).
+
+    ``nodes`` lists every node reached in the order the stack pops it, a
+    preorder in which each node's descendants follow it contiguously;
+    ``parent`` maps each node to (its parent, the weight of the edge
+    between them), and *root* to (None, None).
+    """
+    parent = {root: (None, None)}
+    pre = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        pre.append(x)
+        for y, w in adj[x]:
+            if y not in parent:
+                parent[y] = (x, w)
+                stack.append(y)
+    return pre, parent
 
 
 def path_sums(tree) -> _Mirror:
@@ -394,8 +390,9 @@ def path_sums(tree) -> _Mirror:
     The mirror keeps the edges' scale; :meth:`_Mirror.settle` gives the
     least one.
 
-    One iterative walk from the smallest leaf lists the nodes in preorder,
-    so the leaves below every node take a contiguous range of sources.  On
+    One walk from the smallest leaf (:func:`_preorder`) lists the nodes in
+    preorder, so the leaves below every node take a contiguous range of
+    sources.  On
     the (node, source) table P, each edge x - y, y the child, is one step
     per direction: P[x, below y] = P[y, below y] + w on the way up, then
     P[y, rest] = P[x, rest] + w on the way down.  Every path is thus
@@ -405,16 +402,7 @@ def path_sums(tree) -> _Mirror:
     (b, a).  O(n^2) work in O(n) numpy calls.
     """
     adj, leaves = tree._adj, tree.leaves
-    parent = {leaves[0]: (None, None)}  # node -> (parent, weight of the edge to it)
-    pre = []
-    stack = [leaves[0]]
-    while stack:
-        x = stack.pop()
-        pre.append(x)
-        for y, w in adj[x]:
-            if y not in parent:
-                parent[y] = (x, w)
-                stack.append(y)
+    pre, parent = _preorder(adj, leaves[0])
     pos = {v: k for k, v in enumerate(pre)}
     up = [pos[parent[v][0]] for v in pre[1:]]
     weights = [parent[v][1] for v in pre[1:]]

@@ -313,6 +313,19 @@ class TestOracleCommand:
         )
         assert code == 2 and json.loads(out)["tree"] is None
 
+    @pytest.mark.parametrize("value,positive,code,tree", [
+        ("3", True, 0, "(1:1,2:1,3:1);"),
+        ("3", False, 0, "(1:3,2:0,3:0);"),
+        ("0", True, 2, None),
+        ("-3", True, 2, None),
+        ("-3", False, 0, "(1:-3,2:0,3:0);"),
+    ])
+    def test_three_label_triples(self, capsys, monkeypatch, value, positive, code, tree):
+        argv = ["oracle", "--order", "3"] + ["--require-positive"] * positive
+        got, out, _ = run_cli(capsys, argv, stdin=f"3\n1 2 3 {value}\n", monkeypatch=monkeypatch)
+        payload = json.loads(out)
+        assert (got, payload["realizable"], payload["tree"]) == (code, code == 0, tree)
+
 
 class TestBench:
     def test_entries_to_stdout_timing_to_stderr(self, capsys):

@@ -114,6 +114,16 @@ class TestNJClassic:
     def test_two_points(self):
         assert nj_classic(DoubleWeights({(1, 2): 5})).edges == ((1, 2, 5),)
 
+    @pytest.mark.parametrize("value", [5, Fraction(7, 3), 0.1, -2])
+    def test_two_labels_give_the_single_edge(self, value):
+        # no special case: the general path ends at the last edge
+        d = DoubleWeights({(9, 4): value})
+        for tree in (nj_classic(d), nj_pruning(d), nj_pruning(d, 0.5)):
+            assert tree.edges == ((4, 9, value),)
+            assert type(tree.edges[0][2]) is (float if isinstance(value, float) else Fraction)
+            assert to_newick(tree) == to_newick(WeightedTree([(4, 9, value)]))
+        assert nj_pruning_detailed(d)[1] == []
+
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip_n15(self, seed):
         t = random_tree(15, seed)

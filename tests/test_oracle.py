@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from treeweights import oracle as oracle_mod
+from treeweights import tree as tree_mod
 from treeweights import (
     DoubleWeights,
     ReconstructionError,
@@ -47,6 +48,12 @@ def _incidence_rows(topo, order):
     return [[e for e, col in enumerate(cols) if col[r]] for r in range(len(cols[0]))]
 
 
+def _shape_key(topo):
+    """The rooted form of *topo* with unit weights: equal exactly for
+    leaf-isomorphic shapes."""
+    return tree_mod._rooted_form(topo.with_weights(dict.fromkeys(topo.edges, 1)))
+
+
 def _reference_brute(target, require_positive):
     """``realizable_brute`` by exact elimination on every topology."""
     n, labels = target.n, target.labels
@@ -56,6 +63,10 @@ def _reference_brute(target, require_positive):
     for topo in enumerate_topologies(n, True):
         rows = _incidence_rows(topo, work.order)
         x = oracle_mod._solve_general(rows, len(topo.edges), b)
+        if require_positive and work.order == n == 3:
+            # the star's edges sum to the one value; elimination sets two of
+            # them to 0, and the equal split is positive when any split is
+            x = [Fraction(b[0]) / 3] * 3
         if x is None or (require_positive and any(not w > 0 for w in x)):
             continue
         tree = contract_zero_internal_edges(topo.with_weights(dict(zip(topo.edges, x))))
@@ -103,7 +114,7 @@ class TestEnumeration:
     def test_no_duplicates(self):
         # the generation does not deduplicate; canonical forms referee it
         for n, multi in product((6, 7), (False, True)):
-            keys = [t.canonical_key() for t in enumerate_topologies(n, multi)]
+            keys = [_shape_key(t) for t in enumerate_topologies(n, multi)]
             assert len(keys) == len(set(keys)), (n, multi)
 
     def test_shapes_are_valid(self):
@@ -121,8 +132,8 @@ class TestEnumeration:
             list(enumerate_topologies(1))
 
     def test_deterministic_order(self):
-        first = [t.canonical_key() for t in enumerate_topologies(5, True)]
-        second = [t.canonical_key() for t in enumerate_topologies(5, True)]
+        first = [_shape_key(t) for t in enumerate_topologies(5, True)]
+        second = [_shape_key(t) for t in enumerate_topologies(5, True)]
         assert first == second
 
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -241,6 +252,26 @@ class TestRealizableBrute:
         assert realizable_brute(DoubleWeights({(1, 2): 7})).edges == ((1, 2, 7),)
         assert realizable_brute(DoubleWeights({(1, 2): -1}), require_positive=True) is None
 
+    def test_three_label_triples(self):
+        # one value on the star's three edges: with positive edges it is
+        # the equal split, and no split is positive unless the value is
+        t = TripleWeights({(1, 2, 3): 3})
+        got = realizable_brute(t, require_positive=True)
+        assert sorted(w for _, _, w in got.edges) == [1, 1, 1]
+        assert tree_equal(got, WeightedTree([(1, 4, 1), (2, 4, 1), (3, 4, 1)]), 0)
+        assert realizable_brute(t).edges == ((1, 4, 3), (2, 4, 0), (3, 4, 0))
+        for value in (0, -3):
+            t = TripleWeights({(1, 2, 3): value})
+            assert realizable_brute(t, require_positive=True) is None
+            assert realizable_brute(t) is not None
+
+    def test_three_label_triples_keep_their_labels(self):
+        t = TripleWeights({(2, 5, 9): Fraction(3, 2)})
+        got = realizable_brute(t, require_positive=True)
+        assert got.leaves == (2, 5, 9)
+        assert triples_of_tree(got).value(2, 5, 9) == Fraction(3, 2)
+        assert all(w == Fraction(1, 2) for _, _, w in got.edges)
+
 
 class TestBatchedOracle:
     """The stacked closed-form fit against exact elimination."""
@@ -253,9 +284,13 @@ class TestBatchedOracle:
         # up to a minute at n = 7, so n = 7 fits positive edges on one of
         # its first 60 shapes
         shapes, count, hard = {7: (60, 2, False), 6: (None, 4, True)}.get(n, (None, 12, True))
+        targets = [_random_instance(rng, n, order, shapes, hard) for _ in range(count)]
+        if (n, order) == (3, 3):
+            # a 3-label triple set has positive edges exactly when its value
+            # is positive, so one value below 0 joins the draws as a reject
+            targets.append(TripleWeights({(1, 2, 3): Fraction(-2, 3)}))
         outcomes = set()
-        for _ in range(count):
-            target = _random_instance(rng, n, order, shapes, hard)
+        for target in targets:
             for positive in (False, True):
                 got = realizable_brute(target, require_positive=positive)
                 want = _reference_brute(target, positive)

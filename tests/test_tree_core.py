@@ -26,6 +26,7 @@ from treeweights import (
     tree_equal,
     triple_weight,
 )
+from treeweights.weights import _preorder
 from conftest import steiner_brute
 
 
@@ -444,3 +445,61 @@ class TestValidation:
     def test_bell_pairs_helper(self):
         b = Bell(stalk=9, members=(1, 2, 5), twig_lengths={1: 1, 2: 1, 5: 1})
         assert b.pairs() == [(1, 2), (1, 5), (2, 5)]
+
+
+class TestPreorder:
+    """``weights._preorder``, the one walk the tree code and the path-sum
+    kernel share, against depths and edges read off the tree itself."""
+
+    @staticmethod
+    def _cases():
+        for n in (2, 3, 4, 7, 13):
+            for seed in range(3):
+                for binary in (True, False):
+                    yield random_tree(n, seed, binary_only=binary)
+        yield WeightedTree([(i, 20, i) for i in range(1, 8)])  # a star
+
+    @staticmethod
+    def _depths(t, root):
+        """Edge count from *root* per node, breadth first."""
+        depth, frontier = {root: 0}, [root]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y, _ in t.neighbors(x):
+                    if y not in depth:
+                        depth[y] = depth[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        return depth
+
+    def test_walk(self):
+        for t in self._cases():
+            for root in (t.leaves[0], t.nodes[-1], t.leaves[-1]):
+                pre, parent = _preorder(t._adj, root)
+                assert pre[0] == root and sorted(pre) == list(t.nodes)
+                assert parent[root] == (None, None)
+                pos = {v: k for k, v in enumerate(pre)}
+                depth = self._depths(t, root)
+                below = {v: [] for v in pre}
+                for v in pre[1:]:
+                    p, w = parent[v]
+                    assert depth[p] == depth[v] - 1  # the neighbour towards the root
+                    assert pos[p] < pos[v]
+                    assert w == t.weight(p, v)
+                    x = p
+                    while x is not None:
+                        below[x].append(v)
+                        x = parent[x][0]
+                for v, desc in below.items():
+                    # the descendants follow their ancestor in one run
+                    k = pos[v]
+                    assert sorted(pre[k + 1 : k + 1 + len(desc)]) == sorted(desc), (t, root, v)
+
+    def test_sizes_two_and_three(self):
+        pre, parent = _preorder(WeightedTree([(1, 2, 5)])._adj, 2)
+        assert pre == [2, 1] and parent == {2: (None, None), 1: (2, 5)}
+        star = WeightedTree([(1, 4, 1), (2, 4, 2), (3, 4, 3)])
+        pre, parent = _preorder(star._adj, 1)
+        assert pre[:2] == [1, 4] and sorted(pre[2:]) == [2, 3]
+        assert {v: parent[v] for v in (2, 3, 4)} == {2: (4, 2), 3: (4, 3), 4: (1, 1)}

@@ -135,6 +135,24 @@ class TestContainers:
         with pytest.raises(ValueError):
             TripleWeights({}, labels=[1, 2])
 
+    @pytest.mark.parametrize("cls,noun,key", [
+        (DoubleWeights, "pair", (1, 2)),
+        (TripleWeights, "triple", (1, 2, 3)),
+    ])
+    def test_wrong_key_length_names_the_order(self, cls, noun, key):
+        for bad in (key[:-1], key + (9,)):
+            with pytest.raises(ValueError, match=f"^{noun} key needs {len(key)} labels"):
+                cls({key: 1, bad: 1})
+        with pytest.raises(ValueError, match=f"^{noun} key with repeated labels"):
+            cls({key[:-1] + key[:1]: 1})
+        w = cls({key: 1})
+        assert w.value(*reversed(key)) == 1
+        for bad in (key[:-1], key + (9,), key[:-1] + key[:1], ()):
+            with pytest.raises(ValueError, match=f"^{noun} lookup needs {len(key)} distinct"):
+                w.value(*bad)
+        with pytest.raises(LabelError, match=f"^{noun} "):
+            w.value(*key[:-1], 9)
+
 
 class TestStarCondition:
     def test_quartet_cherry_pair(self, quartet_doubles):
