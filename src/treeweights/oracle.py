@@ -48,7 +48,6 @@ import numpy as np
 
 from .numeric import is_exact
 from .tree import WeightedTree, contract_zero_internal_edges
-from .weights import DoubleWeights
 
 # array elements (topologies x edges x rows) per chunk of a batched product
 CHUNK_ELEMS = 1 << 20
@@ -58,33 +57,19 @@ _INT64_HEADROOM = 1 << 62
 
 
 class Topology:
-    """Unweighted leaf-labelled tree shape."""
+    """Unweighted leaf-labelled tree shape, as :func:`enumerate_topologies`
+    yields it; the oracle's own stacks hold each shape as its edge tuple."""
 
     __slots__ = ("edges", "leaves", "_adj")
 
     def __init__(self, edges):
-        adj = {}
-        canon = []
-        for u, v in edges:
-            a, b = (u, v) if u < v else (v, u)
-            canon.append((a, b))
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        self.edges = tuple(sorted(canon))
-        self._adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
-        self.leaves = tuple(sorted(v for v, nb in adj.items() if len(nb) == 1))
+        self.edges = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
+        self._adj = _adjacency(self.edges)
+        self.leaves = tuple(sorted(v for v, nb in self._adj.items() if len(nb) == 1))
 
     @property
     def n(self):
         return len(self.leaves)
-
-    @property
-    def max_node(self):
-        return max(self._adj)
-
-    def internal_nodes(self):
-        leafset = set(self.leaves)
-        return [v for v in sorted(self._adj) if v not in leafset]
 
     def with_weights(self, weight_map) -> WeightedTree:
         return WeightedTree([(u, v, weight_map[(u, v)]) for u, v in self.edges])
@@ -93,33 +78,48 @@ class Topology:
         return f"Topology(n={self.n}, edges={len(self.edges)})"
 
 
+def _adjacency(edges):
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
 @lru_cache(maxsize=32)
 def _topology_list(n: int, include_multifurcating: bool):
+    """Every shape on leaves 1..n as its sorted edge tuple: pairs (u, v)
+    with u < v, inner nodes numbered above n."""
     if not 2 <= n <= 8:
         raise ValueError("topology enumeration supports 2 <= n <= 8")
     # Inserting leaf m on every edge and at every inner node is one-to-one:
     # deleting m and suppressing the degree-2 node it leaves undoes it, so
     # no two candidates share a topology and nothing needs deduplicating.
-    current = [Topology([(1, 2)])]
+    current = [((1, 2),)]
     for m in range(3, n + 1):
         nxt = []
-        for topo in current:
-            fresh = max(topo.max_node, n) + 1  # internal ids clear of leaf labels
-            for u, v in topo.edges:
-                rest = [e for e in topo.edges if e != (u, v)]
-                nxt.append(Topology(rest + [(u, fresh), (fresh, v), (m, fresh)]))
+        for edges in current:
+            fresh = max(max(v for _, v in edges), n) + 1  # inner ids clear of leaf labels
+            for k, (u, v) in enumerate(edges):
+                new = ((u, fresh), (v, fresh), (m, fresh))
+                nxt.append(tuple(sorted(edges[:k] + edges[k + 1:] + new)))
             if include_multifurcating:
-                for x in topo.internal_nodes():
-                    nxt.append(Topology(list(topo.edges) + [(m, x)]))
+                for x in sorted({x for e in edges for x in e if x > n}):
+                    nxt.append(tuple(sorted(edges + ((m, x),))))
         current = nxt
     return tuple(current)
+
+
+@lru_cache(maxsize=32)
+def _topologies(n: int, include_multifurcating: bool):
+    return tuple(map(Topology, _topology_list(n, include_multifurcating)))
 
 
 def enumerate_topologies(n: int, include_multifurcating: bool = False):
     """Yield each isomorphism class exactly once, in a fixed order: leaf m
     is inserted on every edge, then at every inner node, of each topology
     on the labels below m, which never yields one class twice."""
-    yield from _topology_list(n, include_multifurcating)
+    yield from _topologies(n, include_multifurcating)
 
 
 # --------------------------------------------------------------------- #
@@ -132,18 +132,20 @@ def _low_leaf(mask):
     return (mask & -mask).bit_length() - 1
 
 
-def _sides_and_quartets(topo: Topology, closed: bool):
-    """Leaf bitmasks and pairwise fit terms of one topology's edges.
+def _sides_and_quartets(edges, leaves, closed: bool):
+    """Leaf bitmasks and pairwise fit terms of one shape's edges.
 
-    Bit i stands for ``topo.leaves[i]``.  ``sides[e]`` holds the leaves on
-    the smaller-id end of edge e.  With ``closed``, ``terms[e]`` lists the
-    (i, j, coefficient) of leaf positions whose pairwise values sum to
-    twice the weight of edge e; otherwise ``terms`` is None.
+    *edges* are the shape's (u, v) pairs, u < v, and *leaves* its sorted
+    leaf labels; bit i stands for ``leaves[i]``.  ``sides[e]`` holds the
+    leaves on the smaller-id end of edge e.  With ``closed``, ``terms[e]``
+    lists the (i, j, coefficient) of leaf positions whose pairwise values
+    sum to twice the weight of edge e; otherwise, or when an inner node
+    has degree 2 (no closed form), ``terms`` is None.
     """
-    bit = {lab: 1 << i for i, lab in enumerate(topo.leaves)}
+    bit = {lab: 1 << i for i, lab in enumerate(leaves)}
     full = (1 << len(bit)) - 1
-    adj = topo._adj
-    root = topo.leaves[0]
+    adj = _adjacency(edges)
+    root = leaves[0]
     parent = {root: None}
     order = [root]
     for x in order:
@@ -163,8 +165,8 @@ def _sides_and_quartets(topo: Topology, closed: bool):
         """Leaves reached from x through its neighbour y."""
         return below[y] if parent[y] == x else full ^ below[x]
 
-    sides = [beyond(v, u) for u, v in topo.edges]
-    if not closed:
+    sides = [beyond(v, u) for u, v in edges]
+    if not closed or any(len(nb) == 2 for nb in adj.values()):
         return sides, None
     # each inner node's neighbour subtrees, ordered by their smallest leaf
     around = {
@@ -178,7 +180,7 @@ def _sides_and_quartets(topo: Topology, closed: bool):
         return first, second
 
     terms = []
-    for u, v in topo.edges:
+    for u, v in edges:
         if u in bit or v in bit:
             leaf, inner = (u, v) if u in bit else (v, u)
             x = _low_leaf(bit[leaf])
@@ -210,32 +212,30 @@ def _derived_map(n: int):
 
 
 class _Stack:
-    """Fit arrays of topologies on one leaf set, stacked in order.
+    """Fit arrays of shapes on one leaf set, stacked in order.
 
-    ``inc`` (T x R x E, 0/1) is each topology's incidence matrix: row r
-    (a leaf subset in ``combinations`` order) includes edge e when the
-    subset has leaves on both sides of e.  ``inv`` (T x E x R) holds
-    ``scale`` times a left inverse of it, or is None where the closed form
-    does not apply (pairs on 2 labels, triples on fewer than 5, or a node
-    of degree 2), and rows are then reduced exactly.  Both are int8 and
-    zero-padded to the largest edge count E; ``pad`` marks the padding.
-    ``l1`` is the largest row L1 norm of ``inv``.
+    ``shapes`` are the shapes' sorted edge tuples over the sorted labels
+    ``leaves``.  ``inc`` (T x R x E, 0/1) is each shape's incidence
+    matrix: row r (a leaf subset, by position, in ``combinations`` order)
+    includes edge e when the subset has leaves on both sides of e.  ``inv``
+    (T x E x R) holds ``scale`` times a left inverse of it, or is None
+    where the closed form does not apply (pairs on 2 labels, triples on
+    fewer than 5, or a node of degree 2), and rows are then reduced
+    exactly.  Both are int8 and zero-padded to the largest edge count E;
+    ``pad`` marks the padding.  ``l1`` is the largest row L1 norm of ``inv``.
     """
 
-    def __init__(self, topos, order):
-        self.topos = topos
-        n = topos[0].n
-        # the closed form needs every inner node to branch (degree >= 3)
-        closed = (n >= 3 if order == 2 else n >= 5) and all(
-            len(nb) != 2 for topo in topos for nb in topo._adj.values()
-        )
+    def __init__(self, shapes, leaves, order):
+        self.shapes = shapes
+        n = len(leaves)
+        closed = n >= 3 if order == 2 else n >= 5
         rows = list(combinations(range(n), order))
         row_masks = np.array([sum(1 << i for i in r) for r in rows], dtype=np.int64)
         pair_index = {p: k for k, p in enumerate(combinations(range(n), 2))}
         derived = _derived_map(n) if closed and order == 3 else None
-        n_edges = np.array([len(t.edges) for t in topos])
+        n_edges = np.array([len(edges) for edges in shapes])
         e_max = int(n_edges.max())
-        count = len(topos)
+        count = len(shapes)
         self.scale = 2 if order == 2 else 6
         self.inc = np.zeros((count, len(rows), e_max), dtype=np.int8)
         self.inv = np.zeros((count, e_max, len(rows)), dtype=np.int8) if closed else None
@@ -243,12 +243,14 @@ class _Stack:
         self.l1 = 0
         step = max(1, CHUNK_ELEMS // (e_max * max(len(rows), len(pair_index))))
         for lo in range(0, count, step):
-            chunk = topos[lo:lo + step]
+            chunk = shapes[lo:lo + step]
             sides = np.zeros((len(chunk), e_max), dtype=np.int64)
             fit = np.zeros((len(chunk), e_max, len(pair_index) if closed else 0), np.int64)
-            for k, topo in enumerate(chunk):
-                masks, terms = _sides_and_quartets(topo, closed)
+            for k, edges in enumerate(chunk):
+                masks, terms = _sides_and_quartets(edges, leaves, closed)
                 sides[k, : len(masks)] = masks
+                if terms is None and closed:  # a node of degree 2
+                    closed, self.inv = False, None
                 for e, quartet in enumerate(terms or ()):
                     for i, j, coef in quartet:
                         fit[k, e, pair_index[(i, j) if i < j else (j, i)]] = coef
@@ -264,20 +266,20 @@ class _Stack:
             self.inv[lo:lo + step] = fit
 
     def row_edges(self, t):
-        """Edge indices included by each row of topology t's system."""
-        real = self.inc[t, :, : len(self.topos[t].edges)]
+        """Edge indices included by each row of shape t's system."""
+        real = self.inc[t, :, : len(self.shapes[t])]
         return [np.flatnonzero(row).tolist() for row in real]
 
     def first_fit(self, b, require_positive=False):
-        """(index, exact edge weights) of the first topology realising b.
+        """(index, exact edge weights) of the first shape realising b.
 
         ``b`` lists exact values in row order.  With ``require_positive``,
         realisations with a non-positive edge are skipped.  None when no
-        topology fits.
+        shape fits.
         """
         if self.inv is None:
-            for t, topo in enumerate(self.topos):
-                x = _solve_general(self.row_edges(t), len(topo.edges), b)
+            for t, edges in enumerate(self.shapes):
+                x = _solve_general(self.row_edges(t), len(edges), b)
                 if x is None or (require_positive and any(not w > 0 for w in x)):
                     continue
                 return t, x
@@ -304,14 +306,14 @@ class _Stack:
             hits = np.flatnonzero(ok)
             if hits.size:
                 t = lo + int(hits[0])
-                real = y[hits[0], : len(self.topos[t].edges)]
+                real = y[hits[0], : len(self.shapes[t])]
                 return t, [Fraction(int(v), self.scale * den) for v in real]
         return None
 
 
 @lru_cache(maxsize=None)
 def _stack(n: int, order: int) -> _Stack:
-    return _Stack(_topology_list(n, True), order)
+    return _Stack(_topology_list(n, True), tuple(range(1, n + 1)), order)
 
 
 def _solve_general(row_edges, n_edges, b):
@@ -370,7 +372,7 @@ def fit_weights(topo: Topology, target):
     if tuple(sorted(target.labels)) != topo.leaves:
         raise ValueError("target labels do not match the topology's leaves")
     b = _exact_values(target)
-    hit = _Stack((topo,), target.order).first_fit(b)
+    hit = _Stack((topo.edges,), topo.leaves, target.order).first_fit(b)
     if hit is None:
         return None
     return dict(zip(topo.edges, hit[1]))
@@ -386,35 +388,24 @@ def realizable_brute(target, require_positive: bool = False):
     n = target.n
     if not 2 <= n <= 8:
         raise ValueError("realizable_brute supports 2 <= n <= 8 labels")
-    labels = target.labels
-    std = tuple(range(1, n + 1))
-    if labels != std:
-        back = dict(zip(std, labels))
-        work = target.relabel(dict(zip(labels, std)))
-    else:
-        back = None
-        work = target
-    if isinstance(work, DoubleWeights) and n == 2:
-        a, b = work.labels
-        w = work.value(a, b)
-        if require_positive and not w > 0:
-            return None
-        tree = WeightedTree([(a, b, w)])
-        return tree if back is None else _relabel_tree(tree, back)
-    stack = _stack(n, work.order)
-    b = _exact_values(work)
-    if require_positive and work.order == n == 3:
+    # rows are leaf positions and items() is sorted, so b lines up with the
+    # stack's rows on any label set
+    stack = _stack(n, target.order)
+    b = _exact_values(target)
+    if require_positive and target.order == n == 3:
         hit = (0, [Fraction(b[0]) / 3] * 3) if b[0] > 0 else None
     else:
         hit = stack.first_fit(b, require_positive)
     if hit is None:
         return None
     t, weights = hit
-    topo = stack.topos[t]
     # a binary shape with zero inner edges fits first whenever the data
     # comes from a multifurcating tree; contract to the unique form
-    tree = contract_zero_internal_edges(topo.with_weights(dict(zip(topo.edges, weights))))
-    return tree if back is None else _relabel_tree(tree, back)
+    tree = contract_zero_internal_edges(
+        WeightedTree([(u, v, w) for (u, v), w in zip(stack.shapes[t], weights)])
+    )
+    std = tuple(range(1, n + 1))
+    return tree if target.labels == std else _relabel_tree(tree, dict(zip(std, target.labels)))
 
 
 def _relabel_tree(tree: WeightedTree, leaf_map):

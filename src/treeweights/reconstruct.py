@@ -27,7 +27,8 @@ tol=0 the accept/reject decision is exact.
 The levels run on one mirror (:class:`~treeweights.weights._Mirror`):
 bells from one star window kernel, twigs from the shared twig rule, the
 reduction an array of midranges.  A container is built only for the base
-case, and for a level's ``reduced`` when that is read.
+case.  The trace is a log: a level records its labels and its bells, not
+the reduced data, so only the carried mirror is held while the levels run.
 
 A full :class:`ReconstructionTrace` (levels, pseudobells, twigs, base-case
 solve, positivity certificate) is returned alongside the tree.
@@ -36,9 +37,7 @@ solve, positivity certificate) is returned alongside the tree.
 from __future__ import annotations
 
 import math
-from copy import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -87,17 +86,11 @@ class Pseudobell:
 
 @dataclass
 class ReductionLevel:
-    """One pruning round: which pseudobells were merged into which labels.
-    ``reduced``, the container on labels_after, is built when first read."""
+    """One pruning round: which pseudobells were merged into which labels."""
 
     labels_before: tuple
     labels_after: tuple
     pseudobells: list
-    _view: object = field(repr=False)  # the reduced mirror
-
-    @cached_property
-    def reduced(self):
-        return self._view.container()
 
 
 @dataclass
@@ -334,8 +327,8 @@ def _prune(w, bells, tol, floor):
     state.arr, state.scale = _reduce_dense(state, groups, tw, new_labels, tol)
     state.labels = new_labels
     state.settle()
-    level = ReductionLevel(labels, tuple(new_labels), bells, copy(state))
-    return (state if state is w else level.reduced), level
+    level = ReductionLevel(labels, tuple(new_labels), bells)
+    return (state if state is w else state.container()), level
 
 
 def prune_doubles(d: DoubleWeights, pseudobells, tol=0):
@@ -354,8 +347,8 @@ def prune_triples(t: TripleWeights, pseudobells, tol=0):
     """Triple-weight analogue of :func:`prune_doubles`, floor 5: the prune
     runs on *t*'s :func:`~treeweights.weights.pairwise_fit` d, so entries
     are checked (and a failure named) on d's pair keys.  Returns the
-    half-sum lift of the reduced d and the level, whose ``reduced`` is d's.
-    On a lift with consistent twigs that lift is the triple reduction."""
+    half-sum lift of the reduced d and the level.  On a lift with
+    consistent twigs that lift is the triple reduction."""
     reduced, level = _prune(pairwise_fit(t), pseudobells, tol, floor=5)
     return triples_from_doubles(reduced), level
 

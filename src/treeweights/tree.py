@@ -17,6 +17,7 @@ adjacent to the smallest leaf, children ordered by smallest descendant leaf.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -618,9 +619,18 @@ def _json_weight(w):
 
 
 def _weight_from_json(value, mode):
-    if isinstance(value, str):
-        return parse_number(value, mode)
-    return float(value) if mode == "float" else exact_fraction(value)
+    """A JSON edge weight: a numeric string, read as :func:`parse_number`
+    reads text, or a finite number in the mode's range; else ParseError."""
+    try:
+        if isinstance(value, str):
+            return parse_number(value, mode)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"edge weight {value!r} is not a number")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParseError(f"non-finite edge weight {value!r}")
+        return float(value) if mode == "float" else exact_fraction(value)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"bad edge weight: {exc}") from None
 
 
 def from_json_dict(data: dict, mode: str = "rational") -> WeightedTree:

@@ -62,7 +62,7 @@ import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce, wraps
+from functools import cache, cached_property, reduce, wraps
 from itertools import accumulate, combinations, islice, permutations, repeat
 
 import numpy as np
@@ -344,11 +344,16 @@ class DoubleWeights(_WeightSet):
 
 
 class TripleWeights(_WeightSet):
-    """All C(n, 3) values over unordered triples of a label set."""
+    """All C(n, 3) values over unordered triples of a label set.  Immutable,
+    so condition 2 (:func:`derived_pairwise_consistent`) runs once, when first used."""
 
     order, noun = 3, "triple"
     __init__ = _WeightSet.__init__
     dense = _WeightSet.dense
+
+    @cached_property
+    def _condition2(self):
+        return _lift_fit(self)
 
 
 # --------------------------------------------------------------------- #
@@ -867,12 +872,19 @@ def derived_pairwise_consistent(t: TripleWeights, tol=0):
 
     On a lift d is the lifted set exactly; it equals :func:`derived_pairwise`
     for every {r, s, u}.  The check, max |T_ijk - (d_ij + d_ik + d_jk)/2| <=
-    tol, is O(n^3) on the mirror.  At tol 0 it holds exactly when no derived
-    value depends on {r, s, u}; for tol > 0 it bounds the lift residual, not
-    the spread of the derived values.  Every triple set on 5 labels is a lift.
+    tol, is O(n^3) on the mirror, made once per triple set and kept with
+    the fit.  At tol 0 it holds exactly when no derived value depends on
+    {r, s, u}; for tol > 0 it bounds the lift residual, not the spread of
+    the derived values.  Every triple set on 5 labels is a lift.
 
     Returns (True, d as DoubleWeights) or (False, None).
     """
+    residual, fit = t._condition2
+    return (True, fit) if residual <= tol else (False, None)
+
+
+def _lift_fit(t: TripleWeights):
+    """(max |T - lift(d)|, d) of :func:`derived_pairwise_consistent`."""
     if t.n < 5:
         raise InstanceTooSmallError(
             "derived pairwise consistency needs n >= 5", required=5, got=t.n
@@ -896,22 +908,20 @@ def derived_pairwise_consistent(t: TripleWeights, tol=0):
     worst = max(gap.max() - 3 * c, 3 * c - gap.min())  # 2 den max |T - lift(d)|
     fit = part[_upper_pairs(m)] + c
     if kind == "int":
-        if not unit_value(worst, 2 * den * scale) <= tol:
-            return False, None
+        residual = unit_value(worst, 2 * den * scale)
         fit, scale, zero = _settled(fit, scale * den)
     else:
-        if not worst / (2 * den) <= tol:
-            return False, None
+        residual = worst / (2 * den)
         fit, zero = fit / den, 0
-    return True, DoubleWeights.from_mirror(t.labels, kind, _symmetric(fit, m, 2, zero), scale)
+    return residual, DoubleWeights.from_mirror(t.labels, kind, _symmetric(fit, m, 2, zero), scale)
 
 
 def pairwise_fit(w) -> DoubleWeights:
     """The pairwise set d a star query or prune runs on: a
     :class:`DoubleWeights` itself, or a triple set's condition-2
-    least-squares fit (:func:`derived_pairwise_consistent` with the check
-    off), which on a lift is the lifted set.  Triples need n >= 5."""
-    return w if w.order == 2 else derived_pairwise_consistent(w, math.inf)[1]
+    least-squares fit (kept with the triple set), which on a lift is the
+    lifted set.  Triples need n >= 5."""
+    return w if w.order == 2 else w._condition2[1]
 
 
 def triples_from_doubles(d: DoubleWeights) -> TripleWeights:

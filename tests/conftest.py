@@ -6,6 +6,7 @@ The caterpillar has twigs 1,2 on one stalk, twig 3 in the middle, twigs
 All expected values in the tests were computed by hand from these.
 """
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from treeweights import (
     random_tree,
     triples_of_tree,
 )
+from treeweights import reconstruct as reconstruct_mod
 
 
 def make_caterpillar():
@@ -78,6 +80,38 @@ def cat_doubles(caterpillar):
 @pytest.fixture
 def quartet_doubles(quartet):
     return doubles_of_tree(quartet)
+
+
+def float_caterpillar(n, seed=0):
+    """A float tree on leaves 1..n whose spine carries one leaf per node,
+    with a cherry at each end, weights uniform in [1, 10]: n/2 - 2
+    pruning levels, each pruning only the two cherries."""
+    rng = random.Random(seed)
+    spine = list(range(n + 1, 2 * n - 1))  # n - 2 spine nodes
+    edges = [(1, spine[0]), (2, spine[0]), (n - 1, spine[-1]), (n, spine[-1])]
+    edges += [(leaf, node) for leaf, node in zip(range(3, n - 1), spine[1:-1])]
+    edges += list(zip(spine, spine[1:]))
+    return WeightedTree([(u, v, rng.uniform(1, 10)) for u, v in edges])
+
+
+def reconstruct_keeping_mirrors(d, tol=0):
+    """``reconstruct_from_doubles(d, tol)`` with a copy of the carried
+    mirror after each level (the driver prunes through
+    ``reconstruct.prune_doubles`` once per level): (tree, trace, mirrors)."""
+    mirrors = []
+    prune = reconstruct_mod.prune_doubles
+
+    def keep(*args, **kwargs):
+        out = prune(*args, **kwargs)
+        mirrors.append(copy.copy(out[0]))
+        return out
+
+    reconstruct_mod.prune_doubles = keep
+    try:
+        tree, trace = reconstruct_mod.reconstruct_from_doubles(d, tol)
+    finally:
+        reconstruct_mod.prune_doubles = prune
+    return tree, trace, mirrors
 
 
 def steiner_brute(tree, subset):

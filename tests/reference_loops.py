@@ -303,8 +303,15 @@ def condition2_values(result):
 
 
 def lift_check_loop(t, tol=0):
-    """Reference for ``weights.derived_pairwise_consistent``: the
-    least-squares pairwise fit d and its lift residual, one entry at a time.
+    """Reference for ``weights.derived_pairwise_consistent``: condition 2's
+    verdict at *tol* on :func:`lift_fit_loop`'s residual, and its fit."""
+    worst, d = lift_fit_loop(t)
+    return (True, d) if worst <= tol else (False, None)
+
+
+def lift_fit_loop(t):
+    """Reference for condition 2's kept pair (worst lift residual, fit d):
+    the least-squares pairwise fit d and its lift residual, one entry at a time.
 
     Sums run in label order and every formula is evaluated as the kernel
     does (den * d_ij = part_ij + c), so float results agree bitwise.
@@ -338,9 +345,7 @@ def lift_check_loop(t, tol=0):
         worst, d = worst / (2 * den), {key: (v + c) / den for key, v in part.items()}
     else:
         worst, d = Fraction(worst, 2 * den), {key: Fraction(v + c, den) for key, v in part.items()}
-    if not worst <= tol:
-        return False, None
-    return True, DoubleWeights(d, labels=labels)
+    return worst, DoubleWeights(d, labels=labels)
 
 
 def scan_pure(d, eps):

@@ -27,10 +27,10 @@ from treeweights import (
     parse_doubles,
     parse_triples,
     random_tree,
-    reconstruct_from_doubles,
 )
 from treeweights.numeric import EXPONENT_LIMIT
 from treeweights.weights import _dense_from_items, _parse_weight_lines, _read_bulk
+from conftest import reconstruct_keeping_mirrors
 
 CLASSES = {2: DoubleWeights, 3: TripleWeights}
 PARSE = {2: parse_doubles, 3: parse_triples}
@@ -311,8 +311,8 @@ def test_mirror_containers_keep_the_dict_containers_mirror(scale, dtype):
         parsed = parse_doubles(emit_doubles(d), mode)
         assert parsed.dense()[1].dtype == dtype
         _assert_dense_of_its_items(parsed)
-        _, trace = reconstruct_from_doubles(parsed, tol=1e-9 if scale is None else 0)
+        _, trace, mirrors = reconstruct_keeping_mirrors(parsed, 1e-9 if scale is None else 0)
         assert trace.levels
-        for level in trace.levels:
-            _assert_dense_of_its_items(level.reduced)
+        for mirror in mirrors:
+            _assert_dense_of_its_items(mirror.container())
         _assert_dense_of_its_items(trace.base_case.instance)

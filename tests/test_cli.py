@@ -313,6 +313,13 @@ class TestOracleCommand:
         )
         assert code == 2 and json.loads(out)["tree"] is None
 
+    def test_two_labels(self, capsys, monkeypatch):
+        # the single edge, printed as its midpoint rooting
+        code, out, _ = run_cli(
+            capsys, ["oracle", "--order", "2"], stdin="2\n1 2 3\n", monkeypatch=monkeypatch
+        )
+        assert code == 0 and json.loads(out)["tree"] == "(1:1.5,2:1.5);"
+
     @pytest.mark.parametrize("value,positive,code,tree", [
         ("3", True, 0, "(1:1,2:1,3:1);"),
         ("3", False, 0, "(1:3,2:0,3:0);"),

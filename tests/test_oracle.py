@@ -252,6 +252,23 @@ class TestRealizableBrute:
         assert realizable_brute(DoubleWeights({(1, 2): 7})).edges == ((1, 2, 7),)
         assert realizable_brute(DoubleWeights({(1, 2): -1}), require_positive=True) is None
 
+    @pytest.mark.parametrize("labels", [(1, 2), (5, 9)])
+    @pytest.mark.parametrize("w", [3, 0, -2])
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_two_labels_on_given_labels(self, labels, w, positive):
+        # the single edge on the target's own labels, or None when positive
+        # edges are required and w is not positive
+        got = realizable_brute(DoubleWeights({labels: w}), require_positive=positive)
+        if positive and w <= 0:
+            assert got is None
+        else:
+            assert got.leaves == labels and got.edges == ((*labels, w),)
+
+    def test_two_float_labels_refused(self):
+        # the oracle is exact at every size
+        with pytest.raises(TypeError):
+            realizable_brute(DoubleWeights({(1, 2): 3.0}))
+
     def test_three_label_triples(self):
         # one value on the star's three edges: with positive edges it is
         # the equal split, and no split is positive unless the value is
@@ -309,7 +326,7 @@ class TestBatchedOracle:
         assert stack.inc.dtype == stack.inv.dtype == np.int8
         step = 4096
         l1 = 0
-        for lo in range(0, len(stack.topos), step):
+        for lo in range(0, len(stack.shapes), step):
             inv = stack.inv[lo:lo + step].astype(np.int64)
             inc = stack.inc[lo:lo + step].astype(np.int64)
             real = ~stack.pad[lo:lo + step]
@@ -322,8 +339,8 @@ class TestBatchedOracle:
     def test_incidence_matches_unit_weights(self):
         for n, order in [(5, 2), (5, 3), (6, 3)]:
             stack = oracle_mod._stack(n, order)
-            for t, topo in enumerate(stack.topos):
-                assert stack.row_edges(t) == _incidence_rows(topo, order)
+            for t, edges in enumerate(stack.shapes):
+                assert stack.row_edges(t) == _incidence_rows(Topology(edges), order)
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_python_int_product_agrees(self, monkeypatch, order):

@@ -1,8 +1,10 @@
 """Pseudobell machinery, base cases, full reconstruction round trips."""
 
+import gc
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -46,12 +48,15 @@ from conftest import (
     QUARTET_DOUBLES,
     cross_path_cases,
     exact_or_float,
+    float_caterpillar,
+    reconstruct_keeping_mirrors,
 )
 from reference_loops import (
     clique_bells_loop,
     condition2_values,
     derived_common_values,
     lift_check_loop,
+    lift_fit_loop,
     prune_fit_loop,
     prune_levels_loop,
     prune_loop,
@@ -719,13 +724,17 @@ class TestCrossPath:
         driver), the base cases' star tables and condition 2 (in
         reconstruction and in triple NJ's fit) taking the reference loops;
         every other step runs as in the kernels'."""
+        # a triple set keeps its condition-2 fit once made, so the run takes
+        # a fresh copy of w, whose one fit the reference loop makes
+        fresh = type(w)(dict(w.items()), labels=w.labels)
+        fits = []
         with monkeypatch.context() as m:
             m.setattr(reconstruct_mod, "_prune_levels", prune_levels_loop)
             m.setattr(reconstruct_mod, "star_table", star_table_loop)
-            m.setattr(reconstruct_mod, "derived_pairwise_consistent", lift_check_loop)
-            # triple NJ takes its fit through weights.pairwise_fit
-            m.setattr(weights_mod, "derived_pairwise_consistent", lift_check_loop)
-            return cls._outcome(w, tol)
+            m.setattr(weights_mod, "_lift_fit", lambda t: fits.append(t) or lift_fit_loop(t))
+            outcome = cls._outcome(fresh, tol)
+        assert fits == ([fresh] if w.order == 3 else [])
+        return outcome
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_reconstruct_outcomes_match_reference_loops(self, monkeypatch, order):
@@ -764,14 +773,15 @@ class TestCarriedMirror:
 
     @staticmethod
     def _realised(order=2):
-        """(name, container, tol, trace) of every realisable cross-path case."""
+        """(name, container, tol, trace, carried mirror after each level) of
+        every realisable cross-path case."""
         for seed in CROSS_PATH_SEEDS:
             for name, w, tol in cross_path_cases(seed, order):
                 try:
-                    _, trace = reconstruct_from_doubles(w, tol=tol)
+                    _, trace, mirrors = reconstruct_keeping_mirrors(w, tol)
                 except ReconstructionError:
                     continue
-                yield name, w, tol, trace
+                yield name, w, tol, trace, mirrors
 
     @staticmethod
     def _builds(monkeypatch, d):
@@ -797,19 +807,19 @@ class TestCarriedMirror:
         assert self._builds(monkeypatch, big) == self._builds(monkeypatch, small)
 
     def test_reduced_views_match_prune_doubles(self):
-        # each level's lazy container is the prune of the previous level's
-        # container by the level's own plan: the same keys, equal Fractions,
-        # the same float bits
+        # the container of each level's carried mirror is the prune of the
+        # previous level's container by the level's own plan: the same keys,
+        # equal Fractions, the same float bits
         names = set()
-        for name, w, tol, trace in self._realised():
+        for name, w, tol, trace, mirrors in self._realised():
             before = w
-            for level in trace.levels:
+            for level, mirror in zip(trace.levels, mirrors, strict=True):
                 plan = [
                     Pseudobell(members=pb.members, twig_lengths=dict(pb.twig_lengths))
                     for pb in level.pseudobells
                 ]
                 want, _ = prune_doubles(before, plan, tol)
-                got = level.reduced
+                got = mirror.container()
                 assert got.labels == want.labels == level.labels_after, name
                 assert [(k, exact_or_float(v)) for k, v in got.items()] == [
                     (k, exact_or_float(v)) for k, v in want.items()
@@ -819,13 +829,31 @@ class TestCarriedMirror:
             names.add(name.split("-")[0])
         assert names == {"int64", "float64", "wide", "object", "fractions"}
 
+    def test_trace_holds_no_reduced_data(self):
+        # the trace is a log of labels and bells, so dropping the 98 levels
+        # of a 200-leaf caterpillar frees little (a mirror per level would
+        # be about 10 MB)
+        d = doubles_of_tree(float_caterpillar(200))
+        tracemalloc.start()
+        try:
+            _, trace = reconstruct_from_doubles(d, tol=1e-9)
+            assert len(trace.levels) == 98
+            held = tracemalloc.get_traced_memory()[0]
+            del trace
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert freed < 1 << 20
+
     def test_carried_mirror_is_the_rebuilt_containers_dense(self):
         # after every level the mirror has the least scale and the dtype a
         # rebuilt container's mirror would get, element for element
-        for name, _, _, trace in self._realised():
-            for level in trace.levels:
-                kind, arr, scale = level.reduced.dense()
-                view = level._view
+        for name, _, _, trace, mirrors in self._realised():
+            for level, view in zip(trace.levels, mirrors, strict=True):
+                kind, arr, scale = DoubleWeights(
+                    dict(view.container().items()), labels=level.labels_after
+                ).dense()
                 assert (view.kind, view.scale, view.arr.dtype) == (kind, scale, arr.dtype), name
                 if kind == "float":
                     assert view.arr.tobytes() == arr.tobytes(), name

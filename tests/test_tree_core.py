@@ -26,6 +26,7 @@ from treeweights import (
     tree_equal,
     triple_weight,
 )
+from treeweights.tree import from_json_dict
 from treeweights.weights import _preorder
 from conftest import steiner_brute
 
@@ -423,6 +424,55 @@ class TestJson:
         t = WeightedTree([(1, 2, 0.125)])
         back = from_json(to_json(t), mode="float")
         assert back.weight(1, 2) == 0.125
+
+    @staticmethod
+    def _edge(weight_text, mode):
+        return from_json(f'{{"edges": [{{"u": 1, "v": 2, "weight": {weight_text}}}]}}', mode)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_weights_refused(self, text, mode):
+        with pytest.raises(ParseError):
+            self._edge(text, mode)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("text", ["true", "false"])
+    def test_bool_weights_refused(self, text, mode):
+        with pytest.raises(ParseError):
+            self._edge(text, mode)
+
+    def test_out_of_float_range_int_refused(self):
+        with pytest.raises(ParseError):
+            self._edge("1" + "0" * 400, "float")
+        # exact mode reads the same integer exactly
+        assert self._edge("1" + "0" * 400, "rational").weight(1, 2) == 10**400
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_bad_weight_strings_refused(self, mode):
+        for text in ('"abc"', '"1/0"', '"inf"'):
+            with pytest.raises(ParseError):
+                self._edge(text, mode)
+
+    def test_from_json_dict_refuses_nan(self):
+        edges = [{"u": 1, "v": 2, "weight": float("nan")}]
+        for mode in ("float", "rational"):
+            with pytest.raises(ParseError):
+                from_json_dict({"edges": edges}, mode)
+
+    def test_finite_numbers_read_as_before(self):
+        for text, mode, want in [
+            ("3", "float", 3.0),
+            ("-0.0", "float", -0.0),
+            ("0.1", "float", 0.1),
+            ("2.5e-3", "float", 0.0025),
+            ("3", "rational", Fraction(3)),
+            ("0.1", "rational", Fraction(1, 10)),
+            ("-2.5e-3", "rational", Fraction(-1, 400)),
+            ('"1/3"', "rational", Fraction(1, 3)),
+            ('"1/4"', "float", 0.25),
+        ]:
+            got = self._edge(text, mode).weight(1, 2)
+            assert (type(got), repr(got)) == (type(want), repr(want)), (text, mode)
 
 
 class TestValidation:

@@ -8,20 +8,26 @@ which pairs hold, their common difference, the bells, and the prune with
 consistent twigs.  The triple-space reference loops referee that here.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from treeweights import (
     InstanceTooSmallError,
     Pseudobell,
+    TripleWeights,
     complete_pseudobells,
+    derived_pairwise_consistent,
     doubles_of_tree,
     neighbor_pairs,
+    nj_from_triples,
     prune_triples,
     random_tree,
+    reconstruct_from_triples,
+    s_matrix_triples,
     star_condition_triples,
     star_table,
+    tree_equal,
     triples_of_tree,
 )
 from treeweights.reconstruct import _prune_plan
@@ -73,8 +79,8 @@ def test_prune_matches_the_triple_loop(n, seed, multi):
     assert [(b.members, b.z) for b in level.pseudobells] == [
         (b.members, b.z) for b in ref_level.pseudobells
     ]
-    # the level's reduced set is the fit's, whose lift is the reduction
-    assert level.reduced.order == 2 and level.reduced.labels == reduced.labels
+    # the level's labels are the reduced set's
+    assert level.labels_after == reduced.labels
 
 
 @pytest.mark.parametrize("query", [star_table, lambda t: star_condition_triples(t, 1, 2)])
@@ -82,3 +88,29 @@ def test_four_labels_refused(query):
     with pytest.raises(InstanceTooSmallError) as exc:
         query(triples_of_tree(random_tree(4, 1)))
     assert (exc.value.required, exc.value.got) == (5, 4)
+
+
+def test_one_condition2_fit_per_triple_set(monkeypatch):
+    # a triple set is immutable, so every query reads one kept fit; each
+    # condition-2 computation reads the set's mirror once, so the mirror
+    # reads count the fits
+    tree = random_tree(12, 3)
+    t = triples_of_tree(tree)
+    reads = []
+    dense = TripleWeights.dense
+
+    def counted(self):
+        reads.append(self)
+        return dense(self)
+
+    monkeypatch.setattr(TripleWeights, "dense", counted)
+    star_table(t)
+    neighbor_pairs(t)
+    complete_pseudobells(t)
+    holds = {(a, b): star_condition_triples(t, a, b).holds for a, b in permutations(t.labels, 2)}
+    assert all(holds[a, b] == holds[b, a] for a, b in holds)
+    s_matrix_triples(t)
+    assert tree_equal(nj_from_triples(t), tree, 0)
+    assert tree_equal(reconstruct_from_triples(t)[0], tree, 0)
+    assert derived_pairwise_consistent(t, 0)[0] and derived_pairwise_consistent(t, 1)[0]
+    assert len(reads) == 1
