@@ -633,10 +633,19 @@ def _weight_from_json(value, mode):
         raise ParseError(f"bad edge weight: {exc}") from None
 
 
+def _node_from_json(edge, end):
+    """Endpoint *end* ("u" or "v") of a JSON edge record: a JSON integer
+    (not a bool, a float or a string), else ParseError naming the edge."""
+    node = edge[end]
+    if type(node) is not int:
+        raise ParseError(f"edge endpoint {end}={node!r} is not an integer in edge {edge!r}")
+    return node
+
+
 def from_json_dict(data: dict, mode: str = "rational") -> WeightedTree:
     try:
         edges = [
-            (int(e["u"]), int(e["v"]), _weight_from_json(e["weight"], mode))
+            (_node_from_json(e, "u"), _node_from_json(e, "v"), _weight_from_json(e["weight"], mode))
             for e in data["edges"]
         ]
     except (KeyError, TypeError) as exc:

@@ -33,6 +33,12 @@ place.  A single-pair star query is one window of the same kernel; the
 tests hold the kernels to reference loops result for result, bitwise for
 floats.  A triple set is queried on its pairwise fit (:func:`pairwise_fit`).
 
+The four-point test (:func:`buneman_check`) is a block kernel on the
+pairwise mirror as well: the quadruples i < j < k < h come in combinations
+order, in runs of heads (i, j) whose tails (k, h) are suffixes of the
+cached pair index, and the scan stops at the first block that holds a
+quadruple over the tolerance.
+
 Neighbor joining and the reconstruction's pruning carry one mirror from
 step to step (:class:`_Mirror`).  An exact step that leaves the units
 rescales units and scale by a factor (moving int64 to ``object`` when the
@@ -686,14 +692,22 @@ def neighbor_pairs(w, tol=0):
 # --------------------------------------------------------------------- #
 
 
+def _float_floor(x):
+    """The largest float <= the exact number *x*; -inf below every float."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return sys.float_info.max if x > 0 else -math.inf
+    return math.nextafter(f, -math.inf) if f > x else f
+
+
 def _over(spread, tol, scale):
     """Where spread / scale > tol, for a kernel's spreads in a mirror's
     units (*scale* None: floats); exact for int, Fraction, float and
     infinite tolerances alike."""
     if scale is None:
-        if isinstance(tol, float):
-            return spread > tol
-        return np.array([x > tol for x in spread.tolist()], dtype=bool)
+        # a float passes an exact tol iff it passes the largest float <= tol
+        return spread > (tol if isinstance(tol, float) else _float_floor(tol))
     if isinstance(tol, float) and not math.isfinite(tol):
         return spread > tol
     limit = Fraction(tol) * scale
@@ -963,23 +977,88 @@ class BunemanVerdict:
     gap: object  # by how much the two largest sums differ at the witness
 
 
+def _tails(m, j):
+    """How many pairs (k, h) over range(m) follow label j: C(m - j - 1, 2)."""
+    return (m - 1 - j) * (m - 2 - j) // 2
+
+
+def _quads_from(m, a, b):
+    """Index arrays (i, j, k, h) of the quadruples i < j < k < h over
+    range(m) whose head (i, j) is one of the pairs a to b - 1 of
+    :func:`_upper_pairs`, in combinations order.
+
+    The tails (k, h) of a head (i, j) are the pairs over range(j + 1, m),
+    which are the last ``_tails(m, j)`` pairs of :func:`_upper_pairs`.
+    """
+    pi, pj = _upper_pairs(m)
+    i, j = pi[a:b], pj[a:b]
+    tails = _tails(m, j)
+    ends = np.cumsum(tails)
+    at = np.repeat(len(pi) - ends, tails) + np.arange(ends[-1])
+    return np.repeat(i, tails), np.repeat(j, tails), pi[at], pj[at]
+
+
+@_index_arrays
+def _upper_quads(m):
+    return _quads_from(m, 0, math.comb(m, 2))
+
+
+def _quad_blocks(m, size):
+    """Every quadruple over range(m) in combinations order, as index arrays
+    over consecutive runs of heads of at most *size* quadruples each (at
+    least one head each), as an iterator; quadruples that fit one block
+    come as the cached :func:`_upper_quads`."""
+    if math.comb(m, 4) <= size:
+        yield _upper_quads(m)
+        return
+    ends = np.cumsum(_tails(m, _upper_pairs(m)[1]))
+    a = 0
+    while a < len(ends):
+        done = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, done + size, side="right")))
+        yield _quads_from(m, a, b)
+        a = b
+
+
+# Arrays of a four-point block's length alive at once, with room to spare:
+# its index arrays, those of the block before it and the sums (about 13,
+# measured), so that together they stay within ``block_elems`` elements.
+_QUAD_ARRAYS = 16
+
+
 def buneman_check(d: DoubleWeights, tol=0) -> BunemanVerdict:
     """Four-point test: per quadruple the two largest pair sums must agree.
 
     Vacuously passes for n < 4.  Metric axioms are deliberately not
     required here; see :func:`metric_warnings` for those.
+
+    One block kernel on the mirror, in combinations order: blocks of
+    consecutive heads (i, j) (:func:`_quad_blocks`) take about
+    ``block_elems(arr) // _QUAD_ARRAYS`` quadruples each.  Per quadruple
+    i < j < k < h the sums d_ij + d_kh, d_ik + d_jh and d_ih + d_jk are
+    added in that order, and the gap is the largest minus the middle one,
+    picked by maximum and minimum: the values ``sorted`` picks, so float
+    gaps keep their bits.  The first quadruple whose gap passes *tol* is
+    the witness, and no later block is built.  The gap of an exact mirror
+    is a Fraction, of a float one a float.
     """
-    for i, j, k, h in combinations(d.labels, 4):
-        sums = sorted(
-            (
-                d.value(i, j) + d.value(k, h),
-                d.value(i, k) + d.value(j, h),
-                d.value(i, h) + d.value(j, k),
-            )
-        )
-        gap = sums[2] - sums[1]
-        if gap > tol:
-            return BunemanVerdict(False, (i, j, k, h), gap)
+    if d.n < 4:
+        return BunemanVerdict(True, None, 0)
+    _, arr, scale = d.dense()
+    for i, j, k, h in _quad_blocks(d.n, max(1, block_elems(arr) // _QUAD_ARRAYS)):
+        one = arr[i, j] + arr[k, h]
+        two = arr[i, k] + arr[j, h]
+        three = arr[i, h] + arr[j, k]
+        big = np.maximum(one, two)
+        small = np.minimum(one, two, out=one)
+        top = np.maximum(big, three, out=two)
+        mid = np.maximum(small, np.minimum(big, three, out=three), out=three)
+        gap = np.subtract(top, mid, out=top)
+        over = _over(gap, tol, scale)
+        if over.any():
+            p = int(over.argmax())
+            witness = tuple(d.labels[x[p]] for x in (i, j, k, h))
+            return BunemanVerdict(False, witness, unit_value(gap[p], scale))
     return BunemanVerdict(True, None, 0)
 
 

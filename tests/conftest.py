@@ -203,3 +203,19 @@ def cross_path_cases(seed, order):
             (f"{name}-jitter", cls(jitter, labels=range(1, n + 1)), tol),
         ]
     return cases
+
+
+def late_failing_caterpillar(n, rng):
+    """Path sums of a caterpillar whose leaves sit along the spine in label
+    order (n >= 5), with d(n - 1, n) raised past twice its last spine edge:
+    only the quadruples (x, n - 2, n - 1, n) fail, so the first failure is
+    (1, n - 2, n - 1, n), the last quadruple whose first label is 1."""
+    spine = [n + t for t in range(1, n - 1)]
+    edges = [(1, spine[0], rng.randint(1, 9)), (2, spine[0], rng.randint(1, 9))]
+    edges += [(k, spine[k - 2], rng.randint(1, 9)) for k in range(3, n - 1)]
+    edges += [(n - 1, spine[-1], rng.randint(1, 9)), (n, spine[-1], rng.randint(1, 9))]
+    steps = [rng.randint(2, 9) for _ in spine[1:]]
+    edges += [(a, b, w) for a, b, w in zip(spine, spine[1:], steps)]
+    values = dict(doubles_of_tree(WeightedTree(edges)).items())
+    values[(n - 1, n)] += 2 * steps[-1] + Fraction(rng.randint(1, 10), 7)
+    return values

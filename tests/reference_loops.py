@@ -20,7 +20,7 @@ fit must reproduce on exact lifts.
 The weight-file writer that built one Fraction per value and joined every
 line at once, and the metric warnings' loop over the container's values,
 are kept here too, with the walk that made a CLI payload ready for
-``json.dumps``.
+``json.dumps``, and the four-point test's loop over every quadruple.
 """
 
 import math
@@ -43,6 +43,7 @@ from treeweights.reconstruct import (
 )
 from treeweights.tree import WeightedTree, contract_zero_internal_edges, distances_from
 from treeweights.weights import (
+    BunemanVerdict,
     DoubleWeights,
     StarResult,
     TripleWeights,
@@ -612,6 +613,24 @@ def metric_warnings_loop(d):
             if lhs > rhs:
                 warnings.append(f"triangle violation: D({x},{y}) > D({x},{z}) + D({z},{y})")
     return warnings
+
+
+def buneman_check_loop(d, tol=0):
+    """Reference four-point test: per quadruple in combinations order the
+    two largest of the three pair sums, sorted, must agree within *tol*;
+    the first quadruple that breaks it is the witness."""
+    for i, j, k, h in combinations(d.labels, 4):
+        sums = sorted(
+            (
+                d.value(i, j) + d.value(k, h),
+                d.value(i, k) + d.value(j, h),
+                d.value(i, h) + d.value(j, k),
+            )
+        )
+        gap = sums[2] - sums[1]
+        if gap > tol:
+            return BunemanVerdict(False, (i, j, k, h), gap)
+    return BunemanVerdict(True, None, 0)
 
 
 def jsonable(value):

@@ -1,13 +1,28 @@
 """Command-line behaviour: exit codes, formats, pipe composition."""
 
 import json
+import random
 import time
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from treeweights import parse_newick, tree_equal
+from treeweights import (
+    DoubleWeights,
+    WeightedTree,
+    doubles_of_tree,
+    emit_doubles,
+    parse_doubles,
+    parse_newick,
+    random_tree,
+    tree_equal,
+)
+from treeweights import weights as weights_mod
 from treeweights.cli import main
+from treeweights.weights import holds_fractions
+from conftest import late_failing_caterpillar
+from reference_loops import buneman_check_loop
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -153,6 +168,71 @@ class TestCheck:
         )
         assert code == 2
         assert json.loads(out)["failure"]["kind"] is not None
+
+
+def _four_point_inputs():
+    """``check --order 2`` inputs that run the four-point scan, as
+    pytest params (pair file text, extra argv, first witness or None for
+    a pass), one per mirror kind and witness position."""
+    tree12 = dict(doubles_of_tree(random_tree(12, 4)).items())
+    early = dict(tree12)
+    early[(1, 2)] += 5
+    # a common denominator past 4096 bits: a mirror of Fractions
+    fractions = {k: v * Fraction(3**2600 + 1, 3**2600) for k, v in tree12.items()}
+    fractions[(2, 5)] += 3
+    # a multifurcating tree with a negative inner edge is reconstructed but
+    # not proven four-point: at tol 0 a quartet across the edge fails, and
+    # within a wide tol the scan runs to the end
+    multi = random_tree(12, 3, binary_only=False)
+    leaves = set(multi.leaves)
+    inner = next(k for k, (u, v, _) in enumerate(multi.edges) if u not in leaves and v not in leaves)
+    edges = [(u, v, -w if k == inner else w) for k, (u, v, w) in enumerate(multi.edges)]
+    negative = dict(doubles_of_tree(WeightedTree(edges)).items())
+    floats = dict(doubles_of_tree(random_tree(30, 6, mode="float")).items())
+    huge = {k: v * Fraction(2**61 + 1, 2**61 - 1) for k, v in early.items()}
+    inputs = [
+        ("rational-12-early", early, [], (1, 2, 3, 4)),
+        ("rational-12-late", late_failing_caterpillar(12, random.Random(11)), [], (1, 10, 11, 12)),
+        ("fractions-12", fractions, [], (1, 2, 3, 5)),
+        ("negative-inner-edge", negative, [], (1, 2, 3, 6)),
+        ("negative-inner-edge-tol-100", negative, ["--tol", "100"], None),
+        ("float-30-tol-0", floats, ["--mode", "float", "--tol", "0"], (1, 2, 3, 4)),
+        ("float-30-tol-1e-9", floats, ["--mode", "float", "--tol", "1e-9"], None),
+        ("object-ints-12", huge, [], (1, 2, 3, 4)),
+    ]
+    return [pytest.param(emit_doubles(DoubleWeights(v)), argv, w, id=name)
+            for name, v, argv, w in inputs]
+
+
+class TestCheckFourPointContract:
+    """``check --order 2`` prints the same bytes and exits alike with the
+    four-point block kernel and with the reference loop over quadruples."""
+
+    @pytest.mark.parametrize("text, argv, witness", _four_point_inputs())
+    def test_kernel_and_loop_print_the_same(self, text, argv, witness, tmp_path, monkeypatch,
+                                            capsys):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        argv = ["check", "--order", "2", "--in", str(path)] + argv
+        calls, runs = [], []
+        for tag, scan in (("kernel", weights_mod.buneman_check), ("loop", buneman_check_loop)):
+            monkeypatch.setattr(weights_mod, "buneman_check",
+                                lambda *a, tag=tag, scan=scan: calls.append(tag) or scan(*a))
+            code, out, _ = run_cli(capsys, argv)
+            runs.append((code, out))
+        assert runs[0] == runs[1]
+        assert calls == ["kernel", "loop"]
+        four_point = json.loads(runs[0][1])["four_point"]
+        assert four_point["passed"] is (witness is None)
+        assert four_point["witness"] == (None if witness is None else list(witness))
+
+    def test_the_inputs_reach_every_mirror_kind(self):
+        kinds = set()
+        for param in _four_point_inputs():
+            text, argv, _ = param.values
+            arr = parse_doubles(text, "float" if "float" in argv else "rational").dense()[1]
+            kinds.add("fractions" if holds_fractions(arr) else str(arr.dtype))
+        assert kinds == {"int64", "object", "fractions", "float64"}
 
 
 class TestReconstructCommand:

@@ -1,5 +1,6 @@
 """Tree data model: weight queries, canonical form, generation, IO."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from treeweights import (
     tree_equal,
     triple_weight,
 )
-from treeweights.tree import from_json_dict
+from treeweights.tree import from_json_dict, to_json_dict
 from treeweights.weights import _preorder
 from conftest import steiner_brute
 
@@ -452,6 +453,21 @@ class TestJson:
         for text in ('"abc"', '"1/0"', '"inf"'):
             with pytest.raises(ParseError):
                 self._edge(text, mode)
+
+    @pytest.mark.parametrize("end", ["u", "v"])
+    @pytest.mark.parametrize("node", [1.9, True, "3", 2.0])
+    def test_endpoints_must_be_json_integers(self, end, node):
+        # int() would read 1.9 and True as label 1, "3" as 3 and 2.0 as 2
+        edge = {"u": 1, "v": 3, "weight": 1, end: node}
+        with pytest.raises(ParseError, match=f"{end}={node!r} .* in edge"):
+            from_json_dict({"edges": [edge, {"u": 2, "v": 3, "weight": 1}]})
+
+    @given(st.integers(0, 10**6), st.integers(2, 12), st.sampled_from(["rational", "float"]))
+    @settings(max_examples=30, deadline=None)
+    def test_json_dict_round_trip(self, seed, n, mode):
+        t = random_tree(n, seed, binary_only=seed % 2 == 0, mode=mode)
+        back = from_json_dict(json.loads(json.dumps(to_json_dict(t))), mode)
+        assert back.edges == t.edges and to_json_dict(back) == to_json_dict(t)
 
     def test_from_json_dict_refuses_nan(self):
         edges = [{"u": 1, "v": 2, "weight": float("nan")}]
