@@ -15,10 +15,10 @@ from treeweights import (
     doubles_of_tree,
     random_tree,
     reconstruct_from_doubles,
-    reconstruct_from_doubles_via_triples,
     reconstruct_from_triples,
     to_newick,
     tree_equal,
+    triples_from_doubles,
     triples_of_tree,
 )
 
@@ -36,7 +36,7 @@ print("positivity certificate:", trace.all_twigs_positive)
 # The same from pairwise data, directly or through lifted triples.
 d = doubles_of_tree(t)
 direct, _ = reconstruct_from_doubles(d, tol=0)
-lifted, _ = reconstruct_from_doubles_via_triples(d, tol=0)
+lifted, _ = reconstruct_from_triples(triples_from_doubles(d), tol=0)
 print("\npairwise routes agree:", tree_equal(direct, lifted, 0))
 
 # Corrupt one value: the decision procedure rejects with a witness.

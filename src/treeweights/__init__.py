@@ -37,10 +37,8 @@ from .reconstruct import (
     prune_doubles,
     prune_triples,
     reconstruct_from_doubles,
-    reconstruct_from_doubles_via_triples,
     reconstruct_from_triples,
     twig_length_doubles,
-    twig_length_triples,
 )
 from .tree import (
     Bell,

@@ -55,9 +55,9 @@ from .weights import (
     _over,
     _skip,
     _star_windows,
+    _upper_pairs,
     pairwise_fit,
     unit_value,
-    upper_keys,
     upper_mask,
 )
 
@@ -77,7 +77,7 @@ def _selection(state: _Mirror):
     state.widen(4 * state.n)
     arr = state.arr
     m = len(arr)
-    iu, ju = upper_keys(m, 2)
+    iu, ju = _upper_pairs(m)
     (upper,) = upper_mask(m)
     row = arr.sum(axis=0)
     return iu, ju, (m - 2) * arr[upper] - row[iu] - row[ju]

@@ -53,13 +53,13 @@ from .weights import (
     _over,
     _star_windows,
     _symmetric,
+    _upper_pairs,
     block_elems,
     derived_pairwise_consistent,
     doubles_of_tree,
     pairwise_fit,
     star_table,
     triples_from_doubles,
-    upper_keys,
 )
 
 # Unused here, but perfbench's tracer wraps this name in this module.
@@ -158,7 +158,7 @@ def complete_pseudobells(w, tol=0):
     m, labels = state.n, state.labels
     lo, hi = _star_windows(state.arr)
     adj = np.zeros((m, m), dtype=bool)
-    iu, ju = upper_keys(m, 2)
+    iu, ju = _upper_pairs(m)
     adj[iu, ju] = adj[ju, iu] = ~_over(hi - lo, tol, state.scale)
     return _clique_bells(adj, labels)
 
@@ -220,15 +220,6 @@ def twig_length_doubles(d: DoubleWeights, alpha, alpha2, x):
     return half(d.value(alpha, alpha2) + d.value(alpha, x) - d.value(alpha2, x))
 
 
-def twig_length_triples(t: TripleWeights, derived: DoubleWeights, alpha, alpha2, x, y):
-    """(D'[a,a'] + D[a,x,y] - D[a',x,y]) / 2 with D' the derived pairwise."""
-    if len({alpha, alpha2, x, y}) != 4:
-        raise ValueError("twig length needs four distinct labels")
-    return half(
-        derived.value(alpha, alpha2) + t.value(alpha, x, y) - t.value(alpha2, x, y)
-    )
-
-
 # --------------------------------------------------------------------- #
 # Pruning                                                                #
 # --------------------------------------------------------------------- #
@@ -288,7 +279,7 @@ def _reduce_dense(state, groups, tw, new_labels, tol):
         hi[g0:g1] = mx
         g0 = g1
 
-    keys = upper_keys(m2, 2)
+    keys = _upper_pairs(m2)
     lo, hi = lo[keys], hi[keys]
     spread = hi - lo
     over = _over(spread, tol, state.scale)
@@ -297,8 +288,8 @@ def _reduce_dense(state, groups, tw, new_labels, tol):
         key = tuple(new_labels[int(k[bad])] for k in keys)
         raise _inconsistent(key, state.value(spread[bad]))
     if state.kind == "float":
-        return _symmetric(0.5 * (lo + hi), m2, 2, 0), None
-    return _symmetric(lo + hi, m2, 2, arr.flat[0]), 2 * state.scale
+        return _symmetric(0.5 * (lo + hi), m2, 0), None
+    return _symmetric(lo + hi, m2, arr.flat[0]), 2 * state.scale
 
 
 def _prune(w, bells, tol, floor):
@@ -538,7 +529,7 @@ def _verified(d: DoubleWeights, base_tree, base_record, levels, tol, require_pos
         scale = math.lcm(got.scale, want.scale)
         got.rescale(scale // got.scale)
         want.rescale(scale // want.scale)
-    keys = upper_keys(d.n, 2)
+    keys = _upper_pairs(d.n)
     miss = _over(np.abs(got.arr[keys] - want.arr[keys]), slack, want.scale)
     if miss.any():
         k = int(miss.argmax())
@@ -611,18 +602,3 @@ def reconstruct_from_doubles(d: DoubleWeights, tol=0, require_positive=False):
     )
     return _verified(d, base_tree, base_record, levels, tol, require_positive)
 
-
-def reconstruct_from_doubles_via_triples(d: DoubleWeights, tol=0, require_positive=False):
-    """Lift pairwise values to triples and reconstruct from those.
-
-    The derived-pairwise consistency condition holds automatically for
-    lifted data; it is still verified as a sanity check inside the triple
-    procedure.
-    """
-    if d.n < 5:
-        raise InstanceTooSmallError(
-            "triple-route reconstruction needs n >= 5", required=5, got=d.n
-        )
-    return reconstruct_from_triples(
-        triples_from_doubles(d), tol=tol, require_positive=require_positive
-    )

@@ -10,7 +10,8 @@ are all equal (within a tolerance).  On data coming from a tree with
 enough leaves it holds exactly for the pairs lying in a common bell.
 
 Values are Fractions (exact mode) or floats.  Every container has a dense
-numpy mirror, and every heavy scan runs on it as array operations: exact
+numpy mirror (a pair set's symmetric n x n array; a triple set's C(n, 3)
+values in combinations order), and every heavy scan runs on it: exact
 values are scaled by the LCM of their denominators to integers, held as
 int64 while the scaled magnitudes stay under ``_DENSE_MAG_CAP`` and as an
 ``object`` array of Python ints past it, so the integer results are exact
@@ -51,7 +52,7 @@ hand its mirror, or its half-sum lift, to ``from_mirror``.
 
 Condition 2 on triples (:func:`derived_pairwise_consistent`) asks whether
 the triples are the half-sum lift T_ijk = (d_ij + d_ik + d_jk) / 2 of one
-pairwise set d.  It fits d from three reductions of the mirror and checks
+pairwise set d.  It fits d from three reductions of the values and checks
 the lift residual, O(n^3) in all, the size of the input.  Every star query
 on a triple set runs on that fit d: on a lift, the triple window of a pair
 at completion {g, h} is the mean of d's windows at g and at h, so with
@@ -69,7 +70,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce, wraps
-from itertools import accumulate, combinations, islice, permutations, repeat
+from itertools import accumulate, combinations, islice, repeat
 
 import numpy as np
 
@@ -184,61 +185,58 @@ def _least_units(units, scale):
 
 
 def _settled(fill, scale):
-    """(fill, scale, zero) of exact values in :meth:`DoubleWeights.dense`'s
-    form, one per sorted key: *fill* / *scale* are units, or (scale 1) the
-    values' own Fractions."""
+    """(fill, scale, zero) of exact values in :meth:`_WeightSet.dense`'s
+    form, an array of any shape: *fill* / *scale* are units, or (scale 1)
+    the values' own Fractions."""
     if not holds_fractions(fill):
         least = _least_units(fill, scale)
         if least is not None:
             return (*least, 0)
-    return _exact_units([unit_value(x, scale) for x in fill.tolist()])
+    units, scale, zero = _exact_units([unit_value(x, scale) for x in fill.ravel().tolist()])
+    return units.reshape(fill.shape), scale, zero
 
 
-def _symmetric(fill, m, order, zero):
-    """The (m,) * order array holding *fill*, one value per sorted key in
-    combinations order, at every permutation of its key; *zero* elsewhere."""
-    arr = np.full((m,) * order, zero, dtype=fill.dtype)
-    s = 0
-    for keys in key_blocks(m, order):
-        part = fill[s : s + len(keys[0])]
-        for perm in permutations(range(order)):
-            arr[tuple(keys[k] for k in perm)] = part
-        s += len(part)
+def _symmetric(fill, m, zero):
+    """The m x m array holding *fill*, one value per sorted pair in
+    combinations order, at (i, j) and (j, i); *zero* on the diagonal."""
+    arr = np.full((m, m), zero, dtype=fill.dtype)
+    i, j = _upper_pairs(m)
+    arr[i, j] = arr[j, i] = fill
     return arr
 
 
+def _condensed(arr):
+    """The values of a mirror, one per sorted key in combinations order."""
+    return arr[_upper_pairs(len(arr))] if arr.ndim == 2 else arr
+
+
 def _dense_from_items(labels, items, order):
-    """(kind, array, scale) mirror of a container, from its sorted items:
-    kind "int", ``array * 1/scale`` equals the exact values (see
-    :func:`_exact_units`); kind "float", float64 values and scale None."""
+    """:meth:`_WeightSet.dense` of a container, from its sorted items."""
     values = [v for _, v in items]
     if all(map(_exact_type, set(map(type, values)))):
-        fill, scale, zero = _exact_units(values)
-        kind = "int"
+        kind, (fill, scale, zero) = "int", _exact_units(values)
     else:
-        fill, scale, zero = np.array([float(v) for v in values], dtype=np.float64), None, 0
-        kind = "float"
-    return kind, _symmetric(fill, len(labels), order, zero), scale
+        kind, scale, zero = "float", None, 0
+        fill = np.array([float(v) for v in values], dtype=np.float64)
+    return kind, _symmetric(fill, len(labels), zero) if order == 2 else fill, scale
 
 
 def mirror_values(kind, arr, scale):
-    """The values of a mirror in :meth:`DoubleWeights.dense`'s form, one
+    """The values of a mirror in :meth:`_WeightSet.dense`'s form, one
     per sorted key in combinations order, as an iterator: Fractions for
     kind "int", floats for kind "float"."""
-    values = arr[upper_keys(arr.shape[0], arr.ndim)].tolist()
+    values = _condensed(arr).tolist()
     return map(unit_value, values, repeat(scale)) if kind == "int" else iter(values)
-
-
-def exact_scalar(x):
-    """An element of an exact mirror or kernel result as a Python int or
-    Fraction (a numpy int would carry int64 arithmetic into a Fraction)."""
-    return x if isinstance(x, (int, Fraction)) else int(x)
 
 
 def unit_value(x, scale):
     """An element of a mirror or kernel result in units over *scale* (or a
-    sum of them) as a Python Fraction; scale None (float) as a float."""
-    return float(x) if scale is None else Fraction(exact_scalar(x), scale)
+    sum of them) as a Python Fraction; scale None (float) as a float.  A
+    numpy int is taken as a Python int first, so that no int64 arithmetic
+    reaches the Fraction."""
+    if scale is None:
+        return float(x)
+    return Fraction(x if isinstance(x, (int, Fraction)) else int(x), scale)
 
 
 def holds_fractions(arr):
@@ -251,7 +249,8 @@ class _WeightSet:
     """What the pair and triple containers share.
 
     The values over every sorted key of ``labels`` are held as a dict, as
-    the dense mirror :meth:`dense` gives, or both.  A container built from
+    the dense mirror :meth:`dense` gives (for triples, the values in
+    combinations order), or both.  A container built from
     its mirror (:meth:`from_mirror`) builds the dict when a lookup first
     needs it, with the values the mirror stands for: Fractions for kind
     "int", floats for kind "float".  Keys and lookups take ``order``
@@ -286,8 +285,9 @@ class _WeightSet:
 
     @classmethod
     def from_mirror(cls, labels, kind, arr, scale):
-        """The container of a mirror in :meth:`dense`'s form over sorted
-        *labels*, with no dict and no key scan.  *arr* is kept, not copied."""
+        """The container of a mirror in :meth:`dense`'s form (a triple set's
+        values in combinations order) over sorted *labels*, with no dict and
+        no key scan.  *arr* is kept, not copied."""
         w = cls.__new__(cls)
         w.labels = tuple(labels)
         w.n = len(w.labels)
@@ -327,6 +327,11 @@ class _WeightSet:
         return type(self)({tuple(map(mapping.__getitem__, key)): v for key, v in self._v.items()})
 
     def dense(self):
+        """(kind, mirror, scale): kind "int", the exact values as units
+        ``mirror / scale`` (see :func:`_exact_units`), or kind "float",
+        float64 values and scale None.  A pair set's mirror is its symmetric
+        n x n array with a zero diagonal; a triple set's is the 1-D array
+        of its values in combinations order."""
         if self._dense_cache is None:
             self._dense_cache = _dense_from_items(self.labels, self.items(), self.order)
         return self._dense_cache
@@ -403,11 +408,10 @@ def path_sums(tree) -> _Mirror:
 
     One walk from the smallest leaf (:func:`_preorder`) lists the nodes in
     preorder, so the leaves below every node take a contiguous range of
-    sources.  On
-    the (node, source) table P, each edge x - y, y the child, is one step
-    per direction: P[x, below y] = P[y, below y] + w on the way up, then
-    P[y, rest] = P[x, rest] + w on the way down.  Every path is thus
-    summed outward from its source leaf, in the order
+    sources.  On the (node, source) table P, each edge x - y, y the child,
+    is one step per direction: P[x, below y] = P[y, below y] + w on the way
+    up, then P[y, rest] = P[x, rest] + w on the way down.  Every path is
+    thus summed outward from its source leaf, in the order
     :func:`~treeweights.tree.distances_from` adds it, so float sums keep
     their bits; pair (a, b), a < b, is read from source a and mirrored to
     (b, a).  O(n^2) work in O(n) numpy calls.
@@ -552,15 +556,21 @@ def _upper_triples(m):
     return _triples_from(m, 0, m)
 
 
+def _tails(m, j):
+    """How many pairs (k, h) over range(m) follow label j: C(m - j - 1, 2)."""
+    return (m - 1 - j) * (m - 2 - j) // 2
+
+
 def _triples_from(m, a, b):
     """Index arrays (i, j, k) of the triples i < j < k over range(m) with
-    a <= i < b, in combinations order."""
-    r = np.arange(m)
-    # nonzero lists the entries i < j < k of the (b - a) x m x m block
-    # row-major, i.e. in combinations order
-    i, j, k = np.nonzero((r[a:b, None, None] < r[:, None]) & (r[:, None] < r))
-    i += a
-    return i, j, k
+    a <= i < b, in combinations order: the tails (j, k) of a first label i
+    are the last ``_tails(m, i)`` pairs of :func:`_upper_pairs`."""
+    pj, pk = _upper_pairs(m)
+    i = np.arange(a, min(b, m))
+    tails = _tails(m, i)
+    ends = np.cumsum(tails)
+    at = np.repeat(len(pj) - ends, tails) + np.arange(int(tails.sum()))
+    return np.repeat(i, tails), pj[at], pk[at]
 
 
 @_index_arrays
@@ -570,24 +580,18 @@ def upper_mask(m):
     return (~np.tri(m, dtype=bool),)
 
 
-def upper_keys(m, order):
-    """Index arrays of every sorted key over range(m), in combinations order."""
-    return _upper_pairs(m) if order == 2 else _upper_triples(m)
-
-
 # Largest temporary the block kernels build, in array elements (8 MB of
 # int64 or float64); a block always holds at least one pair or label.
 BLOCK_ELEMS = 1 << 20
 
 
-def key_blocks(m, order):
-    """:func:`upper_keys` in consecutive blocks, as an iterator of index
-    arrays.  Triples come in blocks of first labels whose mask takes at
-    most ``BLOCK_ELEMS`` cells (at least one first label each), so that no
-    index over the whole cube is built; keys that fit one block, and
-    pairs, come as one block, the cached :func:`upper_keys`."""
-    if order == 2 or m**3 <= BLOCK_ELEMS:
-        yield upper_keys(m, order)
+def key_blocks(m):
+    """Index arrays (i, j, k) of every triple over range(m) in combinations
+    order, as an iterator over blocks of ``BLOCK_ELEMS // m**2`` first
+    labels (at least one), so that no index over every triple is built;
+    for m**3 <= ``BLOCK_ELEMS``, one block, the cached :func:`_upper_triples`."""
+    if m**3 <= BLOCK_ELEMS:
+        yield _upper_triples(m)
         return
     step = max(1, BLOCK_ELEMS // (m * m))
     for a in range(0, m, step):
@@ -595,8 +599,8 @@ def key_blocks(m, order):
 
 
 def block_elems(arr):
-    """Elements per block temporary, so that a block takes about
-    ``BLOCK_ELEMS * 8`` bytes.
+    """Elements per block temporary of a kernel on the pairwise mirror
+    *arr*, so that a block takes about ``BLOCK_ELEMS * 8`` bytes.
 
     int64 and float64 elements take 8 bytes.  Each element of an ``object``
     block is a Python number of its own, a difference or sum of mirror
@@ -605,11 +609,9 @@ def block_elems(arr):
     magnitude; a Fraction counts its own bytes and those of its numerator
     and denominator, so a mirror of Fractions is measured entry by entry.
     """
-    if arr.dtype != object:
+    if arr.dtype != object or len(arr) < 2:
         return BLOCK_ELEMS
-    entries = arr[upper_keys(arr.shape[0], arr.ndim)]
-    if not entries.size:
-        return BLOCK_ELEMS
+    entries = _condensed(arr)
     if holds_fractions(arr):
         parts = [entries] + [map(operator.attrgetter(p), entries) for p in ("numerator", "denominator")]
         top = max(map(sum, zip(*(map(sys.getsizeof, p) for p in parts))))
@@ -813,14 +815,8 @@ class _Mirror:
         """Give an exact mirror the form ``dense()`` gives the container of
         its values: the least scale, the dtype its units need, or the
         values' own Fractions past ``_DENSE_SCALE_BITS``."""
-        if self.kind == "float":
-            return
-        least = None if holds_fractions(self.arr) else _least_units(self.arr, self.scale)
-        if least is not None:
-            self.arr, self.scale = least
-            return
-        fill, self.scale, zero = _settled(self.arr[_upper_pairs(self.n)], self.scale)
-        self.arr = _symmetric(fill, self.n, 2, zero)
+        if self.kind != "float":
+            self.arr, self.scale, _ = _settled(self.arr, self.scale)
 
     def container(self):
         return DoubleWeights.from_mirror(self.labels, self.kind, self.arr, self.scale)
@@ -886,7 +882,7 @@ def derived_pairwise_consistent(t: TripleWeights, tol=0):
 
     On a lift d is the lifted set exactly; it equals :func:`derived_pairwise`
     for every {r, s, u}.  The check, max |T_ijk - (d_ij + d_ik + d_jk)/2| <=
-    tol, is O(n^3) on the mirror, made once per triple set and kept with
+    tol, is O(n^3) on the values, made once per triple set and kept with
     the fit.  At tol 0 it holds exactly when no derived value depends on
     {r, s, u}; for tol > 0 it bounds the lift residual, not the spread of
     the derived values.  Every triple set on 5 labels is a lift.
@@ -898,36 +894,49 @@ def derived_pairwise_consistent(t: TripleWeights, tol=0):
 
 
 def _lift_fit(t: TripleWeights):
-    """(max |T - lift(d)|, d) of :func:`derived_pairwise_consistent`."""
+    """(max |T - lift(d)|, d) of :func:`derived_pairwise_consistent`, on
+    the values over :func:`key_blocks`: in a block, pair (a, b) adds its
+    third labels r < a (as (j, k)), then a < r < b (as (i, k)), then r > b,
+    each in order, so P_ij adds r in ascending order as a loop does."""
     if t.n < 5:
         raise InstanceTooSmallError(
             "derived pairwise consistency needs n >= 5", required=5, got=t.n
         )
-    kind, arr, scale = t.dense()
+    kind, vals, scale = t.dense()
     m = t.n
-    if kind == "int" and not holds_fractions(arr):
+    if kind == "int" and not holds_fractions(vals):
         # every term below stays within 48 n^3 max|unit|
-        arr = arr.astype(int_dtype(int(np.abs(arr).max(initial=0)) * 48 * m**3), copy=False)
-    # the sums add in index order, so a loop over the values rounds alike;
-    # the mirror's repeated-index entries are zero
-    pair = reduce(operator.add, arr.transpose(2, 0, 1))  # P_ij
+        vals = vals.astype(int_dtype(max(int(vals.max()), -int(vals.min())) * 48 * m**3), copy=False)
+    pair = np.zeros(m * m, dtype=vals.dtype)  # P_ij at i * m + j, i < j
+    s = 0
+    for i, j, k in key_blocks(m):
+        block = vals[s : s + len(i)]
+        s += len(i)
+        for a, b in ((j, k), (i, k), (i, j)):
+            np.add.at(pair, a * m + b, block)
+    pair = pair.reshape(m, m)
+    iu, ju = _upper_pairs(m)
+    pair[ju, iu] = pair[iu, ju]
     row = reduce(operator.add, pair.T)  # 2 L_i
     # den * d_ij = part_ij + c; c = 12 S, the one term summing every entry
-    # (on a mirror of Fractions the longest), is added once per extreme
+    # (on a mirror of Fractions the longest), is added once per block extreme
     den = 3 * (m - 2) * (m - 3) * (m - 4)
     part = 6 * (m - 2) * (m - 3) * pair - 3 * (m - 2) * np.add.outer(row, row)
     c = 2 * reduce(operator.add, row)
-    i, j, k = _upper_triples(m)
-    gap = 2 * den * arr[i, j, k] - (part[i, j] + part[i, k] + part[j, k])
-    worst = max(gap.max() - 3 * c, 3 * c - gap.min())  # 2 den max |T - lift(d)|
-    fit = part[_upper_pairs(m)] + c
+    worst = 0  # 2 den max |T - lift(d)|, block by block
+    s = 0
+    for i, j, k in key_blocks(m):
+        gap = 2 * den * vals[s : s + len(i)] - (part[i, j] + part[i, k] + part[j, k])
+        s += len(i)
+        worst = max(worst, gap.max() - 3 * c, 3 * c - gap.min())
+    fit = part[iu, ju] + c
     if kind == "int":
         residual = unit_value(worst, 2 * den * scale)
         fit, scale, zero = _settled(fit, scale * den)
     else:
         residual = worst / (2 * den)
         fit, zero = fit / den, 0
-    return residual, DoubleWeights.from_mirror(t.labels, kind, _symmetric(fit, m, 2, zero), scale)
+    return residual, DoubleWeights.from_mirror(t.labels, kind, _symmetric(fit, m, zero), scale)
 
 
 def pairwise_fit(w) -> DoubleWeights:
@@ -945,24 +954,23 @@ def triples_from_doubles(d: DoubleWeights) -> TripleWeights:
 
 def _lifted(state: _Mirror) -> TripleWeights:
     """The half-sum lift T_ijk = ((d_ij + d_ik) + d_jk) / 2 of a pairwise
-    mirror, added in that order, as a container at the least scale.  The
-    C(n, 3) values are summed over :func:`key_blocks` and settled before
-    the cube is built from them."""
+    mirror, added in that order, as a container at the least scale: the
+    C(n, 3) values, summed over :func:`key_blocks` and settled, are its
+    mirror."""
     n = state.n
     if n < 3:
         raise InstanceTooSmallError("triples_from_doubles needs n >= 3", required=3, got=n)
     arr = state.arr
     total = np.empty(math.comb(n, 3), dtype=arr.dtype)
     s = 0
-    for i, j, k in key_blocks(n, 3):
+    for i, j, k in key_blocks(n):
         total[s : s + len(i)] = (arr[i, j] + arr[i, k]) + arr[j, k]
         s += len(i)
     if state.kind == "float":
-        fill, scale, zero = 0.5 * total, None, 0
+        fill, scale = 0.5 * total, None
     else:
-        fill, scale, zero = _settled(total, 2 * state.scale)
-    del total
-    return TripleWeights.from_mirror(state.labels, state.kind, _symmetric(fill, n, 3, zero), scale)
+        fill, scale, _ = _settled(total, 2 * state.scale)
+    return TripleWeights.from_mirror(state.labels, state.kind, fill, scale)
 
 
 # --------------------------------------------------------------------- #
@@ -975,11 +983,6 @@ class BunemanVerdict:
     passed: bool
     witness: tuple | None  # first offending quadruple, lexicographic
     gap: object  # by how much the two largest sums differ at the witness
-
-
-def _tails(m, j):
-    """How many pairs (k, h) over range(m) follow label j: C(m - j - 1, 2)."""
-    return (m - 1 - j) * (m - 2 - j) // 2
 
 
 def _quads_from(m, a, b):
@@ -1227,8 +1230,8 @@ def _exact_fill(values):
 
 
 def _read_bulk(text, order, mode):
-    """(n, kind, mirror, scale) of a well-formed weight file, or None for
-    the line parser to read.
+    """(n, kind, mirror, scale) of a well-formed weight file, in
+    :meth:`_WeightSet.dense`'s form, or None for the line parser to read.
 
     Well-formed means: no comment, a header line, then C(n, order) lines
     of order + 1 tokens with one space between tokens and no other
@@ -1284,11 +1287,12 @@ def _read_bulk(text, order, mode):
             # parse_number's own rules for zeros (no sign), NaN and infinities
             for k in np.flatnonzero(~np.isfinite(fill) | (fill == 0)).tolist():
                 fill[k] = parse_number(values[k], mode)
-            return n, "float", _symmetric(fill, n, order, 0), None
-        fill, scale, zero = _exact_fill(values)
+            kind, scale, zero = "float", None, 0
+        else:
+            kind, (fill, scale, zero) = "int", _exact_fill(values)
     except ValueError:
         return None
-    return n, "int", _symmetric(fill, n, order, zero), scale
+    return n, kind, _symmetric(fill, n, zero) if order == 2 else fill, scale
 
 
 def _parse(text, mode, cls):
@@ -1334,7 +1338,7 @@ def _value_texts(kind, vals, scale):
 
 def emit_chunks(container):
     """The file form of a container, one line per sorted key, written from
-    its mirror's upper triangle (or tetrahedron), as an iterator of text
+    its mirror's values in combinations order, as an iterator of text
     chunks of at most ``_EMIT_LINES`` lines each."""
     if container.labels != tuple(range(1, container.n + 1)):
         raise ValueError("only containers labelled 1..n can be written to file")
@@ -1343,13 +1347,12 @@ def emit_chunks(container):
 
 def _chunks(container):
     kind, arr, scale = container.dense()
+    vals = _condensed(arr)
     keys = map(" ".join, combinations(map(str, container.labels), container.order))
     yield f"{container.n}\n"
-    for block in key_blocks(container.n, container.order):
-        for s in range(0, len(block[0]), _EMIT_LINES):
-            vals = arr[tuple(k[s : s + _EMIT_LINES] for k in block)]
-            texts = _value_texts(kind, vals, scale)
-            yield "".join(map("{} {}\n".format, islice(keys, len(texts)), texts))
+    for s in range(0, len(vals), _EMIT_LINES):
+        texts = _value_texts(kind, vals[s : s + _EMIT_LINES], scale)
+        yield "".join(map("{} {}\n".format, islice(keys, len(texts)), texts))
 
 
 def emit_doubles(d: DoubleWeights) -> str:

@@ -12,6 +12,7 @@ once.
 import contextlib
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -26,12 +27,14 @@ from treeweights import (
     ParseError,
     TripleWeights,
     WeightedTree,
+    derived_pairwise_consistent,
     doubles_of_tree,
     emit_doubles,
     emit_triples,
     parse_doubles,
     parse_triples,
     random_tree,
+    triples_from_doubles,
     triples_of_tree,
 )
 from treeweights import cli
@@ -46,8 +49,9 @@ from treeweights.weights import (
     holds_fractions,
     key_blocks,
     metric_warnings,
+    unit_value,
 )
-from reference_loops import emit_loop, metric_warnings_loop
+from reference_loops import emit_loop, metric_warnings_loop, triples_from_doubles_loop
 from test_bulk_reader import assert_same_container
 
 CLASSES = {2: DoubleWeights, 3: TripleWeights}
@@ -243,14 +247,14 @@ def _lift_cases():
 
 
 class TestTripleKeyBlocks:
-    """The triple lift, the cube and the file, built over blocks of first
-    labels, are those of one block over every triple."""
+    """The triple lift, condition 2 and the file, built over blocks of
+    first labels, are those of one block over every triple."""
 
     @pytest.mark.parametrize("budget", [1, 40, 200])
     def test_blocks_concatenate_to_every_key(self, budget, monkeypatch):
         monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", budget)
         for m in range(12):
-            blocks = list(key_blocks(m, 3))
+            blocks = list(key_blocks(m))
             want = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T
             got = [np.concatenate([b[p] for b in blocks]) for p in range(3)]
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), m
@@ -277,7 +281,7 @@ class TestTripleKeyBlocks:
             assert garr.tobytes() == arr.tobytes()
 
     def test_no_index_over_the_whole_cube(self, monkeypatch):
-        # 110**3 cells pass BLOCK_ELEMS: the lift, the cube and the file
+        # 110**3 cells pass BLOCK_ELEMS: the lift, condition 2 and the file
         # take their keys in blocks of first labels
         tree, budget = random_tree(110, 2), weights_mod.BLOCK_ELEMS
         assert 110**3 > budget
@@ -294,6 +298,52 @@ class TestTripleKeyBlocks:
         text = emit_triples(triples_of_tree(tree))
         assert text.count("\n") == 1 + comb(110, 3)
         assert text == one_block
+        assert derived_pairwise_consistent(triples_of_tree(tree), 0)[0]
+
+    def test_fit_peak_is_bounded(self):
+        # the fit reads the 10.5 MB of values in blocks; a symmetric cube of
+        # them would take 64 MB on its own
+        t = triples_of_tree(random_tree(200, 1, mode="float"))
+        tracemalloc.start()
+        try:
+            assert derived_pairwise_consistent(t, 1e-9)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20
+
+
+def _triple_constructors(tree):
+    """(name, triple set) of the lift of *tree*, built every way there is."""
+    lift = triples_of_tree(tree)
+    mode = "float" if isinstance(tree.edges[0][2], float) else "rational"
+    text = emit_triples(lift)
+    yield "triples_of_tree", lift
+    yield "triples_from_doubles", triples_from_doubles(doubles_of_tree(tree))
+    yield "dict", TripleWeights(dict(lift.items()))
+    bulk = parse_triples(text, mode)
+    assert bulk._dict is None  # read to its mirror alone
+    yield "bulk reader", bulk
+    lines = parse_triples("# a comment sends the file to the line reader\n" + text, mode)
+    assert lines._dict is not None
+    yield "line reader", lines
+
+
+@pytest.mark.parametrize("name, tree", list(_lift_cases()))
+def test_triple_mirror_holds_each_value_once(name, tree):
+    """A triple set's mirror is the 1-D array of its C(n, 3) values in
+    combinations order, whatever built it, on every mirror kind."""
+    want = triples_from_doubles_loop(doubles_of_tree(tree)).items()
+    dtype = {"int64": np.int64, "float": np.float64}.get(name, object)
+    for how, t in _triple_constructors(tree):
+        kind, arr, scale = t.dense()
+        assert arr.shape == (comb(t.n, 3),) and arr.dtype == dtype, how
+        assert holds_fractions(arr) == (name == "fractions"), how
+        assert t.items() == want, how
+        if kind == "float":
+            assert list(map(float.hex, arr.tolist())) == [float.hex(v) for _, v in want], how
+        else:
+            assert [unit_value(x, scale) for x in arr.tolist()] == [v for _, v in want], how
 
 
 def _metric_cases():

@@ -35,13 +35,12 @@ from treeweights import (
     prune_triples,
     random_tree,
     reconstruct_from_doubles,
-    reconstruct_from_doubles_via_triples,
     reconstruct_from_triples,
     to_newick,
     tree_equal,
+    triples_from_doubles,
     triples_of_tree,
     twig_length_doubles,
-    twig_length_triples,
 )
 from conftest import (
     CROSS_PATH_SEEDS,
@@ -201,8 +200,8 @@ class TestCliqueBells:
 class TestTwigLengths:
     def test_triples(self, cat_triples):
         _, derived = derived_pairwise_consistent(cat_triples)
-        assert twig_length_triples(cat_triples, derived, 1, 2, 3, 4) == 1
-        assert twig_length_triples(cat_triples, derived, 4, 5, 1, 2) == 4
+        assert twig_length_doubles(derived, 1, 2, 3) == 1
+        assert twig_length_doubles(derived, 4, 5, 1) == 4
 
     def test_symmetric_bell(self):
         sym = WeightedTree(
@@ -211,8 +210,8 @@ class TestTwigLengths:
         t = triples_of_tree(sym)
         _, derived = derived_pairwise_consistent(t)
         half = Fraction(1, 2) * derived.value(1, 2)
-        assert twig_length_triples(t, derived, 1, 2, 3, 4) == half
-        assert twig_length_triples(t, derived, 2, 1, 3, 4) == half
+        assert twig_length_doubles(derived, 1, 2, 3) == half
+        assert twig_length_doubles(derived, 2, 1, 3) == half
 
     def test_doubles(self, quartet_doubles):
         assert twig_length_doubles(quartet_doubles, 1, 2, 3) == 1
@@ -606,14 +605,14 @@ class TestReconstructDoubles:
 
 class TestReconstructViaTriples:
     def test_caterpillar_doubles(self, cat_doubles, caterpillar):
-        tree, _ = reconstruct_from_doubles_via_triples(cat_doubles)
+        tree, _ = reconstruct_from_triples(triples_from_doubles(cat_doubles))
         assert tree_equal(tree, caterpillar, 0)
 
     def test_all_equal_doubles_give_star(self):
         d = DoubleWeights(
             {(i, j): Fraction(4) for i in range(1, 6) for j in range(i + 1, 6)}
         )
-        tree, _ = reconstruct_from_doubles_via_triples(d)
+        tree, _ = reconstruct_from_triples(triples_from_doubles(d))
         star = WeightedTree([(i, 9, Fraction(2)) for i in range(1, 6)])
         assert tree_equal(tree, star, 0)
 
@@ -621,13 +620,13 @@ class TestReconstructViaTriples:
         for seed in range(100):
             t = random_tree(5 + seed % 6, seed, binary_only=seed % 3 != 0)
             d = doubles_of_tree(t)
-            via, _ = reconstruct_from_doubles_via_triples(d)
+            via, _ = reconstruct_from_triples(triples_from_doubles(d))
             direct, _ = reconstruct_from_doubles(d)
             assert tree_equal(via, direct, 0), seed
 
     def test_size_gate(self, quartet_doubles):
         with pytest.raises(InstanceTooSmallError):
-            reconstruct_from_doubles_via_triples(quartet_doubles)
+            reconstruct_from_triples(triples_from_doubles(quartet_doubles))
 
 
 class TestFloatTolerance:

@@ -31,7 +31,14 @@ from treeweights import (
     triples_of_tree,
 )
 from treeweights.reconstruct import _prune_plan
-from reference_loops import bell_twigs_loop, prune_loop, pseudobells_loop, star_table_loop
+from conftest import CROSS_PATH_SEEDS, cross_path_cases
+from reference_loops import (
+    bell_twigs_loop,
+    lift_fit_loop,
+    prune_loop,
+    pseudobells_loop,
+    star_table_loop,
+)
 
 TREES = [
     (n, seed, multi) for n, seed, multi in product(range(5, 9), range(4), (False, True))
@@ -81,6 +88,25 @@ def test_prune_matches_the_triple_loop(n, seed, multi):
     ]
     # the level's labels are the reduced set's
     assert level.labels_after == reduced.labels
+
+
+def _bits(x):
+    """A value as compared bit for bit: a float's hex form, else the
+    exact value with its type."""
+    return float.hex(x) if isinstance(x, float) else (type(x), x)
+
+
+def test_fit_and_residual_are_the_loop_bit_for_bit():
+    # on int64, object-int, Fraction and float64 values, realisable,
+    # perturbed and jittered: the pair sums add in the loop's order
+    for seed in CROSS_PATH_SEEDS:
+        for name, t, _ in cross_path_cases(seed, 3):
+            residual, fit = t._condition2
+            worst, d = lift_fit_loop(t)
+            assert _bits(residual) == _bits(worst), (name, seed)
+            assert [(k, _bits(v)) for k, v in fit.items()] == [
+                (k, _bits(v)) for k, v in d.items()
+            ], (name, seed)
 
 
 @pytest.mark.parametrize("query", [star_table, lambda t: star_condition_triples(t, 1, 2)])
