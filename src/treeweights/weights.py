@@ -21,9 +21,11 @@ own Fractions (on an ``object`` array, scale 1) and the same kernels run on
 them.  Float containers use a float64 array.  A container read from a
 well-formed file, or handed over by a carried mirror, starts from the
 mirror alone (:meth:`DoubleWeights.from_mirror`) and builds its dict of
-values only when a lookup first needs it.  Exact ``p/q`` tokens are read
-to integer units, and written from them, by array passes with no Fraction
-per value.
+values only when a lookup first needs it.  A well-formed file is read as
+bytes in chunks of bounded size (:func:`_read_bulk`), with no Python object
+per label or plain value past the smallest chunks; exact ``p/q`` tokens are
+read to integer units, and written from them, by array passes with no
+Fraction per value.
 
 The star table over all label pairs is one block kernel on a pairwise
 mirror (:func:`_star_windows`): pairs are taken in blocks of about
@@ -69,7 +71,7 @@ import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, reduce, wraps
+from functools import cached_property, reduce, wraps
 from itertools import accumulate, combinations, islice, repeat
 
 import numpy as np
@@ -152,7 +154,9 @@ def _units_of(num, den):
     The units are num * (scale // den), taken on int64 when max |num| times
     the largest factor stays under 2**63, else on Python ints.
     """
-    dens = set(den.tolist())
+    dens = set()
+    for s in range(0, len(den), 1 << 16):  # a bounded list of Python ints at a time
+        dens.update(den[s : s + (1 << 16)].tolist())
     scale = 1
     for q in dens:
         scale = math.lcm(scale, q)
@@ -1168,65 +1172,267 @@ def _parse_weight_lines(text, order, mode):
     return n, entries
 
 
-# The shape of a rational-mode token read on int64 arrays, an integer or
-# p/q with each part of at most 18 ASCII digits, once every digit is
-# written "d" and every sign "s" (see _shape_table).  A token of any other
-# shape goes through parse_number.
-_PLAIN_SHAPE = re.compile(r"s?d{1,18}(?:/d{1,18})?").fullmatch
+# Characters of whole lines (bytes, in an ASCII file) that the bulk reader
+# takes at a time: every array it builds is sized by a chunk, not the file.
+_READ_CHUNK = 1 << 24
+
+# Chunks longer than this many bytes hold token positions as int32.
+_INT32_POSITIONS = 1 << 20
+
+# A digit byte's value (a label holds no other byte).
+_DIGIT = np.zeros(256, np.int32)
+_DIGIT[48:58] = range(10)
 
 
-@cache
-def _shape_table():
-    """str.translate table of a token's shape: ASCII digits to "d", signs
-    to "s", and the letters d and s themselves to "x"."""
-    return str.maketrans({**dict.fromkeys("0123456789", "d"), "+": "s", "-": "s", "d": "x", "s": "x"})
+# Each byte's class for the value shapes: 0 a digit, 1 a space, 2 a sign,
+# 3 ".", 4 "e" or "E", 5 "/", 6 any other byte.
+_CLASS = np.full(256, 6, np.int16)
+_CLASS[48:58] = 0
+_CLASS[32] = 1
+_CLASS[[43, 45]] = 2
+_CLASS[46] = 3
+_CLASS[[69, 101]] = 4
+_CLASS[47] = 5
 
 
-def _put(arr, index, xs):
-    """*arr* with the Python ints *xs* at *index*, moved to ``object`` when
-    one of them does not fit int64."""
-    xs = _int_array(xs)
-    if xs.dtype == object:
-        arr = arr.astype(object)
-    arr[index] = xs
-    return arr
+def _mark_table(marks):
+    """Which (byte before, mark, byte after) classes a value may hold."""
+    table = np.zeros((7, 7, 7), bool)
+    table[tuple(zip(*marks))] = True
+    return table
 
 
-def _exact_fill(values):
-    """(fill, scale, zero) of rational-mode value tokens, as
-    :func:`_exact_units` gives them for the values parse_number reads.
+# A plain value has a leading sign and one "/" between digits; in a float
+# chunk with decimals, "." between digits and "e" between a digit and a
+# digit or the exponent's sign as well.
+_PLAIN_MARKS = [(1, 2, 0), (0, 5, 0)]
+_SHAPES = {
+    False: _mark_table(_PLAIN_MARKS),
+    True: _mark_table(_PLAIN_MARKS + [(0, 3, 0), (0, 4, 0), (0, 4, 2), (4, 2, 0)]),
+}
 
-    The tokens are checked by their distinct shapes (``_PLAIN_SHAPE``).
-    Plain ones become numerators and denominators on int64 arrays: each
-    token without a denominator gets "/1", and the joined tokens are read
-    by ``np.fromstring`` with each slash taken as a separator, two numbers
-    per token.  Any other token is read by parse_number, whose ValueError
-    propagates.
+
+def _tokens(a, order):
+    """The separators of the file lines in the bytes *a*, or None.
+
+    The bytes other than digits are found once.  The separators among them
+    (the bytes up to the space) must read `order` spaces, then a line end,
+    on every line, with no empty token; their positions come back as a
+    (lines, order + 1) array, the line's tokens ending at them.  So do the
+    position, byte and line of every other non-digit, which must lie in a
+    value.  Positions are int32 past ``_INT32_POSITIONS`` bytes, which
+    halves the arrays that bound the reader's memory; a shorter chunk keeps
+    intp positions, which index without a conversion.
     """
-    table = _shape_table()
-    plain = values
-    shapes = " ".join(plain).translate(table)
-    odd = []
-    if not all(map(_PLAIN_SHAPE, set(shapes.split()))):
-        odd = [k for k, v in enumerate(values) if not _PLAIN_SHAPE(v.translate(table))]
-        plain = list(values)
-        for k in odd:
-            plain[k] = "0"
-        shapes = " ".join(plain).translate(table)
-    # one "/" or "" per token once its digits and sign are gone
-    slashes = shapes.replace("d", "").replace("s", "").split(" ")
-    text = " ".join(map(operator.add, plain, map({"": "/1", "/": ""}.__getitem__, slashes)))
-    flat = np.fromstring(text.replace("/", " "), dtype=np.int64, sep=" ")
-    num, den = flat[0::2], flat[1::2]
-    if not den.all():
-        raise ValueError("zero denominator")
-    g = np.gcd(num, den)
-    num, den = num // g, den // g
-    if odd:
-        exact = [parse_number(values[k], "rational") for k in odd]
-        num = _put(num, odd, [v.numerator for v in exact])
-        den = _put(den, odd, [v.denominator for v in exact])
-    return _units_of(num, den)
+    marks = np.flatnonzero(a - 48 > 9)
+    if len(a) > _INT32_POSITIONS:
+        marks = marks.astype(np.int32)
+    byte = a[marks]
+    is_sep = byte <= 32
+    sep = marks[is_sep]
+    w = order + 1
+    lines, rest = divmod(len(sep), w)
+    if rest or byte[is_sep].tobytes() != (b" " * order + b"\n") * lines:
+        return None
+    if sep[0] == 0 or (sep[1:] - sep[:-1]).min(initial=2) < 2:
+        return None  # an empty token
+    other = np.flatnonzero(~is_sep)
+    token = other - np.arange(len(other))  # the separators before each
+    if (token % w != order).any():
+        return None  # a label with a byte other than a digit
+    return sep.reshape(-1, w), marks[other], byte[other], token // w
+
+
+def _label_keys(a, grid, n, order, work):
+    """Each line's key, its labels as digits in base n + 1 (so keys sort as
+    the label tuples do), from the labels that end at the
+    separators *grid*[:, :order] in the bytes *a*, or None unless every
+    label is at most as many digits as n has, with no leading zero, within
+    1..n and strictly increasing on its line.  The digits are combined by
+    array steps, one per digit position from the right, and blanked in
+    *work*."""
+    width = len(str(n))
+    stop = np.empty((len(grid), order), grid.dtype)  # the separator before
+    stop[0, 0], stop[1:, 0], stop[:, 1:] = -1, grid[:-1, order], grid[:, : order - 1]
+    at = grid[:, :order] - 1  # each label's last digit
+    if (at - stop > width).any() or (a[stop + 1] == 48).any():
+        return None
+    labels = _DIGIT[a[at]]
+    work[at] = 32
+    for k in range(1, width):
+        at -= 1
+        np.maximum(at, stop, out=at)  # the separator, once past the label
+        labels += _DIGIT[a[at]] * 10**k
+        work[at] = 32
+    # digits with no leading zero are at least 1
+    if not ((labels[:, -1] <= n).all() and (labels[:, 1:] > labels[:, :-1]).all()):
+        return None
+    return labels @ np.array([(n + 1) ** (order - 1 - c) for c in range(order)], np.int64)
+
+
+def _value_shapes(a, sp, ch, line, vs, ends, mode, work):
+    """(odd, has, decimal) of the value tokens [vs, ends) in the bytes *a*,
+    whose non-digits are *ch* at *sp* on the lines *line*; each "/" is
+    blanked in *work*.
+
+    A plain value's marks fit ``_SHAPES``, with at most one "/" (*has*)
+    and, in float mode once the chunk holds a "." or an "e" (*decimal*),
+    at most one "." before at most one "e"; its parts are at most 18 digits
+    unless *decimal*.  *odd* marks the lines of every other value.
+    """
+    mark = _CLASS[ch]
+    sign, slash = mark == 2, mark == 5
+    decimal = mode == "float" and ((mark == 3) | (mark == 4)).any()
+    ok = _SHAPES[decimal][_CLASS[a[sp - 1]], mark, _CLASS[a[sp + 1]]]
+    odd = np.zeros(len(vs), bool)
+    odd[line[~ok]] = True
+    l2 = line[~sign]
+    same = l2[1:] == l2[:-1]
+    if same.any():  # two marks other than signs on one line: only "." then "e"
+        m2 = mark[~sign]
+        odd[l2[1:][same & ((m2[:-1] != 3) | (m2[1:] != 4))]] = True
+    has = np.zeros(len(vs), bool)
+    has[line[slash]] = True
+    work[sp[slash]] = 32
+    if not decimal and (ends - vs).max(initial=0) > 18:  # a part may be longer
+        cut = ends.copy()
+        cut[line[slash]] = sp[slash]
+        odd |= (cut - vs - (_CLASS[a[vs]] == 2) > 18) | (ends - cut > 19)
+    return odd, has & ~odd, decimal
+
+
+# Chunks shorter than this many bytes are read line by line
+# (:func:`_read_lines`): there numpy's cost per call outweighs the work.
+_FEW_BYTES = 1 << 10
+
+# The plain values of :func:`_read_lines`, as :func:`_value_shapes` reads
+# them: exact p or p/q of at most 18 digits each; in float mode also any
+# length, and decimals.
+_PLAIN_EXACT = re.compile(rb"[+-]?[0-9]{1,18}(?:/[0-9]{1,18})?").fullmatch
+_PLAIN_FLOAT = re.compile(rb"[+-]?[0-9]+(?:/[0-9]+|(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)").fullmatch
+
+# Control bytes other than the line end: whitespace to the line parser.
+_CONTROL = re.compile(rb"[\x00-\x09\x0b-\x1f]").search
+
+
+def _read_lines(buf, order, n, mode):
+    """:func:`_read_chunk`'s result for a chunk of few bytes, read token by
+    token by the same rules: on so few bytes numpy's cost per call outweighs
+    the work."""
+    if _CONTROL(buf):
+        return None  # whitespace other than " " and line ends
+    rows = [line.split(b" ") for line in buf.split(b"\n")[:-1]]
+    if set(map(len, rows)) != {order + 1}:
+        return None
+    *cols, values = zip(*rows)
+    number = {b"%d" % x: x for x in range(1, n + 1)}
+    try:
+        labels = np.array([list(map(number.__getitem__, col)) for col in cols], np.int64)
+    except KeyError:
+        return None
+    if not (labels[1:] > labels[:-1]).all():
+        return None
+    keys = np.array([(n + 1) ** (order - 1 - c) for c in range(order)], np.int64) @ labels
+    try:
+        if mode == "float":
+            got = []
+            for v in values:
+                p, slash, q = v.partition(b"/")
+                if not _PLAIN_FLOAT(v):
+                    x = parse_number(v.decode(), mode)
+                elif slash:
+                    x = int(p) / int(q)  # correctly rounded, as parse_number's
+                else:
+                    x = float(v)
+                    if x == 0 or not math.isfinite(x):  # parse_number's rules
+                        x = parse_number(v.decode(), mode)
+                got.append(x)
+            return keys, (np.array(got, np.float64),), {}
+        plain = list(map(_PLAIN_EXACT, values))
+        odd = {k: parse_number(v.decode(), mode) for k, (v, ok) in enumerate(zip(values, plain)) if not ok}
+        text = b" ".join((v if b"/" in v else v + b"/1") if ok else b"0/1" for v, ok in zip(values, plain))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    p, q = np.fromstring(text.replace(b"/", b" "), np.int64, sep=" ").reshape(-1, 2).T
+    if not q.all():
+        return None  # a zero denominator
+    g = np.gcd(p, q)
+    return keys, (p // g, q // g), odd
+
+
+def _read_chunk(buf, order, n, mode):
+    """(keys, values, odd) of the lines of *buf*, the UTF-8 bytes of whole
+    file lines, or None for the line parser to read the file.
+
+    A chunk of fewer than ``_FEW_BYTES`` bytes is read by
+    :func:`_read_lines`.  Otherwise *keys* ranks each line's labels
+    lexicographically (:func:`_label_keys`), and the plain values
+    (:func:`_value_shapes`) are read by one ``np.fromstring`` over the
+    chunk with its labels blanked and each "/" a space, as int64, or as
+    float64 for a float chunk with decimals.  Any other value is read by
+    parse_number: in exact mode *odd* maps its line to the Fraction; in
+    float mode it is set in place, as are zeros, non-finite values and
+    ``p/q`` with a part of 2^53 or more, past which ``p / q`` in floats may
+    not be the correctly rounded value.  *values* is a float64 array, or
+    int64 reduced numerators and positive denominators.
+    """
+    if b"\r" in buf:  # "\r\n" line ends; the last line may end in "\r"
+        buf = buf.replace(b"\r\n", b"\n").removesuffix(b"\r")
+        if b"\r" in buf:
+            return None
+    if not buf.endswith(b"\n"):
+        buf += b"\n"
+    if len(buf) >= 2**31:
+        return None  # a line of gigabytes
+    if len(buf) < _FEW_BYTES:
+        return _read_lines(buf, order, n, mode)
+    a = np.frombuffer(buf, np.uint8)
+    tokens = _tokens(a, order)
+    if tokens is None:
+        return None
+    grid, sp, ch, line = tokens
+    work = a.copy()
+    keys = _label_keys(a, grid, n, order, work)
+    if keys is None:
+        return None
+    vs, ends = grid[:, order - 1] + 1, grid[:, order].copy()
+    del tokens, grid
+    odd, has, decimal = _value_shapes(a, sp, ch, line, vs, ends, mode, work)
+    odd_at = np.flatnonzero(odd).tolist()
+    for k in odd_at:
+        work[vs[k]], work[vs[k] + 1 : ends[k]] = 48, 32
+    try:
+        nums = np.fromstring(work.tobytes(), np.float64 if decimal else np.int64, sep=" ")
+    except ValueError:
+        return None
+    del work
+    if len(nums) != len(vs) + has.sum():
+        return None
+    slashes = has.any()
+    if not slashes:
+        p, q = nums, np.ones(1, nums.dtype)
+    elif has.all():
+        p, q = nums[0::2], nums[1::2]
+    else:
+        first = np.arange(len(vs)) + np.cumsum(has) - has
+        p, q = nums[first], np.where(has, nums.take(first + 1, mode="clip"), 1)
+    try:
+        if mode == "float":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values = p / q
+            fix = odd | (values == 0) | ~np.isfinite(values)
+            if slashes:
+                fix |= has & ((np.abs(p) >= 2**53) | (q >= 2**53))
+            for k in np.flatnonzero(fix).tolist():
+                values[k] = parse_number(buf[vs[k] : ends[k]].decode(), mode)
+            return keys, (values,), {}
+        if not q.all():
+            return None  # a zero denominator
+        g = np.gcd(p, q)
+        odd = {k: parse_number(buf[vs[k] : ends[k]].decode(), mode) for k in odd_at}
+        return keys, (p // g, q // g), odd
+    except ValueError:
+        return None
 
 
 def _read_bulk(text, order, mode):
@@ -1235,63 +1441,77 @@ def _read_bulk(text, order, mode):
 
     Well-formed means: no comment, a header line, then C(n, order) lines
     of order + 1 tokens with one space between tokens and no other
-    whitespace, labels written as the plain numbers 1..n, strictly
+    whitespace, each ended by "\\n" or "\\r\\n" (the last one by "\\r" or
+    nothing as well), labels written as the plain numbers 1..n, strictly
     increasing within a line, every key once in any line order, and values
-    read without error.  Such a file gives the line parser's values
-    exactly; every other file, malformed ones included, is left to the
-    line parser, so its errors and line numbers are the only ones.
+    read without error.  The body is read as UTF-8 bytes in chunks of whole
+    lines, about ``_READ_CHUNK`` characters each (:func:`_read_chunk`), with
+    no Python object per label or plain value.  Such a file gives the line
+    parser's values exactly; every other file, malformed ones included, is
+    left to the line parser, so its errors and line numbers are the only
+    ones.
     """
-    if "#" in text or mode not in MODES:
+    if mode not in MODES or "#" in text:
         return None
-    lines = text.splitlines()
+    body = text.find("\n") + 1
+    head = text[: body - 1].removesuffix("\r")
+    if not body or not head.isprintable():
+        return None
     try:
-        n = int(lines[0])
-    except (IndexError, ValueError):
+        n = int(head)
+    except ValueError:
         return None
     if n < order:
         return None
     count = math.comb(n, order)
-    # nothing is sized by n before its keys are known to be in the file
-    if len(lines) != count + 1 or not all(map(str.isprintable, lines)):
+    # nothing is sized by n before the file can hold its keys: a line takes
+    # at least 2 * order + 1 characters besides its line end
+    if count * (2 * order + 2) > len(text) - body + 1:
         return None
-    if set(map(str.count, islice(lines, 1, None), repeat(" "))) != {order}:
+    keys = np.empty(count, np.int64)
+    if mode == "float":
+        cols = [np.empty(count, np.float64)]
+    else:  # numerators and denominators
+        cols = [np.empty(count, np.int64), np.empty(count, np.int64)]
+    odd, done = {}, 0
+    while body < len(text):
+        end = text.find("\n", body + _READ_CHUNK - 1) + 1 or len(text)
+        piece = text[body:end]
+        # past ASCII, whitespace other than " " and line ends is unprintable
+        if not piece.isascii() and not piece.replace("\r\n", "").replace("\n", "").isprintable():
+            return None
+        buf = piece.encode()
+        del piece
+        got = _read_chunk(buf, order, n, mode)
+        del buf
+        if got is None or done + len(got[0]) > count:
+            return None
+        chunk_keys, values, chunk_odd = got
+        span = slice(done, done + len(chunk_keys))
+        keys[span] = chunk_keys
+        for col, v in zip(cols, values):
+            col[span] = v
+        odd.update({done + at: v for at, v in chunk_odd.items()})
+        done, body = span.stop, end
+    if done != count:
         return None
-    del lines
-    # a printable line with `order` spaces holds at most order + 1 tokens,
-    # so the total count says that each holds exactly that many
-    tokens = text.split()
-    if len(tokens) != 1 + count * (order + 1):
-        return None
-    number = {str(x): x for x in range(1, n + 1)}
-    try:
-        keys = np.array(
-            [np.fromiter(map(number.__getitem__, tokens[1 + c :: order + 1]), np.int64, count)
-             for c in range(order)]
-        )
-    except KeyError:
-        return None
-    values = tokens[1 + order :: order + 1]
-    del tokens
+    if odd:
+        parts = [_int_array([v.numerator for v in odd.values()]),
+                 _int_array([v.denominator for v in odd.values()])]
+        if any(part.dtype == object for part in parts):
+            cols = [col.astype(object) for col in cols]
+        for col, part in zip(cols, parts):
+            col[list(odd)] = part
     if not (keys[1:] > keys[:-1]).all():
-        return None
-    flat = reduce(lambda acc, col: acc * n + col, keys - 1)
-    if not (flat[1:] > flat[:-1]).all():
-        rank = np.argsort(flat)
-        flat = flat[rank]
-        if not (flat[1:] > flat[:-1]).all():
+        rank = np.argsort(keys)
+        keys = keys[rank]
+        if not (keys[1:] > keys[:-1]).all():
             return None  # a key twice, so another one missing
-        values = [values[k] for k in rank.tolist()]
-    try:
-        if mode == "float":
-            fill = np.fromiter(map(float, values), np.float64, count)
-            # parse_number's own rules for zeros (no sign), NaN and infinities
-            for k in np.flatnonzero(~np.isfinite(fill) | (fill == 0)).tolist():
-                fill[k] = parse_number(values[k], mode)
-            kind, scale, zero = "float", None, 0
-        else:
-            kind, (fill, scale, zero) = "int", _exact_fill(values)
-    except ValueError:
-        return None
+        cols = [col[rank] for col in cols]
+    if mode == "float":
+        kind, (fill, scale, zero) = "float", (cols[0], None, 0)
+    else:
+        kind, (fill, scale, zero) = "int", _units_of(*cols)
     return n, kind, _symmetric(fill, n, zero) if order == 2 else fill, scale
 
 

@@ -10,6 +10,7 @@ import random
 import struct
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,23 +25,35 @@ from treeweights import (
     TripleWeights,
     doubles_of_tree,
     emit_doubles,
+    emit_triples,
     parse_doubles,
     parse_triples,
     random_tree,
+    triples_of_tree,
 )
-from treeweights.numeric import EXPONENT_LIMIT
+from treeweights import weights as weights_mod
+from treeweights.numeric import EXPONENT_LIMIT, parse_number
 from treeweights.weights import _dense_from_items, _parse_weight_lines, _read_bulk
 from conftest import reconstruct_keeping_mirrors
 
 CLASSES = {2: DoubleWeights, 3: TripleWeights}
 PARSE = {2: parse_doubles, 3: parse_triples}
+# the chunk sizes that send every chunk to one of the two chunk readers
+READERS = {"lines": 1 << 30, "arrays": 0}
+
+
+@pytest.fixture(params=list(READERS))
+def reader(request, monkeypatch):
+    """Each chunk reader in turn: line by line, or by array steps."""
+    monkeypatch.setattr(weights_mod, "_FEW_BYTES", READERS[request.param])
+    return request.param
 
 
 def _token(rng, mode):
     kind = rng.randrange(8)
     if kind == 0:
         return str(rng.randint(-10**6, 10**6))
-    if kind == 1 and mode == "rational":  # float() refuses p/q: the line parser reads it
+    if kind == 1:
         return f"{rng.randint(-999, 999)}/{rng.randint(1, 97)}"
     if kind == 2:
         return f"{rng.randint(-999, 999)}.{rng.randint(0, 999):03d}"
@@ -198,6 +211,55 @@ def _corpus():
         tabbed[1:3] = [" ".join(first[:-1]) + "\t" + first[-1] + " " + second[0],
                        " " + " ".join(second[1:])]
         texts += [(order, "\n".join(moved)), (order, "\n".join(tabbed))]
+        # whitespace other than one space between tokens and "\n" or "\r\n"
+        # after each line
+        texts += [
+            (order, edit(1, lines[1] + " ")),
+            (order, edit(1, "\t" + lines[1])),
+            (order, edit(1, lines[1] + "\t")),
+            (order, edit(2, lines[2].replace(" ", "\t", 1))),
+            (order, edit(2, lines[2].replace(" ", " \t", 1))),
+            (order, g.replace("\n", "\r")),
+            (order, edit(1, lines[1] + "\r" + lines[2]).replace("\n" + lines[2] + "\n", "\n", 1)),
+            (order, edit(2, lines[2] + "\r")),
+            (order, g + "\r\n"),
+            (order, g + " \n"),
+            (order, g + "\n \n"),
+            (order, g.replace("\n", "\f")),
+            (order, edit(1, lines[1] + "\f")),
+            (order, edit(2, lines[2].replace(" ", "\f", 1))),
+            (order, edit(2, lines[2].replace(" ", "\x0b", 1))),
+            (order, edit(2, lines[2].replace(" ", "\x1c", 1))),
+            (order, "\n".join(lines[:1] + [""] + lines[1:])),
+            (order, edit(0, " " + lines[0] + " ")),
+            (order, edit(0, "+" + lines[0])),
+            (order, edit(0, "0" + lines[0])),
+        ]
+        # labels other than plain digits without a leading zero
+        for lab in ("+1", "-1", "01", "1_", "0_1", "1.0", "١", "１", "1e0", "x"):
+            texts.append((order, edit(1, " ".join([lab] + first[1:]))))
+        # empty tokens and p/q tokens with a zero, signed or long part
+        texts += [
+            (order, edit(1, " ".join(first[:-1]) + " ")),
+            (order, edit(1, " ".join(first[:-1]) + "  " + first[-1])),
+            (order, edit(1, " " + " ".join(first))),
+        ]
+        for tok in ("0/5", "-0/5", "5/0", "0/0", "+3/4", "-3/4", "3/-4", "3/+4", "/4", "3/",
+                    "3//4", "3/4/5", "-/4", "1.5/2", "1/2e3", "1_0/3", "3/4x",
+                    "1" * 18 + "/" + "7" * 18, "1" * 19 + "/3", "3/" + "7" * 19,
+                    "-" + "9" * 18 + "/" + "9" * 18, "-" + "9" * 19 + "/2",
+                    f"{2**53 - 1}/3", f"{2**53}/3", f"-{2**53 + 1}/3", f"3/{2**53 + 1}",
+                    "1" * 19, "-" + "1" * 18, "+" + "1" * 18,
+                    "1e5", "1E+05", "-1.5e-3", ".5", "5.", "1e", "e5", "1e5.5", "1.2.3",
+                    "1e5e5", "--5", "+-5", "5-", "1e+", "1.e5", "Infinity", "-nan",
+                    "\u20285", "5\u2028", "5\xa0", "\xa05", "\u3000" + "5", "5\x85", "\u0663/4",
+                    "\u0663.5", "5\x7f"):
+            texts.append((order, edit(1, " ".join(first[:-1] + [tok]))))
+    # two-digit labels: a sign or a stray byte fits within the label width
+    wide = "12\n" + "".join(f"{a} {b} {a * b}\n" for a, b in combinations(range(1, 13), 2))
+    for lab in ("+1", "-1", "1_", "1.", "1e", "01", "1/", "١"):
+        texts.append((2, wide.replace("\n1 2 ", f"\n{lab} 2 ", 1)))
+        texts.append((2, wide.replace("\n1 12 ", f"\n1 {lab}2 ", 1)))
     texts += [(2, "100000000\n"), (3, "100000000\n"), (2, ""), (2, "4\n"), (2, "four\n1 2 3\n"),
               (2, "-3\n"), (3, "2\n1 2 3\n"), (2, "2\n1 2 5\n"), (3, "3\n1 2 3 5\n"),
               (2, good[2].replace(" ", " ")), (2, good[2].replace("\n", "\x0b"))]
@@ -206,6 +268,13 @@ def _corpus():
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_malformed_corpus_same_outcome(mode):
+    _check_corpus(mode)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_malformed_corpus_on_array_steps(monkeypatch, mode):
+    """The corpus's files are short: here each is read by array steps."""
+    monkeypatch.setattr(weights_mod, "_FEW_BYTES", 0)
     _check_corpus(mode)
 
 
@@ -264,6 +333,28 @@ _ALPHABET = " \n\t\r#/-+.e0123456789x"
 def test_mutated_files_never_disagree(seed, order, mode, edits):
     """Random character edits of a small well-formed file: the bulk reader
     either declines or gives exactly the line parser's container."""
+    _mutated_file_agrees(seed, order, mode, edits)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["rational", "float"]),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.sampled_from(_ALPHABET)),
+             min_size=1, max_size=3),
+)
+def test_mutated_files_on_array_steps(seed, order, mode, edits):
+    """The same, with every chunk read by array steps."""
+    few = weights_mod._FEW_BYTES
+    weights_mod._FEW_BYTES = 0
+    try:
+        _mutated_file_agrees(seed, order, mode, edits)
+    finally:
+        weights_mod._FEW_BYTES = few
+
+
+def _mutated_file_agrees(seed, order, mode, edits):
     rng = random.Random(seed)
     text = _file(rng, rng.randint(order, 7), order, mode, rng.choice(("mixed", "int", "float")))
     for pos, op, ch in edits:
@@ -316,3 +407,124 @@ def test_mirror_containers_keep_the_dict_containers_mirror(scale, dtype):
         for mirror in mirrors:
             _assert_dense_of_its_items(mirror.container())
         _assert_dense_of_its_items(trace.base_case.instance)
+
+
+def _no_line_parser(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the line parser was called")
+
+    monkeypatch.setattr(weights_mod, "_parse_weight_lines", refuse)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_bulk_layouts_make_no_line_parser_call(monkeypatch, reader, order, mode):
+    """Canonical files, "\\r\\n" line ends, no final line end and keys in
+    any order all stay on the bulk path, p/q tokens in float mode too."""
+    rng = random.Random(order)
+    texts = []
+    for kinds in ("mixed", "int", "float"):
+        text = _file(rng, 9, order, mode, kinds)
+        shuffled = _file(rng, 9, order, mode, kinds, shuffle=True)
+        texts += [text, text.replace("\n", "\r\n"), text.rstrip("\n"),
+                  text.replace("\n", "\r\n").rstrip("\n"), shuffled, shuffled.rstrip("\n")]
+    wants = [_parse_weight_lines(text, order, mode) for text in texts]
+    _no_line_parser(monkeypatch)
+    for text, (n, entries) in zip(texts, wants):
+        assert_same_container(PARSE[order](text, mode), CLASSES[order](entries, labels=range(1, n + 1)))
+
+
+def _pq_tokens():
+    big = 2**53
+    parts = [0, 1, 3, 7, 10**15 + 7, big - 3, big - 1, big, big + 1, 10**17 + 3, 10**18 - 1]
+    tokens = []
+    for p in parts:
+        for q in (1, 3, 10, big - 1, big, big + 1, 10**18 - 1):
+            tokens += [f"{p}/{q}", f"-{p}/{q}", f"+{p}/{q}"]
+    return tokens + [str(p) for p in parts] + [f"-{p}" for p in parts]
+
+
+@pytest.mark.parametrize("decimal", [False, True])
+def test_float_pq_bitwise(monkeypatch, reader, decimal):
+    """float p/q on the bulk path is parse_number's value bit for bit,
+    parts near 2^53, both signs and zero numerators, whether the chunk is
+    read on int64 (p/q and integers only) or on float64 (it holds a
+    decimal)."""
+    tokens = _pq_tokens()
+    n = 2
+    while n * (n - 1) // 2 < len(tokens) + 1:
+        n += 1
+    keys = list(combinations(range(1, n + 1), 2))
+    values = (tokens * 2)[: len(keys)]
+    if decimal:
+        values[-1] = "0.5"
+    text = "\n".join([str(n)] + [f"{i} {j} {v}" for (i, j), v in zip(keys, values)]) + "\n"
+    _no_line_parser(monkeypatch)
+    got = parse_doubles(text, "float")
+    assert [_bits(v) for _, v in got.items()] == [_bits(parse_number(v, "float")) for v in values]
+
+
+@pytest.mark.parametrize("chunk", [1, 9, 64])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_chunk_boundaries(monkeypatch, reader, chunk, order, mode):
+    """Files of many chunks, keys in order or permuted across chunks, give
+    the mirror of one chunk; a malformed line in a later chunk ends in the
+    line parser's error and line number."""
+    rng = random.Random(chunk * 10 + order)
+    n = 12 if order == 2 else 8
+    texts = [_file(rng, n, order, mode, kinds, shuffle)
+             for kinds in ("mixed", "float") for shuffle in (False, True)]
+    texts.append(texts[-1].replace("\n", "\r\n"))
+    whole = [PARSE[order](text, mode) for text in texts]
+    monkeypatch.setattr(weights_mod, "_READ_CHUNK", chunk)
+    # and the int32 positions of long chunks
+    monkeypatch.setattr(weights_mod, "_INT32_POSITIONS", 0)
+    for text, want in zip(texts, whole):
+        assert len(text) > 8 * chunk
+        assert _read_bulk(text, order, mode) is not None
+        assert_same_container(PARSE[order](text, mode), want)
+    lines = texts[0].split("\n")
+    late = len(lines) - 4
+    for bad in (lines[1], "1 " * order + "5", " ".join(lines[late].split()[:-1] + ["x"]),
+                lines[late] + " 1"):
+        text = "\n".join(lines[:late] + [bad] + lines[late + 1 :])
+        with pytest.raises(ParseError) as want:
+            _parse_weight_lines(text, order, mode)
+        assert _read_bulk(text, order, mode) is None
+        with pytest.raises(ParseError) as got:
+            PARSE[order](text, mode)
+        assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
+    # a late line the line parser reads but the bulk path does not
+    text = "\n".join(lines[:late] + [lines[late].replace(" ", "  ", 1)] + lines[late + 1 :])
+    assert _read_bulk(text, order, mode) is None
+    assert_same_container(PARSE[order](text, mode), whole[0])
+
+
+def test_triple_reader_peak_is_bounded():
+    """The bulk reader holds no Python object per token: on a fresh
+    rational n = 120 lift file (280,840 lines, 5.3 MB) its tracemalloc peak
+    stays under 55 MB, where one str per token took about 76 MB."""
+    text = emit_triples(triples_of_tree(random_tree(120, 1)))
+    tracemalloc.start()
+    try:
+        t = parse_triples(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.dense()[1].dtype == np.int64
+    assert peak < 55 * 2**20, peak
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_other_tokens_stay_on_the_bulk_path(monkeypatch, reader, mode):
+    """A value token of no plain shape that parse_number reads is read by
+    it on the bulk path; the file does not go to the line parser."""
+    tokens = [".5", "5.", "-.5e3", "1_0", "1_0/3", "3/-4", "+3/+4", "07",
+              "1" * 30, "-" + "1" * 30 + "/7", "7/" + "1" * 30, "1e-400", "-1e-400", "2.5E+3"]
+    keys = list(combinations(range(1, 7), 2))
+    values = (tokens * 2)[: len(keys)]
+    text = "\n".join(["6"] + [f"{i} {j} {v}" for (i, j), v in zip(keys, values)]) + "\n"
+    n, entries = _parse_weight_lines(text, 2, mode)
+    _no_line_parser(monkeypatch)
+    assert_same_container(parse_doubles(text, mode), DoubleWeights(entries, labels=range(1, n + 1)))

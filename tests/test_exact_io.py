@@ -115,6 +115,17 @@ class TestTokenCorpus:
         if _same_outcome(text, order):
             assert _bulk_parse_number_calls(text, order, monkeypatch) == [token]
 
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_both_chunk_readers_call_parse_number_alike(self, order, monkeypatch):
+        # these files are short, so read line by line; by array steps
+        # each token takes the same route
+        for token in PLAIN + ODD:
+            text = _file(order, ["5", token, "7/2", "1", "-3", "0"], 4)
+            by_lines = _bulk_parse_number_calls(text, order, monkeypatch)
+            monkeypatch.setattr(weights_mod, "_FEW_BYTES", 0)
+            by_arrays = _bulk_parse_number_calls(text, order, monkeypatch)
+            assert (token, by_arrays) == (token, by_lines)
+
     def test_every_token_in_one_file(self):
         text = _file(2, PLAIN + [t for t in ODD if t not in ("3/0", "0/0", "x", "3/4/5", "/4",
                                                              "4/", "+-3", "3-")], 8)
