@@ -36,11 +36,14 @@ place.  A single-pair star query is one window of the same kernel; the
 tests hold the kernels to reference loops result for result, bitwise for
 floats.  A triple set is queried on its pairwise fit (:func:`pairwise_fit`).
 
-The four-point test (:func:`buneman_check`) is a block kernel on the
-pairwise mirror as well: the quadruples i < j < k < h come in combinations
-order, in runs of heads (i, j) whose tails (k, h) are suffixes of the
-cached pair index, and the scan stops at the first block that holds a
-quadruple over the tolerance.
+The scans over keys of three and four labels share one walker
+(:func:`key_blocks`): the triples of the lift, condition 2 and the
+triangle warnings, and the quadruples of the four-point test
+(:func:`buneman_check`), come in combinations order, in runs of heads (a
+first label, or a first pair (i, j)) whose tails (k, h) are suffixes of
+the cached pair index, about ``BLOCK_ELEMS // _KEY_ARRAYS`` keys a block.
+The four-point scan stops at the first block that holds a quadruple over
+the tolerance.
 
 Neighbor joining and the reconstruction's pruning carry one mirror from
 step to step (:class:`_Mirror`).  An exact step that leaves the units
@@ -522,25 +525,25 @@ def _star_condition(w, alpha, alpha2, tol=0) -> StarResult:
 star_condition_doubles = star_condition_triples = _star_condition
 
 
-# Bytes of index arrays the caches below keep between calls, all three
+# Bytes of index arrays the caches below keep between calls, all of them
 # together.  Classic NJ asks for every size from n down, once each, so a
 # count bound would hold about n of them (440 MB at n = 1000).
 _INDEX_CACHE_BYTES = 32 << 20
-_index_cache = OrderedDict()  # (builder, m) -> arrays, least recently used first
+_index_cache = OrderedDict()  # (builder, *args) -> arrays, least recently used first
 
 
 def _index_arrays(build):
-    """Cache *build*(m), a tuple of index arrays, least recently used out
-    first once the cache would hold more than ``_INDEX_CACHE_BYTES``."""
+    """Cache *build*(*args), a tuple of index arrays, least recently used
+    out first once the cache would hold more than ``_INDEX_CACHE_BYTES``."""
 
     @wraps(build)
-    def cached(m):
-        key = (build, m)
+    def cached(*args):
+        key = (build, *args)
         out = _index_cache.get(key)
         if out is not None:
             _index_cache.move_to_end(key)
             return out
-        out = build(m)
+        out = build(*args)
         _index_cache[key] = out
         held = sum(a.nbytes for arrays in _index_cache.values() for a in arrays)
         while held > _INDEX_CACHE_BYTES and _index_cache:
@@ -555,26 +558,30 @@ def _upper_pairs(m):
     return np.triu_indices(m, 1)  # row-major, i.e. combinations order
 
 
+def _heads(m, order, a=0, b=None):
+    """Index arrays of heads a to b - 1 of the keys of *order* (3 or 4)
+    labels over range(m), their first order - 2 labels, in combinations
+    order, and how many keys each head has: the tails of a head ending at
+    label l are the pairs over range(l + 1, m), C(m - l - 1, 2) of them."""
+    heads = [x[a:b] for x in ((np.arange(m),) if order == 3 else _upper_pairs(m))]
+    after = m - 1 - heads[-1]
+    return heads, after * (after - 1) // 2
+
+
+def _keys_from(m, order, a, b):
+    """Index arrays of the keys whose head is one of heads a to b - 1 of
+    :func:`_heads`, in combinations order: a head's tails are the last
+    pairs of :func:`_upper_pairs`."""
+    pk, ph = _upper_pairs(m)
+    heads, count = _heads(m, order, a, b)
+    ends = np.cumsum(count)
+    at = np.repeat(len(pk) - ends, count) + np.arange(int(count.sum()))
+    return (*(np.repeat(x, count) for x in heads), pk[at], ph[at])
+
+
 @_index_arrays
-def _upper_triples(m):
-    return _triples_from(m, 0, m)
-
-
-def _tails(m, j):
-    """How many pairs (k, h) over range(m) follow label j: C(m - j - 1, 2)."""
-    return (m - 1 - j) * (m - 2 - j) // 2
-
-
-def _triples_from(m, a, b):
-    """Index arrays (i, j, k) of the triples i < j < k over range(m) with
-    a <= i < b, in combinations order: the tails (j, k) of a first label i
-    are the last ``_tails(m, i)`` pairs of :func:`_upper_pairs`."""
-    pj, pk = _upper_pairs(m)
-    i = np.arange(a, min(b, m))
-    tails = _tails(m, i)
-    ends = np.cumsum(tails)
-    at = np.repeat(len(pj) - ends, tails) + np.arange(int(tails.sum()))
-    return np.repeat(i, tails), pj[at], pk[at]
+def _upper_keys(m, order):
+    return _keys_from(m, order, 0, None)
 
 
 @_index_arrays
@@ -585,26 +592,40 @@ def upper_mask(m):
 
 
 # Largest temporary the block kernels build, in array elements (8 MB of
-# int64 or float64); a block always holds at least one pair or label.
+# int64 or float64); a block always holds at least one pair, label or head.
 BLOCK_ELEMS = 1 << 20
 
+# Arrays of a key block's length alive at once, with room to spare: its
+# index arrays, those of the block before it and the kernel's temporaries
+# (about 13 in the four-point scan, measured), so that together they stay
+# within ``block_elems`` elements.
+_KEY_ARRAYS = 16
 
-def key_blocks(m):
-    """Index arrays (i, j, k) of every triple over range(m) in combinations
-    order, as an iterator over blocks of ``BLOCK_ELEMS // m**2`` first
-    labels (at least one), so that no index over every triple is built;
-    for m**3 <= ``BLOCK_ELEMS``, one block, the cached :func:`_upper_triples`."""
-    if m**3 <= BLOCK_ELEMS:
-        yield _upper_triples(m)
+
+def key_blocks(m, order, size):
+    """(offset, index arrays) of every key of *order* (3 or 4) labels over
+    range(m), in combinations order, over runs of whole heads of at most
+    *size* keys each (at least one head with keys each, so no block is
+    empty); offset is the number of keys before the block.  Keys that fit
+    one block come as the cached :func:`_upper_keys`, so that no index
+    over every key is built past it."""
+    if math.comb(m, order) <= size:
+        yield 0, _upper_keys(m, order)
         return
-    step = max(1, BLOCK_ELEMS // (m * m))
-    for a in range(0, m, step):
-        yield _triples_from(m, a, a + step)
+    ends = np.cumsum(_heads(m, order)[1])
+    a = done = 0
+    while done < ends[-1]:
+        # past the first head with keys, and past every head within size
+        first, within = np.searchsorted(ends, [done, done + size], side="right")
+        b = max(int(first) + 1, int(within))
+        yield done, _keys_from(m, order, a, b)
+        a, done = b, int(ends[b - 1])
 
 
 def block_elems(arr):
-    """Elements per block temporary of a kernel on the pairwise mirror
-    *arr*, so that a block takes about ``BLOCK_ELEMS * 8`` bytes.
+    """Elements per block temporary of a kernel on the mirror *arr*, of
+    pairs or of a triple set's values, so that a block takes about
+    ``BLOCK_ELEMS * 8`` bytes.
 
     int64 and float64 elements take 8 bytes.  Each element of an ``object``
     block is a Python number of its own, a difference or sum of mirror
@@ -899,9 +920,10 @@ def derived_pairwise_consistent(t: TripleWeights, tol=0):
 
 def _lift_fit(t: TripleWeights):
     """(max |T - lift(d)|, d) of :func:`derived_pairwise_consistent`, on
-    the values over :func:`key_blocks`: in a block, pair (a, b) adds its
-    third labels r < a (as (j, k)), then a < r < b (as (i, k)), then r > b,
-    each in order, so P_ij adds r in ascending order as a loop does."""
+    the values over :func:`key_blocks`, runs of whole first labels: pair
+    (a, b) adds its third labels r < a (as (j, k)) in the blocks up to a's,
+    then in a's block a < r < b (as (i, k)) and r > b, each in order, so
+    P_ij adds r in ascending order as a loop does."""
     if t.n < 5:
         raise InstanceTooSmallError(
             "derived pairwise consistency needs n >= 5", required=5, got=t.n
@@ -911,11 +933,10 @@ def _lift_fit(t: TripleWeights):
     if kind == "int" and not holds_fractions(vals):
         # every term below stays within 48 n^3 max|unit|
         vals = vals.astype(int_dtype(max(int(vals.max()), -int(vals.min())) * 48 * m**3), copy=False)
+    size = block_elems(vals) // _KEY_ARRAYS
     pair = np.zeros(m * m, dtype=vals.dtype)  # P_ij at i * m + j, i < j
-    s = 0
-    for i, j, k in key_blocks(m):
+    for s, (i, j, k) in key_blocks(m, 3, size):
         block = vals[s : s + len(i)]
-        s += len(i)
         for a, b in ((j, k), (i, k), (i, j)):
             np.add.at(pair, a * m + b, block)
     pair = pair.reshape(m, m)
@@ -928,10 +949,8 @@ def _lift_fit(t: TripleWeights):
     part = 6 * (m - 2) * (m - 3) * pair - 3 * (m - 2) * np.add.outer(row, row)
     c = 2 * reduce(operator.add, row)
     worst = 0  # 2 den max |T - lift(d)|, block by block
-    s = 0
-    for i, j, k in key_blocks(m):
+    for s, (i, j, k) in key_blocks(m, 3, size):
         gap = 2 * den * vals[s : s + len(i)] - (part[i, j] + part[i, k] + part[j, k])
-        s += len(i)
         worst = max(worst, gap.max() - 3 * c, 3 * c - gap.min())
     fit = part[iu, ju] + c
     if kind == "int":
@@ -966,10 +985,8 @@ def _lifted(state: _Mirror) -> TripleWeights:
         raise InstanceTooSmallError("triples_from_doubles needs n >= 3", required=3, got=n)
     arr = state.arr
     total = np.empty(math.comb(n, 3), dtype=arr.dtype)
-    s = 0
-    for i, j, k in key_blocks(n):
+    for s, (i, j, k) in key_blocks(n, 3, block_elems(arr) // _KEY_ARRAYS):
         total[s : s + len(i)] = (arr[i, j] + arr[i, k]) + arr[j, k]
-        s += len(i)
     if state.kind == "float":
         fill, scale = 0.5 * total, None
     else:
@@ -989,50 +1006,6 @@ class BunemanVerdict:
     gap: object  # by how much the two largest sums differ at the witness
 
 
-def _quads_from(m, a, b):
-    """Index arrays (i, j, k, h) of the quadruples i < j < k < h over
-    range(m) whose head (i, j) is one of the pairs a to b - 1 of
-    :func:`_upper_pairs`, in combinations order.
-
-    The tails (k, h) of a head (i, j) are the pairs over range(j + 1, m),
-    which are the last ``_tails(m, j)`` pairs of :func:`_upper_pairs`.
-    """
-    pi, pj = _upper_pairs(m)
-    i, j = pi[a:b], pj[a:b]
-    tails = _tails(m, j)
-    ends = np.cumsum(tails)
-    at = np.repeat(len(pi) - ends, tails) + np.arange(ends[-1])
-    return np.repeat(i, tails), np.repeat(j, tails), pi[at], pj[at]
-
-
-@_index_arrays
-def _upper_quads(m):
-    return _quads_from(m, 0, math.comb(m, 2))
-
-
-def _quad_blocks(m, size):
-    """Every quadruple over range(m) in combinations order, as index arrays
-    over consecutive runs of heads of at most *size* quadruples each (at
-    least one head each), as an iterator; quadruples that fit one block
-    come as the cached :func:`_upper_quads`."""
-    if math.comb(m, 4) <= size:
-        yield _upper_quads(m)
-        return
-    ends = np.cumsum(_tails(m, _upper_pairs(m)[1]))
-    a = 0
-    while a < len(ends):
-        done = int(ends[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(ends, done + size, side="right")))
-        yield _quads_from(m, a, b)
-        a = b
-
-
-# Arrays of a four-point block's length alive at once, with room to spare:
-# its index arrays, those of the block before it and the sums (about 13,
-# measured), so that together they stay within ``block_elems`` elements.
-_QUAD_ARRAYS = 16
-
-
 def buneman_check(d: DoubleWeights, tol=0) -> BunemanVerdict:
     """Four-point test: per quadruple the two largest pair sums must agree.
 
@@ -1040,8 +1013,8 @@ def buneman_check(d: DoubleWeights, tol=0) -> BunemanVerdict:
     required here; see :func:`metric_warnings` for those.
 
     One block kernel on the mirror, in combinations order: blocks of
-    consecutive heads (i, j) (:func:`_quad_blocks`) take about
-    ``block_elems(arr) // _QUAD_ARRAYS`` quadruples each.  Per quadruple
+    consecutive heads (i, j) (:func:`key_blocks`) take about
+    ``block_elems(arr) // _KEY_ARRAYS`` quadruples each.  Per quadruple
     i < j < k < h the sums d_ij + d_kh, d_ik + d_jh and d_ih + d_jk are
     added in that order, and the gap is the largest minus the middle one,
     picked by maximum and minimum: the values ``sorted`` picks, so float
@@ -1052,7 +1025,7 @@ def buneman_check(d: DoubleWeights, tol=0) -> BunemanVerdict:
     if d.n < 4:
         return BunemanVerdict(True, None, 0)
     _, arr, scale = d.dense()
-    for i, j, k, h in _quad_blocks(d.n, max(1, block_elems(arr) // _QUAD_ARRAYS)):
+    for _, (i, j, k, h) in key_blocks(d.n, 4, block_elems(arr) // _KEY_ARRAYS):
         one = arr[i, j] + arr[k, h]
         two = arr[i, k] + arr[j, h]
         three = arr[i, h] + arr[j, k]
@@ -1081,8 +1054,9 @@ def metric_warnings(d: DoubleWeights):
     d_ik > d_ij + d_jk, d_ij > d_ik + d_jk and d_jk > d_ij + d_ik.
 
     One block kernel on the mirror, O(n^3) work in all: the triples of a
-    block of first labels are compared at once.  The container's dict is
-    not built.
+    block of first labels (:func:`key_blocks`, about
+    ``block_elems(arr) // _KEY_ARRAYS`` triples) are compared at once.  The
+    container's dict is not built.
     """
     state = _Mirror(d)
     labels, arr, m = state.labels, state.arr, state.n
@@ -1093,9 +1067,7 @@ def metric_warnings(d: DoubleWeights):
         f"non-positive distance for pair ({labels[a]}, {labels[b]}): {format_number(state.value(v))}"
         for a, b, v in zip(i[bad].tolist(), j[bad].tolist(), upper[bad].tolist())
     ]
-    rows = max(1, block_elems(arr) // (m * m))
-    for a0 in range(0, m - 2, rows):
-        ia, ib, ic = _triples_from(m, a0, a0 + rows)
+    for _, (ia, ib, ic) in key_blocks(m, 3, block_elems(arr) // _KEY_ARRAYS):
         dij, dik, djk = arr[ia, ib], arr[ia, ic], arr[ib, ic]
         breach = np.stack([dik > dij + djk, dij > dik + djk, djk > dij + dik], axis=1)
         at, row = np.nonzero(breach)

@@ -47,7 +47,6 @@ from treeweights.weights import (
     _read_bulk,
     emit_chunks,
     holds_fractions,
-    key_blocks,
     metric_warnings,
     unit_value,
 )
@@ -261,29 +260,19 @@ class TestTripleKeyBlocks:
     """The triple lift, condition 2 and the file, built over blocks of
     first labels, are those of one block over every triple."""
 
-    @pytest.mark.parametrize("budget", [1, 40, 200])
-    def test_blocks_concatenate_to_every_key(self, budget, monkeypatch):
-        monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", budget)
-        for m in range(12):
-            blocks = list(key_blocks(m))
-            want = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T
-            got = [np.concatenate([b[p] for b in blocks]) for p in range(3)]
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), m
-            if m**3 > budget:
-                step = max(1, budget // (m * m))
-                assert len(blocks) == -(-m // step)
-                assert all(set(b[0].tolist()) <= set(range(k * step, (k + 1) * step))
-                           for k, b in enumerate(blocks))
-
     @pytest.mark.parametrize("name, tree", list(_lift_cases()))
     def test_lift_and_file_per_first_label(self, name, tree, monkeypatch):
         want = triples_of_tree(tree)
         text = emit_triples(want)
         assert text == emit_loop(want)
         kind, arr, scale = want.dense()
+        residual, fit = want._condition2
         monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", 1)  # one first label per block
         got = triples_of_tree(tree)
         assert emit_triples(got) == emit_triples(want) == text
+        # condition 2 too: the last two labels head no triple and no block
+        got_residual, got_fit = got._condition2
+        assert (repr(got_residual), emit_doubles(got_fit)) == (repr(residual), emit_doubles(fit))
         gkind, garr, gscale = got.dense()
         assert (gkind, gscale, garr.dtype) == (kind, scale, arr.dtype)
         if arr.dtype == object:
@@ -292,17 +281,18 @@ class TestTripleKeyBlocks:
             assert garr.tobytes() == arr.tobytes()
 
     def test_no_index_over_the_whole_cube(self, monkeypatch):
-        # 110**3 cells pass BLOCK_ELEMS: the lift, condition 2 and the file
-        # take their keys in blocks of first labels
+        # C(110, 3) keys pass the block budget: the lift, condition 2 and
+        # the file take their keys in blocks of first labels
         tree, budget = random_tree(110, 2), weights_mod.BLOCK_ELEMS
-        assert 110**3 > budget
-        monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", 110**3)
+        one = weights_mod._KEY_ARRAYS * comb(110, 3)
+        assert one > budget
+        monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", one)
         one_block = emit_triples(triples_of_tree(tree))
 
-        def refuse(m):
+        def refuse(m, order):
             raise AssertionError(f"index of every triple over range({m}) built")
 
-        monkeypatch.setattr(weights_mod, "_upper_triples", refuse)
+        monkeypatch.setattr(weights_mod, "_upper_keys", refuse)
         with pytest.raises(AssertionError, match="index of every triple"):
             triples_of_tree(tree)
         monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", budget)
@@ -395,6 +385,30 @@ class TestMetricWarnings:
             "triangle violation: D(2,3) > D(2,1) + D(1,3)",
         ]
         assert d._dict is None
+
+    def test_second_scan_builds_no_index(self, monkeypatch):
+        # C(12, 3) triples fit one block: the cached index of every triple
+        d = doubles_of_tree(random_tree(12, 4))
+        want = metric_warnings(d)
+
+        def refuse(m, order, a, b):
+            raise AssertionError("index rebuilt")
+
+        monkeypatch.setattr(weights_mod, "_keys_from", refuse)
+        assert metric_warnings(d) == want
+
+    def test_peak_is_bounded(self):
+        # C(200, 3) = 1,313,400 triples: compared at once, their indices,
+        # distances and sums would take about 30 MB; in blocks, under one
+        d = doubles_of_tree(random_tree(200, 1, mode="float"))
+        d.dense()
+        tracemalloc.start()
+        try:
+            assert metric_warnings(d) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < weights_mod.BLOCK_ELEMS * 8
 
     def test_check_on_a_long_value(self, tmp_path):
         big = "9" * 4301

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from treeweights import DoubleWeights, doubles_of_tree, random_tree
 from treeweights import weights as weights_mod
-from treeweights.weights import _over, _quad_blocks, buneman_check, holds_fractions
+from treeweights.weights import _over, buneman_check, holds_fractions, key_blocks
 from conftest import cross_path_cases, late_failing_caterpillar
 from reference_loops import buneman_check_loop
 
@@ -126,32 +126,37 @@ class TestKernelAgainstLoop:
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("size", [1, 7, 40, 10**6])
-    def test_blocks_concatenate_to_every_quadruple(self, size):
-        for m in range(4, 13):
-            blocks = list(_quad_blocks(m, size))
-            got = np.stack([np.concatenate([b[p] for b in blocks]) for p in range(4)], axis=1)
-            assert got.tolist() == [list(q) for q in combinations(range(m), 4)]
-            if math.comb(m, 4) > size:
-                # runs of whole heads, over size only where one head is
-                assert all(len(b[0]) <= size or len(set(zip(b[0].tolist(), b[1].tolist()))) == 1
-                           for b in blocks)
+    @pytest.mark.parametrize("size", [0, 1, 7, 40, 10**6])
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_blocks_concatenate_to_every_key(self, order, size):
+        """The one walker over triples and quadruples: its blocks are runs of
+        whole heads, the first order - 2 labels, in combinations order."""
+        for m in range(13):
+            blocks = list(key_blocks(m, order, size))
+            keys = [list(zip(*(x.tolist() for x in b))) for _, b in blocks]
+            assert sum(keys, []) == list(combinations(range(m), order))
+            assert [s for s, _ in blocks] == [sum(map(len, keys[:k])) for k in range(len(blocks))]
+            heads = [{q[: order - 2] for q in b} for b in keys]
+            # no head is split between blocks; over size only where one head is
+            assert sum(map(len, heads)) == len(set().union(*heads))
+            assert all(len(b) <= size or len(h) == 1 for b, h in zip(keys, heads))
+            assert len(blocks) == 1 or all(keys)
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_witness_in_a_later_block_stops_there(self, kind, monkeypatch):
         n = 14
         d = in_kind(late_failing_caterpillar(n, random.Random(5)), n, kind)
         want = buneman_check_loop(d)
-        monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", weights_mod._QUAD_ARRAYS * 40)
+        monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", weights_mod._KEY_ARRAYS * 40)
         built = []
-        quads_from = weights_mod._quads_from
+        keys_from = weights_mod._keys_from
 
-        def recording(m, a, b):
-            out = quads_from(m, a, b)
+        def recording(m, order, a, b):
+            out = keys_from(m, order, a, b)
             built.append(out)
             return out
 
-        monkeypatch.setattr(weights_mod, "_quads_from", recording)
+        monkeypatch.setattr(weights_mod, "_keys_from", recording)
         got = buneman_check(d)
         assert verdict_key(got) == verdict_key(want)
         # blocks are consecutive runs in combinations order: the witness
@@ -161,11 +166,11 @@ class TestBlocks:
 
     def test_passing_scan_builds_every_block_once(self, monkeypatch):
         d = doubles_of_tree(random_tree(14, 2, mode="float"))
-        monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", weights_mod._QUAD_ARRAYS * 40)
+        monkeypatch.setattr(weights_mod, "BLOCK_ELEMS", weights_mod._KEY_ARRAYS * 40)
         built = []
-        quads_from = weights_mod._quads_from
-        monkeypatch.setattr(weights_mod, "_quads_from",
-                            lambda m, a, b: built.append((a, b)) or quads_from(m, a, b))
+        keys_from = weights_mod._keys_from
+        monkeypatch.setattr(weights_mod, "_keys_from",
+                            lambda m, order, a, b: built.append((a, b)) or keys_from(m, order, a, b))
         assert buneman_check(d, 1e-9) == buneman_check_loop(d, 1e-9)
         assert built[0][0] == 0 and built[-1][1] == math.comb(14, 2)
         assert all(x[1] == y[0] for x, y in zip(built, built[1:]))
@@ -174,10 +179,10 @@ class TestBlocks:
         d = doubles_of_tree(random_tree(12, 4))
         buneman_check(d)
 
-        def refuse(m, a, b):
+        def refuse(m, order, a, b):
             raise AssertionError("index rebuilt")
 
-        monkeypatch.setattr(weights_mod, "_quads_from", refuse)
+        monkeypatch.setattr(weights_mod, "_keys_from", refuse)
         assert buneman_check(d).passed
 
 

@@ -441,11 +441,11 @@ def test_block_elems_pinned_on_every_mirror_kind():
 class TestIndexCache:
     def test_small_sizes_stay_cached(self):
         """Every size a benchmark-sized run asks for is built once."""
-        firsts = {(weights_mod._upper_pairs, m): weights_mod._upper_pairs(m) for m in range(2, 81)}
-        firsts.update({(weights_mod._upper_triples, m): weights_mod._upper_triples(m)
+        firsts = {(weights_mod._upper_pairs, (m,)): weights_mod._upper_pairs(m) for m in range(2, 81)}
+        firsts.update({(weights_mod._upper_keys, (m, 3)): weights_mod._upper_keys(m, 3)
                        for m in range(3, 17)})
-        for (build, m), arrays in firsts.items():
-            assert build(m) is arrays
+        for (build, args), arrays in firsts.items():
+            assert build(*args) is arrays
 
     def test_held_bytes_are_bounded(self, monkeypatch):
         monkeypatch.setattr(weights_mod, "_INDEX_CACHE_BYTES", 1 << 20)
