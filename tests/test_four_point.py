@@ -126,7 +126,7 @@ class TestKernelAgainstLoop:
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("size", [0, 1, 7, 40, 10**6])
+    @pytest.mark.parametrize("size", [0, 1, 7, 40, 200, 10**6])
     @pytest.mark.parametrize("order", [3, 4])
     def test_blocks_concatenate_to_every_key(self, order, size):
         """The one walker over triples and quadruples: its blocks are runs of
