@@ -217,18 +217,11 @@ def canonicalize(tree: WeightedTree) -> WeightedTree:
     """
     if tree.is_canonical():
         return tree
-    leafset = set(tree.leaves)
     adj = {v: dict(nb) for v, nb in tree._adj.items()}
-    while True:
-        victim = None
-        for v in sorted(adj):
-            if v not in leafset and len(adj[v]) == 2:
-                victim = v
-                break
-        if victim is None:
-            break
-        (a, w1), (b, w2) = sorted(adj[victim].items())
-        del adj[victim]
+    # suppressing a node leaves every other node's degree as it was, so
+    # the degree-2 nodes are suppressed in one pass, smallest first
+    for victim in sorted(v for v, nb in adj.items() if len(nb) == 2):
+        (a, w1), (b, w2) = sorted(adj.pop(victim).items())
         del adj[a][victim]
         del adj[b][victim]
         adj[a][b] = w1 + w2

@@ -23,9 +23,11 @@ well-formed file, or handed over by a carried mirror, starts from the
 mirror alone (:meth:`DoubleWeights.from_mirror`) and builds its dict of
 values only when a lookup first needs it.  A well-formed file is read as
 bytes in chunks of bounded size (:func:`_read_bulk`), with no Python object
-per label or plain value past the smallest chunks; exact ``p/q`` tokens are
-read to integer units, and written from them, by array passes with no
-Fraction per value.
+per label or plain value; exact ``p/q`` tokens are read to integer units,
+and written from them, by array passes with no Fraction per value.  A file
+of fewer than ``_FEW_BYTES`` characters, and every file the bulk path
+refuses, is read line by line (:func:`_parse_weight_lines`), whose checked
+dict becomes the container as it is.
 
 The star table over all label pairs is one block kernel on a pairwise
 mirror (:func:`_star_windows`): pairs are taken in blocks of about
@@ -69,7 +71,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -295,11 +296,20 @@ class _WeightSet:
         """The container of a mirror in :meth:`dense`'s form (a triple set's
         values in combinations order) over sorted *labels*, with no dict and
         no key scan.  *arr* is kept, not copied."""
+        return cls._from_checked(labels, None, (kind, arr, scale))
+
+    @classmethod
+    def _from_checked(cls, labels, values, dense=None):
+        """The container over sorted *labels*, with no check: of *values*, a
+        dict holding every sorted key of the labels once and no other key,
+        each with a Fraction or a finite float (the line parser's dict), or,
+        with *values* None, of a mirror *dense* in :meth:`dense`'s form.
+        Neither is copied."""
         w = cls.__new__(cls)
         w.labels = tuple(labels)
         w.n = len(w.labels)
-        w._dict = None
-        w._dense_cache = (kind, arr, scale)
+        w._dict = values
+        w._dense_cache = dense
         return w
 
     @property
@@ -982,7 +992,7 @@ def _lifted(state: _Mirror) -> TripleWeights:
     mirror."""
     n = state.n
     if n < 3:
-        raise InstanceTooSmallError("triples_from_doubles needs n >= 3", required=3, got=n)
+        raise InstanceTooSmallError("triple weights need n >= 3", required=3, got=n)
     arr = state.arr
     total = np.empty(math.comb(n, 3), dtype=arr.dtype)
     for s, (i, j, k) in key_blocks(n, 3, block_elems(arr) // _KEY_ARRAYS):
@@ -1148,6 +1158,11 @@ def _parse_weight_lines(text, order, mode):
 # takes at a time: every array it builds is sized by a chunk, not the file.
 _READ_CHUNK = 1 << 24
 
+# Files shorter than this many characters (bytes, in an ASCII file) go to
+# the line parser: the array pass costs about 60 numpy calls whatever the
+# size, which on a few lines outweighs the work.
+_FEW_BYTES = 1 << 9
+
 # Chunks longer than this many bytes hold token positions as int32.
 _INT32_POSITIONS = 1 << 20
 
@@ -1273,76 +1288,15 @@ def _value_shapes(a, sp, ch, line, vs, ends, mode, work):
     return odd, has & ~odd, decimal
 
 
-# Chunks shorter than this many bytes are read line by line
-# (:func:`_read_lines`): there numpy's cost per call outweighs the work.
-_FEW_BYTES = 1 << 10
-
-# The plain values of :func:`_read_lines`, as :func:`_value_shapes` reads
-# them: exact p or p/q of at most 18 digits each; in float mode also any
-# length, and decimals.
-_PLAIN_EXACT = re.compile(rb"[+-]?[0-9]{1,18}(?:/[0-9]{1,18})?").fullmatch
-_PLAIN_FLOAT = re.compile(rb"[+-]?[0-9]+(?:/[0-9]+|(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)").fullmatch
-
-# Control bytes other than the line end: whitespace to the line parser.
-_CONTROL = re.compile(rb"[\x00-\x09\x0b-\x1f]").search
-
-
-def _read_lines(buf, order, n, mode):
-    """:func:`_read_chunk`'s result for a chunk of few bytes, read token by
-    token by the same rules: on so few bytes numpy's cost per call outweighs
-    the work."""
-    if _CONTROL(buf):
-        return None  # whitespace other than " " and line ends
-    rows = [line.split(b" ") for line in buf.split(b"\n")[:-1]]
-    if set(map(len, rows)) != {order + 1}:
-        return None
-    *cols, values = zip(*rows)
-    number = {b"%d" % x: x for x in range(1, n + 1)}
-    try:
-        labels = np.array([list(map(number.__getitem__, col)) for col in cols], np.int64)
-    except KeyError:
-        return None
-    if not (labels[1:] > labels[:-1]).all():
-        return None
-    keys = np.array([(n + 1) ** (order - 1 - c) for c in range(order)], np.int64) @ labels
-    try:
-        if mode == "float":
-            got = []
-            for v in values:
-                p, slash, q = v.partition(b"/")
-                if not _PLAIN_FLOAT(v):
-                    x = parse_number(v.decode(), mode)
-                elif slash:
-                    x = int(p) / int(q)  # correctly rounded, as parse_number's
-                else:
-                    x = float(v)
-                    if x == 0 or not math.isfinite(x):  # parse_number's rules
-                        x = parse_number(v.decode(), mode)
-                got.append(x)
-            return keys, (np.array(got, np.float64),), {}
-        plain = list(map(_PLAIN_EXACT, values))
-        odd = {k: parse_number(v.decode(), mode) for k, (v, ok) in enumerate(zip(values, plain)) if not ok}
-        text = b" ".join((v if b"/" in v else v + b"/1") if ok else b"0/1" for v, ok in zip(values, plain))
-    except (ValueError, ZeroDivisionError, OverflowError):
-        return None
-    p, q = np.fromstring(text.replace(b"/", b" "), np.int64, sep=" ").reshape(-1, 2).T
-    if not q.all():
-        return None  # a zero denominator
-    g = np.gcd(p, q)
-    return keys, (p // g, q // g), odd
-
-
 def _read_chunk(buf, order, n, mode):
     """(keys, values, odd) of the lines of *buf*, the UTF-8 bytes of whole
     file lines, or None for the line parser to read the file.
 
-    A chunk of fewer than ``_FEW_BYTES`` bytes is read by
-    :func:`_read_lines`.  Otherwise *keys* ranks each line's labels
-    lexicographically (:func:`_label_keys`), and the plain values
-    (:func:`_value_shapes`) are read by one ``np.fromstring`` over the
-    chunk with its labels blanked and each "/" a space, as int64, or as
-    float64 for a float chunk with decimals.  Any other value is read by
-    parse_number: in exact mode *odd* maps its line to the Fraction; in
+    *keys* ranks each line's labels lexicographically (:func:`_label_keys`),
+    and the plain values (:func:`_value_shapes`) are read by one
+    ``np.fromstring`` over the chunk with its labels blanked and each "/" a
+    space, as int64, or as float64 for a float chunk with decimals.  Any
+    other value is read by parse_number: in exact mode *odd* maps its line to the Fraction; in
     float mode it is set in place, as are zeros, non-finite values and
     ``p/q`` with a part of 2^53 or more, past which ``p / q`` in floats may
     not be the correctly rounded value.  *values* is a float64 array, or
@@ -1356,8 +1310,6 @@ def _read_chunk(buf, order, n, mode):
         buf += b"\n"
     if len(buf) >= 2**31:
         return None  # a line of gigabytes
-    if len(buf) < _FEW_BYTES:
-        return _read_lines(buf, order, n, mode)
     a = np.frombuffer(buf, np.uint8)
     tokens = _tokens(a, order)
     if tokens is None:
@@ -1421,9 +1373,10 @@ def _read_bulk(text, order, mode):
     no Python object per label or plain value.  Such a file gives the line
     parser's values exactly; every other file, malformed ones included, is
     left to the line parser, so its errors and line numbers are the only
-    ones.
+    ones.  So is a file of fewer than ``_FEW_BYTES`` characters, which the
+    line parser reads as fast.
     """
-    if mode not in MODES or "#" in text:
+    if mode not in MODES or len(text) < _FEW_BYTES or "#" in text:
         return None
     body = text.find("\n") + 1
     head = text[: body - 1].removesuffix("\r")
@@ -1493,7 +1446,7 @@ def _parse(text, mode, cls):
         n, kind, arr, scale = bulk
         return cls.from_mirror(range(1, n + 1), kind, arr, scale)
     n, entries = _parse_weight_lines(text, cls.order, mode)
-    return cls(entries, labels=range(1, n + 1))
+    return cls._from_checked(range(1, n + 1), entries)
 
 
 def parse_doubles(text: str, mode: str = "rational") -> DoubleWeights:

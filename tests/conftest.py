@@ -1,4 +1,5 @@
-"""Shared fixtures: the two hand-instantiated reference trees.
+"""Shared fixtures: the two hand-instantiated reference trees, and
+``arrays``, which sends weight files of any size to the bulk reader.
 
 The caterpillar has twigs 1,2 on one stalk, twig 3 in the middle, twigs
 4,5 on the other stalk, inner edges 6 and 7.  The quartet has cherries
@@ -22,6 +23,7 @@ from treeweights import (
     triples_of_tree,
 )
 from treeweights import reconstruct as reconstruct_mod
+from treeweights import weights as weights_mod
 
 
 def make_caterpillar():
@@ -55,6 +57,13 @@ QUARTET_DOUBLES = {
     (2, 4): 11,
     (3, 4): 7,
 }
+
+
+@pytest.fixture
+def arrays(monkeypatch):
+    """Weight files of any size on the bulk path: it otherwise leaves files
+    under ``_FEW_BYTES`` to the line parser, and many test files are short."""
+    monkeypatch.setattr(weights_mod, "_FEW_BYTES", 0)
 
 
 @pytest.fixture

@@ -21,6 +21,8 @@ The weight-file writer that built one Fraction per value and joined every
 line at once, and the metric warnings' loop over the container's values,
 are kept here too, with the walk that made a CLI payload ready for
 ``json.dumps``, and the four-point test's loop over every quadruple.
+The canonical form's loop, which re-sorted every node for each degree-2
+node it suppressed, is kept here too.
 """
 
 import math
@@ -64,6 +66,29 @@ def all_pairwise_weights_loop(tree):
         for b in leaves[idx + 1 :]:
             out[(a, b)] = dist[b]
     return out
+
+
+def canonicalize_loop(tree):
+    """Reference canonical form: suppress the smallest internal degree-2
+    node, summing its two edge weights, until none is left."""
+    leafset = set(tree.leaves)
+    adj = {v: dict(nb) for v, nb in tree._adj.items()}
+    while True:
+        victim = None
+        for v in sorted(adj):
+            if v not in leafset and len(adj[v]) == 2:
+                victim = v
+                break
+        if victim is None:
+            break
+        (a, w1), (b, w2) = sorted(adj[victim].items())
+        del adj[victim]
+        del adj[a][victim]
+        del adj[b][victim]
+        adj[a][b] = w1 + w2
+        adj[b][a] = w1 + w2
+    edges = [(u, v, w) for u, nb in adj.items() for v, w in nb.items() if u < v]
+    return WeightedTree(edges)
 
 
 def verified_loop(d, base_tree, base_record, levels, tol, require_positive):

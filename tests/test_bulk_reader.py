@@ -38,14 +38,11 @@ from conftest import reconstruct_keeping_mirrors
 
 CLASSES = {2: DoubleWeights, 3: TripleWeights}
 PARSE = {2: parse_doubles, 3: parse_triples}
-# the chunk sizes that send every chunk to one of the two chunk readers
-READERS = {"lines": 1 << 30, "arrays": 0}
 
 
-@pytest.fixture(params=list(READERS))
-def reader(request, monkeypatch):
-    """Each chunk reader in turn: line by line, or by array steps."""
-    monkeypatch.setattr(weights_mod, "_FEW_BYTES", READERS[request.param])
+@pytest.fixture(params=["arrays"])
+def reader(request, arrays):
+    """The bulk path's one chunk reader, by array steps."""
     return request.param
 
 
@@ -128,7 +125,7 @@ SIZES = {
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 @pytest.mark.parametrize("order", [2, 3])
-def test_bulk_equals_line_reader(order, mode):
+def test_bulk_equals_line_reader(arrays, order, mode):
     rng = random.Random(order * 10 + (mode == "float"))
     for n in SIZES[order, mode]:
         kinds = ("mixed", "int", "float") if n < 40 else ("mixed",)
@@ -141,7 +138,7 @@ def test_bulk_equals_line_reader(order, mode):
                 assert_same_container(PARSE[order](text, mode), want)
 
 
-def test_lazy_dict_is_the_parsers():
+def test_lazy_dict_is_the_parsers(arrays):
     text = "3\n1 2 1/3\n1 3 4\n2 3 -0\n"
     d = parse_doubles(text)
     assert d._dict is None  # nothing built yet
@@ -272,9 +269,8 @@ def test_malformed_corpus_same_outcome(mode):
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
-def test_malformed_corpus_on_array_steps(monkeypatch, mode):
+def test_malformed_corpus_on_array_steps(arrays, mode):
     """The corpus's files are short: here each is read by array steps."""
-    monkeypatch.setattr(weights_mod, "_FEW_BYTES", 0)
     _check_corpus(mode)
 
 
@@ -354,9 +350,16 @@ def test_mutated_files_on_array_steps(seed, order, mode, edits):
         weights_mod._FEW_BYTES = few
 
 
-def _mutated_file_agrees(seed, order, mode, edits):
+def _mutated(seed, order, mode, edits):
+    """A small well-formed file with character *edits* (see :func:`edited`)."""
     rng = random.Random(seed)
     text = _file(rng, rng.randint(order, 7), order, mode, rng.choice(("mixed", "int", "float")))
+    return edited(text, edits)
+
+
+def edited(text, edits):
+    """*text* with character edits: (position, insert, delete or replace,
+    character)."""
     for pos, op, ch in edits:
         pos %= len(text) + 1
         if op == 0:
@@ -365,6 +368,11 @@ def _mutated_file_agrees(seed, order, mode, edits):
             text = text[:pos] + text[pos + 1 :]
         else:
             text = text[:pos] + ch + text[pos + 1 :]
+    return text
+
+
+def _mutated_file_agrees(seed, order, mode, edits):
+    text = _mutated(seed, order, mode, edits)
     bulk = _read_bulk(text, order, mode)
     try:
         n, entries = _parse_weight_lines(text, order, mode)
@@ -374,6 +382,73 @@ def _mutated_file_agrees(seed, order, mode, edits):
     if bulk is not None:
         got = CLASSES[order].from_mirror(range(1, n + 1), *bulk[1:])
         assert_same_container(got, CLASSES[order](entries, labels=range(1, n + 1)))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["rational", "float"]),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.sampled_from(_ALPHABET)),
+             max_size=3),
+)
+def test_line_parser_dict_needs_no_second_check(seed, order, mode, edits):
+    """Every file the line parser reads gives, as its container, the one
+    the validating constructor builds from the same dict."""
+    text = _mutated(seed, order, mode, edits)
+    try:
+        n, entries = _parse_weight_lines(text, order, mode)
+    except ParseError:
+        return
+    want = CLASSES[order](dict(entries), labels=range(1, n + 1))
+    assert_same_container(CLASSES[order]._from_checked(range(1, n + 1), entries), want)
+    assert_same_container(PARSE[order](text, mode), want)
+
+
+def _file_of_length(order, mode, length):
+    """A canonical file of exactly *length* characters: values written
+    with leading zeros to fill it."""
+    def lines(n):
+        keys = combinations(range(1, n + 1), order)
+        return [str(n)] + [" ".join(map(str, key)) + f" {k % 7}" for k, key in enumerate(keys)]
+
+    n = order
+    while len("\n".join(lines(n + 1))) < length:
+        n += 1
+    body = lines(n)
+    if mode == "float":
+        body[1] += ".5"
+    fill = length - len("\n".join(body)) - 1
+    for k in range(1, len(body)):
+        pad = min(fill, 16)
+        label, value = body[k].rsplit(" ", 1)
+        body[k], fill = f"{label} {'0' * pad}{value}", fill - pad
+    text = "\n".join(body) + "\n"
+    assert len(text) == length
+    return text
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_files_under_few_bytes_go_to_the_line_parser(monkeypatch, order, mode):
+    """A file one character under ``_FEW_BYTES`` never reaches the chunk
+    reader, and a canonical file of ``_FEW_BYTES`` never reaches the line
+    parser; both give the validating constructor's container."""
+    few = weights_mod._FEW_BYTES
+    short, long = (_file_of_length(order, mode, length) for length in (few - 1, few))
+    wants = []
+    for text in (short, long):
+        n, entries = _parse_weight_lines(text, order, mode)
+        wants.append(CLASSES[order](entries, labels=range(1, n + 1)))
+
+    def refuse(*args):
+        raise AssertionError("refused reader called")
+
+    with monkeypatch.context() as m:
+        m.setattr(weights_mod, "_read_chunk", refuse)
+        assert_same_container(PARSE[order](short, mode), wants[0])
+    _no_line_parser(monkeypatch)
+    assert_same_container(PARSE[order](long, mode), wants[1])
 
 
 def _assert_dense_of_its_items(w):

@@ -73,6 +73,15 @@ class TestWeightsCommand:
         assert code == 1
         assert "leaf name" in err or "label" in err
 
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_triples_of_two_leaves_exit_1(self, capsys, monkeypatch, mode):
+        # the message names what was asked for, not an inner function
+        code, out, err = run_cli(
+            capsys, ["weights", "--order", "3", "--mode", mode], stdin="(1:1,2:2);\n",
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out, err) == (1, "", "treeweights: triple weights need n >= 3\n")
+
 
 class TestCheck:
     def test_realizable_quartet(self, capsys, monkeypatch):

@@ -93,12 +93,18 @@ def _bulk_parse_number_calls(text, order, monkeypatch):
     """The tokens the bulk reader hands to parse_number."""
     calls = []
     parse = weights_mod.parse_number
-    monkeypatch.setattr(weights_mod, "parse_number", lambda tok, mode: calls.append(tok) or parse(tok, mode))
-    _read_bulk(text, order, "rational")
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(weights_mod, "parse_number", lambda tok, mode: calls.append(tok) or parse(tok, mode))
+        _read_bulk(text, order, "rational")
     return calls
 
 
+# these files are short: the bulk path reads them only once the line
+# parser's share, files under _FEW_BYTES, is set to none
+arrays = pytest.mark.usefixtures("arrays")
+
+
+@arrays
 class TestTokenCorpus:
     @pytest.mark.parametrize("order", [2, 3])
     @pytest.mark.parametrize("token", PLAIN)
@@ -114,17 +120,6 @@ class TestTokenCorpus:
         if _same_outcome(text, order):
             assert _bulk_parse_number_calls(text, order, monkeypatch) == [token]
 
-    @pytest.mark.parametrize("order", [2, 3])
-    def test_both_chunk_readers_call_parse_number_alike(self, order, monkeypatch):
-        # these files are short, so read line by line; by array steps
-        # each token takes the same route
-        for token in PLAIN + ODD:
-            text = _file(order, ["5", token, "7/2", "1", "-3", "0"], 4)
-            by_lines = _bulk_parse_number_calls(text, order, monkeypatch)
-            monkeypatch.setattr(weights_mod, "_FEW_BYTES", 0)
-            by_arrays = _bulk_parse_number_calls(text, order, monkeypatch)
-            assert (token, by_arrays) == (token, by_lines)
-
     def test_every_token_in_one_file(self):
         text = _file(2, PLAIN + [t for t in ODD if t not in ("3/0", "0/0", "x", "3/4/5", "/4",
                                                              "4/", "+-3", "3-")], 8)
@@ -136,6 +131,7 @@ class TestTokenCorpus:
         assert _same_outcome(text, 2)
 
 
+@arrays
 class TestScales:
     @pytest.mark.parametrize("values, dtype", [
         ([str(_DENSE_MAG_CAP - 1), "1", "-1"], np.int64),
@@ -378,6 +374,7 @@ class TestMetricWarnings:
             "triangle violation: D(2,4) > D(2,3) + D(3,4)",
         ]
 
+    @arrays
     def test_no_dict_is_built(self):
         d = parse_doubles("3\n1 2 -1\n1 3 1\n2 3 10\n")
         assert metric_warnings(d) == [

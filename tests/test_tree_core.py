@@ -30,6 +30,7 @@ from treeweights import (
 from treeweights.tree import from_json_dict, to_json_dict
 from treeweights.weights import _preorder
 from conftest import steiner_brute
+from reference_loops import canonicalize_loop
 
 
 class TestWeightQueries:
@@ -128,6 +129,26 @@ class TestCanonicalize:
         assert tree_equal(back, t, 0)
         for subset in ([1, 2, 3], [2, 4, 5, 6], [1, 6]):
             assert k_weight(back, subset) == k_weight(t, subset)
+
+    @given(st.integers(0, 10**6), st.sampled_from(["rational", "float"]), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_is_the_suppression_loop(self, seed, mode, count):
+        """Degree-2 nodes inserted into random edges, chains of them too,
+        under shuffled node ids: the one pass gives the loop's edges, weight
+        types and float bits."""
+        rng = random.Random(seed)
+        t = random_tree(rng.randint(2, 12), seed, binary_only=False, mode=mode)
+        edges = list(t.edges)
+        ids = rng.sample(range(max(t.nodes) + 1, max(t.nodes) + 1 + 4 * count), count)
+        for mid in ids:
+            u, v, w = edges.pop(rng.randrange(len(edges)))
+            part = w * (Fraction(rng.randint(0, 8), 8) if mode == "rational" else rng.random())
+            edges += [(u, mid, part), (mid, v, w - part)]
+        split = WeightedTree(edges)
+        got, want = canonicalize(split), canonicalize_loop(split)
+        assert [(u, v, type(w), repr(w)) for u, v, w in got.edges] == [
+            (u, v, type(w), repr(w)) for u, v, w in want.edges
+        ]
 
     def test_tree_equal_self_canonicalized(self, caterpillar):
         assert tree_equal(caterpillar, canonicalize(caterpillar), 0)
