@@ -14,11 +14,9 @@ from treeweights import (
     canonicalize,
     doubles_of_tree,
     k_weight,
-    pairwise_weight,
     parse_newick,
     to_newick,
     tree_equal,
-    triple_weight,
     triples_of_tree,
 )
 
@@ -29,23 +27,21 @@ caterpillar = WeightedTree(
 )
 
 print("caterpillar:", to_newick(caterpillar))
-print("distance 1-2:", pairwise_weight(caterpillar, 1, 2))
-print("distance 1-4:", pairwise_weight(caterpillar, 1, 4))
-print("triple weight {1,2,3}:", triple_weight(caterpillar, 1, 2, 3))
+print("distance 1-2:", k_weight(caterpillar, [1, 2]))
+print("distance 1-4:", k_weight(caterpillar, [1, 4]))
+print("triple weight {1,2,3}:", k_weight(caterpillar, [1, 2, 3]))
 print("subtree weight {1,2,4,5}:", k_weight(caterpillar, [1, 2, 4, 5]))
 print("subtree weight of all leaves:", k_weight(caterpillar, [1, 2, 3, 4, 5]))
 
-# The triple weight is always half the sum of the three pairwise distances.
-lhs = triple_weight(caterpillar, 1, 3, 5)
-rhs = Fraction(1, 2) * (
-    pairwise_weight(caterpillar, 1, 3)
-    + pairwise_weight(caterpillar, 1, 5)
-    + pairwise_weight(caterpillar, 3, 5)
-)
+# The triple weight is always half the sum of the three pairwise distances,
+# which come, like every pair and triple weight, from one path-sum pass.
+doubles = doubles_of_tree(caterpillar)
+lhs = triples_of_tree(caterpillar).value(1, 3, 5)
+rhs = Fraction(1, 2) * (doubles.value(1, 3) + doubles.value(1, 5) + doubles.value(3, 5))
 print("half-sum identity:", lhs, "==", rhs)
 
 print("\nall pairwise weights:")
-for pair, value in doubles_of_tree(caterpillar).items():
+for pair, value in doubles.items():
     print("  D", pair, "=", value)
 
 print("\nall triple weights:")

@@ -50,13 +50,11 @@ from .tree import (
     contract_zero_internal_edges,
     from_json,
     k_weight,
-    pairwise_weight,
     parse_newick,
     random_tree,
     to_json,
     to_newick,
     tree_equal,
-    triple_weight,
 )
 from .weights import (
     BunemanVerdict,

@@ -484,7 +484,7 @@ def nj_from_triples(t: TripleWeights, eps=0) -> WeightedTree:
     """
     if t.n < 5:
         raise InstanceTooSmallError(
-            "nj_from_triples needs n >= 5", required=5, got=t.n
+            "triple neighbor joining needs n >= 5", required=5, got=t.n
         )
     d = pairwise_fit(t)
     state = _Mirror(d)

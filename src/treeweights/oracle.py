@@ -387,7 +387,7 @@ def realizable_brute(target, require_positive: bool = False):
     """
     n = target.n
     if not 2 <= n <= 8:
-        raise ValueError("realizable_brute supports 2 <= n <= 8 labels")
+        raise ValueError("the brute-force oracle supports 2 <= n <= 8 labels")
     # rows are leaf positions and items() is sorted, so b lines up with the
     # stack's rows on any label set
     stack = _stack(n, target.order)

@@ -153,7 +153,7 @@ def complete_pseudobells(w, tol=0):
     state = w if isinstance(w, _Mirror) else _Mirror(pairwise_fit(w))
     if state.n < 3:
         raise InstanceTooSmallError(
-            "pseudobell search needs n >= 3 for order 2", required=3, got=state.n
+            "pseudobell search needs n >= 3", required=3, got=state.n
         )
     m, labels = state.n, state.labels
     lo, hi = _star_windows(state.arr)

@@ -51,7 +51,7 @@ class WeightedTree:
         adj: dict[int, list] = {}
         canon = []
         for u, v, w in edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if type(u) is not int or type(v) is not int:
                 raise ValueError(f"node ids must be ints, got ({u!r}, {v!r})")
             if u <= 0 or v <= 0:
                 raise ValueError("node ids must be positive integers")
@@ -141,27 +141,6 @@ class Bell:
 # --------------------------------------------------------------------- #
 
 
-def distances_from(tree: WeightedTree, source):
-    """Map every node to its path weight from *source* (one preorder walk)."""
-    if source not in tree._adj:
-        raise LabelError(f"label {source} not in tree")
-    pre, parent = _preorder(tree._adj, source)
-    dist = {source: 0}
-    for v in pre[1:]:
-        p, w = parent[v]
-        dist[v] = dist[p] + w
-    return dist
-
-
-def pairwise_weight(tree: WeightedTree, i, j):
-    """Total edge weight on the unique path between leaves *i* and *j*."""
-    if i == j:
-        raise ValueError("pairwise_weight needs two distinct leaves")
-    if j not in tree._adj:
-        raise LabelError(f"label {j} not in tree")
-    return distances_from(tree, i)[j]
-
-
 def all_pairwise_weights(tree: WeightedTree):
     """Dict (a, b) -> distance over all leaf pairs a < b: a view of the
     path-sum kernel (:func:`~treeweights.weights.path_sums`), with
@@ -195,13 +174,6 @@ def k_weight(tree: WeightedTree, subset):
         if 0 < count[v] < len(members):
             total = total + w
     return total
-
-
-def triple_weight(tree: WeightedTree, i, j, k):
-    """Weight of the minimal subtree spanning leaves *i*, *j*, *k*."""
-    if len({i, j, k}) != 3:
-        raise ValueError("triple_weight needs three distinct leaves")
-    return k_weight(tree, (i, j, k))
 
 
 # --------------------------------------------------------------------- #

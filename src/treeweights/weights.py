@@ -102,7 +102,7 @@ _DENSE_SCALE_BITS = 4096
 
 def _validate_labels(labels):
     for lab in labels:
-        if not isinstance(lab, int) or lab <= 0:
+        if type(lab) is not int or lab <= 0:
             raise ValueError(f"labels must be positive ints, got {lab!r}")
 
 
@@ -274,6 +274,8 @@ class _WeightSet:
             k = tuple(sorted(key))
             if len(set(k)) != order:
                 raise ValueError(f"{noun} key with repeated labels: {key}")
+            if type(k[0]) is bool:  # a bool sorts first, and True passes for label 1
+                raise ValueError(f"labels must be positive ints, got {k[0]!r}")
             if k in norm:
                 raise ValueError(f"duplicate entry for {noun} {k}")
             if isinstance(val, float) and not math.isfinite(val):
@@ -428,10 +430,10 @@ def path_sums(tree) -> _Mirror:
     sources.  On the (node, source) table P, each edge x - y, y the child,
     is one step per direction: P[x, below y] = P[y, below y] + w on the way
     up, then P[y, rest] = P[x, rest] + w on the way down.  Every path is
-    thus summed outward from its source leaf, in the order
-    :func:`~treeweights.tree.distances_from` adds it, so float sums keep
-    their bits; pair (a, b), a < b, is read from source a and mirrored to
-    (b, a).  O(n^2) work in O(n) numpy calls.
+    thus summed outward from its source leaf, in the order the per-leaf
+    reference walk (``distances_from`` in ``tests/reference_loops.py``)
+    adds it, so float sums keep their bits; pair (a, b), a < b, is read
+    from source a and mirrored to (b, a).  O(n^2) work in O(n) numpy calls.
     """
     adj, leaves = tree._adj, tree.leaves
     pre, parent = _preorder(adj, leaves[0])
@@ -699,7 +701,7 @@ def star_table(w, tol=0):
     """
     w = pairwise_fit(w)
     if w.n < 3:
-        raise InstanceTooSmallError("star table needs n >= 3 for order 2", required=3, got=w.n)
+        raise InstanceTooSmallError("star table needs n >= 3", required=3, got=w.n)
     kind, arr, scale = w.dense()
     lo, hi = _star_windows(arr)
     if kind == "int":

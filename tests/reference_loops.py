@@ -5,9 +5,10 @@ container's dense mirror (int64, ``object`` Python ints, or float64).
 These loops compute the same results one entry at a time, straight from
 the container's values, and define the semantics the kernels are held to:
 result for result, bitwise for floats.  They are test oracles only.
-The per-leaf walk that summed a tree's path weights one leaf at a time,
-which the package's path-sum kernel must reproduce (bitwise on floats),
-is kept here too, with the dict loop of the half-sum lift.
+The per-leaf walk that summed a tree's path weights one leaf at a time
+(:func:`distances_from`), which the package's path-sum kernel must
+reproduce (bitwise on floats), is kept here too, with the dict loop of
+the half-sum lift.
 The per-level container driver of reconstruction is kept here too: it
 rebuilds a container at every level and finds its bells on a table of
 star results, where the package carries one mirror from level to level.
@@ -32,7 +33,7 @@ from types import SimpleNamespace
 
 from treeweights.numeric import THIRD, format_number, half, midrange
 from treeweights.nj import SMatrix, ScanRecord, _assemble, _scan_cost, group_bells
-from treeweights.errors import ReconstructionError
+from treeweights.errors import LabelError, ReconstructionError
 from treeweights.reconstruct import (
     Pseudobell,
     _expand_levels,
@@ -43,12 +44,13 @@ from treeweights.reconstruct import (
     _retention_guard,
     twig_length_doubles,
 )
-from treeweights.tree import WeightedTree, contract_zero_internal_edges, distances_from
+from treeweights.tree import WeightedTree, contract_zero_internal_edges
 from treeweights.weights import (
     BunemanVerdict,
     DoubleWeights,
     StarResult,
     TripleWeights,
+    _preorder,
     derived_pairwise,
     derived_pairwise_consistent,
     mirror_values,
@@ -56,9 +58,21 @@ from treeweights.weights import (
 )
 
 
+def distances_from(tree, source):
+    """Map every node to its path weight from *source* (one preorder walk)."""
+    if source not in tree._adj:
+        raise LabelError(f"label {source} not in tree")
+    pre, parent = _preorder(tree._adj, source)
+    dist = {source: 0}
+    for v in pre[1:]:
+        p, w = parent[v]
+        dist[v] = dist[p] + w
+    return dist
+
+
 def all_pairwise_weights_loop(tree):
     """Reference path sums: one walk per leaf, adding the weights edge by
-    edge outward from it (:func:`~treeweights.tree.distances_from`)."""
+    edge outward from it (:func:`distances_from`)."""
     leaves = tree.leaves
     out = {}
     for idx, a in enumerate(leaves):

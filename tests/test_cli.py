@@ -367,6 +367,15 @@ class TestNJCommand:
         assert out == ""
         assert err.startswith("treeweights: ") and "--variant" in err
 
+    def test_order3_four_labels_exit_1(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            capsys,
+            ["nj", "--order", "3"],
+            stdin="4\n1 2 3 1\n1 2 4 2\n1 3 4 3\n2 3 4 4\n",
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out, err) == (1, "", "treeweights: triple neighbor joining needs n >= 5\n")
+
 
 class TestCompare:
     def test_equal_trees(self, capsys, tmp_path):
@@ -421,6 +430,12 @@ class TestOracleCommand:
         got, out, _ = run_cli(capsys, argv, stdin=f"3\n1 2 3 {value}\n", monkeypatch=monkeypatch)
         payload = json.loads(out)
         assert (got, payload["realizable"], payload["tree"]) == (code, code == 0, tree)
+
+    def test_nine_labels_exit_1(self, capsys, monkeypatch):
+        text = emit_doubles(doubles_of_tree(random_tree(9, 1)))
+        code, out, err = run_cli(capsys, ["oracle", "--order", "2"], stdin=text, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == "treeweights: the brute-force oracle supports 2 <= n <= 8 labels\n"
 
 
 class TestBench:

@@ -43,11 +43,11 @@ from treeweights import reconstruct as reconstruct_mod
 from treeweights import weights as weights_mod
 from treeweights.numeric import format_number
 from treeweights.reconstruct import BaseCaseRecord
-from treeweights.tree import distances_from
 from treeweights.weights import _DENSE_MAG_CAP, holds_fractions, path_sums
 from conftest import cross_path_cases, exact_or_float
 from reference_loops import (
     all_pairwise_weights_loop,
+    distances_from,
     triples_from_doubles_loop,
     verified_loop,
 )

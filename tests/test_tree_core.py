@@ -17,15 +17,15 @@ from treeweights import (
     cherries,
     cherry_pair_set,
     contract_zero_internal_edges,
+    doubles_of_tree,
     from_json,
     k_weight,
-    pairwise_weight,
     parse_newick,
     random_tree,
     to_json,
     to_newick,
     tree_equal,
-    triple_weight,
+    triples_of_tree,
 )
 from treeweights.tree import from_json_dict, to_json_dict
 from treeweights.weights import _preorder
@@ -35,35 +35,35 @@ from reference_loops import canonicalize_loop
 
 class TestWeightQueries:
     def test_single_edge(self):
-        assert pairwise_weight(WeightedTree([(1, 2, 7)]), 1, 2) == 7
+        assert k_weight(WeightedTree([(1, 2, 7)]), [1, 2]) == 7
 
     def test_caterpillar_pairwise(self, caterpillar):
-        assert pairwise_weight(caterpillar, 1, 2) == 3
-        assert pairwise_weight(caterpillar, 1, 4) == 18
+        assert k_weight(caterpillar, [1, 2]) == 3
+        assert k_weight(caterpillar, [1, 4]) == 18
 
     def test_unknown_label(self, caterpillar):
         with pytest.raises(LabelError):
-            pairwise_weight(caterpillar, 1, 99)
+            k_weight(caterpillar, [1, 99])
 
     def test_equal_labels(self, caterpillar):
         with pytest.raises(ValueError):
-            pairwise_weight(caterpillar, 3, 3)
+            k_weight(caterpillar, [3, 3])
 
     def test_triple_weights(self, caterpillar):
-        assert triple_weight(caterpillar, 1, 2, 3) == 12
-        assert triple_weight(caterpillar, 3, 4, 5) == 19
+        assert k_weight(caterpillar, [1, 2, 3]) == 12
+        assert k_weight(caterpillar, [3, 4, 5]) == 19
 
     def test_triple_star(self):
         star = WeightedTree([(1, 4, 1), (2, 4, 1), (3, 4, 1)])
-        assert triple_weight(star, 1, 2, 3) == 3
+        assert k_weight(star, [1, 2, 3]) == 3
 
     def test_triple_distinct(self, caterpillar):
         with pytest.raises(ValueError):
-            triple_weight(caterpillar, 1, 1, 2)
+            k_weight(caterpillar, [1, 1, 2])
 
     def test_k_weight_full_and_pair(self, caterpillar):
         assert k_weight(caterpillar, {1, 2, 3, 4, 5}) == 28
-        assert k_weight(caterpillar, [1, 2]) == pairwise_weight(caterpillar, 1, 2)
+        assert k_weight(caterpillar, [1, 2]) == doubles_of_tree(caterpillar).value(1, 2)
 
     def test_k_weight_vs_brute(self, caterpillar):
         assert k_weight(caterpillar, [1, 2, 4, 5]) == 25
@@ -91,13 +91,26 @@ class TestWeightQueries:
     @settings(max_examples=40, deadline=None)
     def test_triple_is_half_pairwise_sum(self, seed):
         t = random_tree(6, seed)
+        d = doubles_of_tree(t)
         for i, j, k in ((1, 2, 3), (2, 4, 6), (1, 5, 6)):
-            total = (
-                pairwise_weight(t, i, j)
-                + pairwise_weight(t, i, k)
-                + pairwise_weight(t, j, k)
-            )
-            assert triple_weight(t, i, j, k) == Fraction(1, 2) * total
+            total = d.value(i, j) + d.value(i, k) + d.value(j, k)
+            assert k_weight(t, [i, j, k]) == Fraction(1, 2) * total
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_walk_matches_kernel(self, n, mode):
+        # the walk and the kernel add the edges in different orders, and a
+        # triple is the kernel's half-sum of three pairs, so float values
+        # may differ in the last bits (abs for values near 0)
+        for seed in range(4):
+            t = random_tree(n, seed, weight_min=-3, binary_only=seed % 2 == 0, mode=mode)
+            for kernel in (doubles_of_tree(t), triples_of_tree(t)):
+                for key, want in kernel.items():
+                    got = k_weight(t, key)
+                    if mode == "rational":
+                        assert (type(got), got) == (Fraction, want), key
+                    else:
+                        assert got == pytest.approx(want, rel=1e-9, abs=1e-9), key
 
 
 class TestCanonicalize:
@@ -363,7 +376,7 @@ class TestNewick:
 
     def test_parse_rooted_binary(self):
         t = parse_newick("((1:1,2:2):3,3:4);", "rational")
-        assert pairwise_weight(t, 1, 3) == 8
+        assert k_weight(t, [1, 3]) == 8
 
     @pytest.mark.parametrize(
         "bad",
@@ -384,7 +397,7 @@ class TestNewick:
     def test_root_stem_dropped(self):
         # a root with one child is a stem, not a leaf: its child is the root
         t = parse_newick("((1:1,2:2):3);", "rational")
-        assert t.leaves == (1, 2) and pairwise_weight(t, 1, 2) == 3
+        assert t.leaves == (1, 2) and k_weight(t, [1, 2]) == 3
         t = parse_newick("(((1:1,2:2,4:1):3):4);", "rational")
         assert t.leaves == (1, 2, 4)
         assert to_newick(t) == "(1:1,2:2,4:1);"
@@ -528,6 +541,12 @@ class TestValidation:
     def test_self_loop(self):
         with pytest.raises(ValueError):
             WeightedTree([(1, 1, 1)])
+
+    def test_bool_node_refused(self):
+        # True == 1, and to_newick would write it as a leaf named "True"
+        for edges in ([(True, 4, 1), (2, 4, 1), (3, 4, 1)], [(1, 4, 1), (2, 4, 1), (3, True, 1)]):
+            with pytest.raises(ValueError, match="node ids must be ints"):
+                WeightedTree(edges)
 
     def test_bell_pairs_helper(self):
         b = Bell(stalk=9, members=(1, 2, 5), twig_lengths={1: 1, 2: 1, 5: 1})

@@ -129,6 +129,17 @@ class TestContainers:
         vals[(2, 4)] = Fraction(10**400, 3)
         assert DoubleWeights(vals).value(2, 4) == Fraction(10**400, 3)
 
+    def test_bool_labels_refused(self):
+        # emit_doubles would write the label as "True", which no parser reads;
+        # True == 1, so in the second set the label set alone would not show it
+        for values in ({(True, 2): 1, (True, 3): 2, (2, 3): 3}, {(1, 2): 1, (True, 3): 2, (2, 3): 3}):
+            with pytest.raises(ValueError, match="labels must be positive ints, got True"):
+                DoubleWeights(values)
+        with pytest.raises(ValueError, match="labels must be positive ints, got True"):
+            DoubleWeights({(1, 2): 1, (1, 3): 2, (2, 3): 3}, labels=(True, 2, 3))
+        with pytest.raises(ValueError, match="labels must be positive ints, got True"):
+            TripleWeights({(True, 2, 3): 1})
+
     def test_min_sizes(self):
         with pytest.raises(ValueError):
             DoubleWeights({}, labels=[1])
