@@ -160,8 +160,8 @@ def _cmd_gen(args) -> int:
     tree = tree_mod.random_tree(
         args.leaves,
         args.seed,
-        weight_min=parse_number(args.weight_min, args.mode),
-        weight_max=parse_number(args.weight_max, args.mode),
+        weight_min=args.weight_min,
+        weight_max=args.weight_max,
         binary_only=not args.multifurcating,
         mode=args.mode,
     )
@@ -394,6 +394,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _number(args, name):
+    """Convert option *name* in place to a number of the command's mode and
+    return it; a refused token is reported under the option's name."""
+    try:
+        value = parse_number(getattr(args, name), args.mode)
+    except ValueError as err:
+        raise _UsageError(f"--{name.replace('_', '-')}: {err}") from None
+    setattr(args, name, value)
+    return value
+
+
 def _normalise(args):
     """Check and convert the parsed options in place, for the rules argparse
     does not express: tolerances are numbers of the command's mode and not
@@ -401,15 +412,15 @@ def _normalise(args):
     if args.command == "oracle":
         args.mode = "rational"
     for name in ("tol", "epsilon"):
-        if hasattr(args, name):
-            value = parse_number(getattr(args, name), args.mode)
-            if value < 0:
-                raise _UsageError(f"--{name} must be non-negative")
-            setattr(args, name, value)
+        if hasattr(args, name) and _number(args, name) < 0:
+            raise _UsageError(f"--{name} must be non-negative")
     if args.command == "nj" and args.order == 3 and args.variant is not None:
         raise _UsageError("--variant applies to --order 2 only")
-    if args.command == "gen" and args.leaves < 2:
-        raise _UsageError("--leaves must be at least 2")
+    if args.command == "gen":
+        if args.leaves < 2:
+            raise _UsageError("--leaves must be at least 2")
+        if _number(args, "weight_min") > _number(args, "weight_max"):
+            raise _UsageError("--weight-min must be <= --weight-max")
     if args.command == "bench":
         try:
             args.sizes = tuple(int(x) for x in args.sizes.split(",") if x)

@@ -24,7 +24,10 @@ dense mirror (int64, ``object`` Python ints past the int64 headroom or
 Fractions past the scale cap, or float64) is built once and carried from
 join to join, so exact data stays exact and no container is rebuilt
 inside a loop.  A classic join costs one O(m^2) array S on m labels plus
-an O(m) row update (Studier & Keppler, Mol. Biol. Evol. 1988).  A pruning
+an O(m) row update (Studier & Keppler, Mol. Biol. Evol. 1988), and drops
+its two rows by one ``take`` per axis.  It takes its twigs in the
+mirror's units, d_ij + d_ix - d_jx, and makes each one a Python number
+once, when it records it: one Fraction per twig on an exact mirror.  A pruning
 round takes S once, for the cherry scan and, when nothing confirms, for
 the fallback join, then merges every bell in top^2 array steps for the
 largest bell of top members, whatever the number of bells or of bell
@@ -45,7 +48,6 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InstanceTooSmallError
-from .numeric import half
 from .tree import WeightedTree, _min_roots, contract_zero_internal_edges
 from .weights import (
     DoubleWeights,
@@ -148,26 +150,34 @@ def s_matrix_triples(t: TripleWeights) -> SMatrix:
 # --------------------------------------------------------------------- #
 
 
-def _classic_join(state: _Mirror, i, j, a_i):
-    """One agglomeration step on the mirror: join indices i < j, where i's
-    twig is *a_i*.  The fresh label z = max + 1 takes the last slot with
-    the row (-d_ij + d_iy + d_jy) / 2; rows i and j go.
+def _classic_join(state: _Mirror, i, j, twice):
+    """One agglomeration step on the mirror: join indices i < j.  i's twig
+    is the mean of the halves of *twice*, one or two sums d_ij + d_ix -
+    d_jx in the mirror's units (:meth:`_Mirror.twig`; two for triple NJ's
+    mean).  On an exact mirror k = 2 len(twice), and the twigs of i and j
+    are one value each, their units over k scales: sum(twice) and
+    k d_ij - sum(twice).  A float twig keeps the dict loop's order: each
+    half 0.5 * t, the mean of two halves, then d_ij - a_i.  The fresh label
+    z = max + 1 takes the last slot with the row (-d_ij + d_iy + d_jy) / 2;
+    rows i and j go, by one ``take`` per axis.
 
     Returns (z, [(label i, twig), (label j, twig)]).
     """
     arr, labels = state.arr, state.labels
-    a_j = state.value(arr[i, j]) - a_i
+    d_ij = arr.item(i, j)
+    if state.kind == "float":
+        a_i = 0.5 * twice[0] if len(twice) == 1 else 0.5 * (0.5 * twice[0] + 0.5 * twice[1])
+        a_j = d_ij - a_i
+    else:
+        k, units = 2 * len(twice), sum(twice)
+        a_i = unit_value(units, k * state.scale)
+        a_j = unit_value(k * d_ij - units, k * state.scale)
     row = state.halve(-arr[i, j] + arr[i] + arr[j])  # may double state.arr
-    # the diagonal, read after the halve: an int64 scalar stored in an
-    # object mirror would turn the Python-int sums over its column int64
-    zero = state.arr[0, 0]
-    keep = np.ones(len(arr), dtype=bool)
-    keep[[i, j]] = False
-    m = len(arr) - 1
-    new = np.empty((m, m), dtype=state.arr.dtype)
-    new[:-1, :-1] = state.arr[keep][:, keep]
-    new[-1, :-1] = new[:-1, -1] = row[keep]
-    new[-1, -1] = zero
+    # the survivors, then i, whose row and column (its diagonal zero kept,
+    # in the mirror's element type) z's row overwrites
+    keep = np.array([*range(i), *range(i + 1, j), *range(j + 1, len(arr)), i])
+    new = state.arr.take(keep, axis=0).take(keep, axis=1)
+    new[-1, :-1] = new[:-1, -1] = row.take(keep[:-1])
     z = labels[-1] + 1
     state.labels = labels[:i] + labels[i + 1 : j] + labels[j + 1 :] + [z]
     state._set(new)
@@ -181,7 +191,7 @@ def _min_join(state: _Mirror, selection=None):
     iu, ju, S = selection or _selection(state)
     k = int(S.argmin())  # the first minimum, in combinations order
     i, j = int(iu[k]), int(ju[k])
-    return _classic_join(state, i, j, state.twig(i, j, int(_skip(0, i, j))))
+    return _classic_join(state, i, j, (state.twig(i, j, int(_skip(0, i, j))),))
 
 
 def _join_down(state: _Mirror, floor):
@@ -493,7 +503,6 @@ def nj_from_triples(t: TripleWeights, eps=0) -> WeightedTree:
         i, j = _confirmed_min_pair(state, eps)
         x = int(_skip(0, i, j))
         y = int(_skip(x + 1, i, j))
-        a_i = half(state.twig(i, j, x) + state.twig(i, j, y))
-        merges.append(_classic_join(state, i, j, a_i))
+        merges.append(_classic_join(state, i, j, (state.twig(i, j, x), state.twig(i, j, y))))
     merges += _join_down(state, 2)
     return _assemble([state.final_edge()], merges)

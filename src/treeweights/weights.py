@@ -88,7 +88,6 @@ from .numeric import (
     _exact_type,
     _int_text,
     format_number,
-    half,
     midrange,
     parse_number,
 )
@@ -843,10 +842,10 @@ class _Mirror:
             return 0.5 * twice
         if not self.in_units():
             return twice / 2
-        if (twice % 2 != 0).any():
+        if (twice & 1).any():
             self.rescale(2)
             return twice
-        return twice // 2
+        return twice >> 1
 
     def settle(self):
         """Give an exact mirror the form ``dense()`` gives the container of
@@ -859,9 +858,10 @@ class _Mirror:
         return DoubleWeights.from_mirror(self.labels, self.kind, self.arr, self.scale)
 
     def twig(self, i, j, x):
-        """(d_ij + d_ix - d_jx) / 2, i's twig against j, as a Python value."""
+        """d_ij + d_ix - d_jx, twice i's twig against j, in the mirror's
+        units as a Python number (a float on a float mirror)."""
         a = self.arr
-        return half(self.value(a[i, j]) + self.value(a[i, x]) - self.value(a[j, x]))
+        return a.item(i, j) + a.item(i, x) - a.item(j, x)
 
     def final_edge(self):
         u, v = self.labels

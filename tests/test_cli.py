@@ -52,6 +52,21 @@ class TestGen:
         code, _, err = run_cli(capsys, ["gen", "--leaves", "1"])
         assert code == 1 and "leaves" in err
 
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_weight_range_names_the_options(self, capsys, mode):
+        code, out, err = run_cli(
+            capsys, ["gen", "--leaves", "5", "--weight-min", "5", "--weight-max", "1",
+                     "--mode", mode]
+        )
+        assert code == 1 and out == ""
+        assert err == "treeweights: --weight-min must be <= --weight-max\n"
+
+    def test_equal_weight_bounds_pass(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["gen", "--leaves", "3", "--weight-min", "2", "--weight-max", "2"]
+        )
+        assert code == 0 and out == "(1:2,2:2,3:2);\n"
+
 
 class TestWeightsCommand:
     def test_round_trip_order2(self, capsys, monkeypatch, tmp_path):
@@ -465,6 +480,32 @@ class TestConfigPlumbing:
             monkeypatch=monkeypatch,
         )
         assert code == 1 and "tol" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["nj", "--epsilon", "nan"], "--epsilon: bad numeric token 'nan'"),
+            (["nj", "--mode", "rational", "--epsilon", "1/0"],
+             "--epsilon: zero denominator in '1/0'"),
+            (["reconstruct", "--order", "2", "--tol", "inf"],
+             "--tol: non-finite numeric token 'inf'"),
+            (["check", "--order", "2", "--mode", "float", "--tol", "x"],
+             "--tol: bad numeric token 'x'"),
+            (["compare", "a.nwk", "b.nwk", "--tol", "1e999999"],
+             "--tol: exponent of '1e999999' is beyond the limit of 4300"),
+            (["gen", "--leaves", "4", "--weight-min", "nan", "--mode", "float"],
+             "--weight-min: bad numeric token 'nan'"),
+            (["gen", "--leaves", "4", "--weight-max", "1e400", "--mode", "float"],
+             "--weight-max: '1e400' is out of the float range"),
+            (["gen", "--leaves", "4", "--weight-max=-inf"],
+             "--weight-max: non-finite numeric token '-inf'"),
+        ],
+    )
+    def test_bad_number_names_its_option(self, capsys, argv, message):
+        # refused before any input is read
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == f"treeweights: {message}\n"
 
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run_cli(capsys, ["weights", "--order", "2", "--in", "/nope.nwk"])

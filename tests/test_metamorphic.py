@@ -2,8 +2,10 @@
 
 The oracle referees n <= 8 only.  Exact tol-0 verdicts also obey relations
 that need no oracle: relabelling the leaves, scaling every value by a
-positive rational, and lifting pairs to their triples each give the same
-verdict, and an accepted instance the correspondingly changed tree.
+positive rational, lifting pairs to their triples and adding one constant
+to every value that holds a given label each give the same verdict, and an
+accepted instance the correspondingly changed tree.  An accepted instance
+restricted to fewer labels is accepted too.
 
 Instances are rational pair or triple sets of ``random_tree``s on 5 to 16
 labels, binary and multifurcating, with weights in [-3, 10]; in half of
@@ -94,3 +96,25 @@ def test_scaling(seed, n, order, binary, moves):
 def test_lift(seed, n, binary, moves):
     d, _ = _instance(seed, n, 2, binary, moves)
     _same_verdict(_decide(triples_from_doubles(d)), _decide(d))
+
+
+@_cases
+@_bounded
+def test_row_shift(seed, n, order, binary, moves):
+    # every value that holds label i moves by c, as i's pendant edge does
+    w, rng = _instance(seed, n, order, binary, moves)
+    i, c = rng.choice(w.labels), rng.choice(_STEPS)
+    tree = _decide(w)
+    if tree is not None:
+        tree = WeightedTree([(u, v, x + c if i in (u, v) else x) for u, v, x in tree.edges])
+    shifted = type(w)({key: v + c if i in key else v for key, v in w.items()})
+    _same_verdict(_decide(shifted), tree)
+
+
+@_cases
+@_bounded
+def test_restriction(seed, n, order, binary, moves):
+    w, rng = _instance(seed, n, order, binary, moves)
+    if _decide(w) is not None:
+        labels = rng.sample(w.labels, rng.randint(2 if order == 2 else 5, n))
+        assert _decide(w.restrict(labels)) is not None, sorted(labels)

@@ -36,7 +36,14 @@ from treeweights import (
 )
 from treeweights import nj as nj_mod
 from treeweights.weights import _DENSE_MAG_CAP, _DENSE_SCALE_BITS, holds_fractions
-from reference_loops import nj_classic_loop, nj_from_triples_walk, nj_pruning_loop, scan_pure
+from conftest import cross_path_cases
+from reference_loops import (
+    nj_classic_loop,
+    nj_from_triples_loop,
+    nj_from_triples_walk,
+    nj_pruning_loop,
+    scan_pure,
+)
 from test_mirror_dtypes import _own_denominators
 
 SHAPES = ["binary", "multifurcating", "negative", "zero", "star", "symmetric-star", "jitter",
@@ -435,3 +442,78 @@ class TestPruningRoundCost:
         before, after, factor = done.stdout.split()
         assert int(factor) > 2  # a mean over 2 x 4 members left the units
         assert after == before
+
+
+def edge_list(tree):
+    """A tree's edges in order: labels, each weight's Python type, and its
+    value (a float by its hex form, so bit for bit)."""
+    return [
+        (u, v, type(w), w.hex() if isinstance(w, float) else w) for u, v, w in tree.edges
+    ]
+
+
+class TestJoinTwigsInUnits:
+    """A join takes its twigs in the mirror's units and makes each one a
+    Python number once; the trees stay the loops', edge by edge."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_mirror_kind_matches_the_loops(self, seed):
+        for name, d, tol in cross_path_cases(seed, 2):
+            exact = not name.startswith("float64")
+            got = edge_list(nj_classic(d))
+            assert got == edge_list(nj_classic_loop(d)), name
+            for eps in (0, tol):
+                got = edge_list(nj_pruning(d, eps))
+                assert got == edge_list(nj_pruning_loop(d, eps)[0]), (name, eps)
+            t = triples_from_doubles(d)
+            for eps in (0, tol):
+                got = edge_list(nj_from_triples(t, eps))
+                assert got == edge_list(nj_from_triples_walk(t, eps)), (name, eps)
+                if exact:
+                    # an exact lift joins as the triple-space loop does
+                    assert got == edge_list(nj_from_triples_loop(t, eps)), (name, eps)
+
+    @pytest.mark.parametrize("widen", [1, Fraction(2**61 + 1, 2**61 - 1)])
+    def test_odd_halves_rescale_the_mirror_mid_run(self, monkeypatch, widen):
+        # whole-number values of no tree: a new row -d_ij + d_iy + d_jy is
+        # often odd, so the mirror doubles its scale between joins
+        rng = random.Random(11)
+        d = DoubleWeights({
+            p: widen * rng.randint(-20, 60) for p in itertools.combinations(range(1, 13), 2)
+        })
+        state = nj_mod._Mirror(d)
+        first = state.scale
+        ref = edge_list(nj_classic_loop(d))
+        scales = []
+        join = nj_mod._classic_join
+
+        def recorded(state, *args):
+            scales.append(state.scale)
+            return join(state, *args)
+
+        monkeypatch.setattr(nj_mod, "_classic_join", recorded)
+        merges = nj_mod._join_down(state, 2)
+        assert scales[0] == first and len(set(scales)) > 2
+        assert (state.arr.dtype == np.int64) == (widen == 1)
+        assert edge_list(nj_classic(d)) == ref
+        assert {type(tw) for _, members in merges for _, tw in members} == {Fraction}
+
+    @pytest.mark.parametrize(
+        "name, factor", [("int64", 1), ("object", Fraction(2**61 + 1, 2**61 - 1))]
+    )
+    def test_two_fractions_per_join(self, monkeypatch, name, factor):
+        # the join's two twigs, and no Fraction on the way to them
+        state = nj_mod._Mirror(scaled(doubles_of_tree(random_tree(24, 3)), factor))
+        assert _mirror(name)[1](state.arr)
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        merges = nj_mod._join_down(state, 2)
+        monkeypatch.undo()
+        assert len(merges) == 22
+        assert len(made) == 2 * len(merges)
