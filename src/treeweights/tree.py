@@ -379,10 +379,9 @@ def random_tree(
     edges = [[1, 2]]
     next_internal = n + 1
     for leaf in range(3, n + 1):
-        a, b = edges[rng.randrange(len(edges))]
+        a, b = edges.pop(rng.randrange(len(edges)))
         v = next_internal
         next_internal += 1
-        edges.remove([a, b])
         edges.extend(([a, v], [v, b], [leaf, v]))
 
     # a random subset of inner edges weighs 0 and contracts into multifurcations
@@ -453,6 +452,11 @@ def parse_newick(text: str, mode: str = "float") -> WeightedTree:
     stem, not a leaf: the child becomes the root, and the stem's length is
     ignored too.  Every other branch must carry a length.  ``mode``
     selects Fraction or float lengths.
+
+    One walk reads the text: groups are numbered as their "(" is read (in
+    preorder), leaf names kept in the order read, and the edges follow
+    from that record.  Errors come in that order: the text's, the labels',
+    then a missing branch length.
     """
     s = text.strip()
     if not s.endswith(";"):
@@ -489,25 +493,28 @@ def parse_newick(text: str, mode: str = "float") -> WeightedTree:
         except ValueError:
             raise error(f"bad branch length {token!r}") from None
 
-    # each node: (children list, name, length); leaves have no children.
-    # ``open_`` holds the children lists of the groups not yet closed.
-    open_ = []
-    root = None
-    while root is None:
+    # every node as its text starts (preorder): [parent group, its group
+    # number or leaf name, length]; a group is numbered as its "(" is read,
+    # and its length is set when it closes
+    nodes, names, kids = [], [], []  # kids: children per group
+    open_ = []  # the nodes of the groups not yet closed
+    while True:
         skip_ws()
+        up = open_[-1][1] if open_ else None
+        if up is not None:
+            kids[up] += 1
         if pos < len(s) and s[pos] == "(":
             pos += 1
-            open_.append([])
+            open_.append([up, len(kids), None])
+            nodes.append(open_[-1])
+            kids.append(0)
             continue
         name = read_token()
         if not name:
             raise error("expected a leaf name")
-        node = ([], name, read_length())
-        while True:
-            if not open_:
-                root = node
-                break
-            open_[-1].append(node)
+        names.append(name)
+        nodes.append([up, name, read_length()])
+        while open_:
             skip_ws()
             if pos < len(s) and s[pos] == ",":
                 pos += 1
@@ -516,24 +523,15 @@ def parse_newick(text: str, mode: str = "float") -> WeightedTree:
                 raise error("unbalanced parentheses")
             pos += 1
             read_token()  # optional internal name / support — ignored
-            node = (open_.pop(), None, read_length())
+            open_.pop()[2] = read_length()
+        if not open_:
+            break
     skip_ws()
     if pos != len(s):
         raise ParseError(f"trailing characters after tree (at char {pos})")
-    # a root with one child is a stem, whose length is ignored like the root's
-    while len(root[0]) == 1:
-        root = root[0][0]
 
-    # leaves left to right, by a preorder walk
-    leaf_names = []
-    pending = [root]
-    while pending:
-        children, name, _ = pending.pop()
-        if not children:
-            leaf_names.append(name)
-        pending.extend(reversed(children))
     labels = []
-    for name in leaf_names:
+    for name in names:
         try:
             lab = int(name)
         except ValueError:
@@ -546,23 +544,17 @@ def parse_newick(text: str, mode: str = "float") -> WeightedTree:
     if len(labels) < 2:
         raise ParseError("a tree needs at least two leaves")
 
-    # internal ids in preorder after the largest label
-    next_id = max(labels) + 1
-    edges = []
-    pending = [(root, None)]
-    while pending:
-        (children, name, length), up = pending.pop()
-        if children:
-            me = next_id
-            next_id += 1
-        else:
-            me = int(name)
-        if up is not None:
-            if length is None:
-                raise ParseError("missing branch length")
-            edges.append((up, me, length))
-        pending.extend((child, me) for child in reversed(children))
-    return WeightedTree(edges)
+    # the outermost groups of one child each are stems, whose lengths are
+    # ignored like the root's; internal ids follow the largest label in
+    # preorder from the first group that branches
+    stems = next(g for g, k in enumerate(kids) if k > 1)
+    body = nodes[stems + 1 :]
+    if any(length is None for *_, length in body):
+        raise ParseError("missing branch length")
+    base = max(labels) + 1 - stems
+    return WeightedTree(
+        (base + up, base + me if type(me) is int else int(me), length) for up, me, length in body
+    )
 
 
 def to_json_dict(tree: WeightedTree) -> dict:
@@ -608,14 +600,15 @@ def _node_from_json(edge, end):
 
 
 def from_json_dict(data: dict, mode: str = "rational") -> WeightedTree:
+    """The tree of :func:`to_json_dict`'s form; ParseError for data that is
+    not one, edges that form no tree (the constructor's ValueError) too."""
     try:
-        edges = [
+        return WeightedTree(
             (_node_from_json(e, "u"), _node_from_json(e, "v"), _weight_from_json(e["weight"], mode))
             for e in data["edges"]
-        ]
-    except (KeyError, TypeError) as exc:
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed tree JSON: {exc}") from None
-    return WeightedTree(edges)
 
 
 def to_json(tree: WeightedTree) -> str:
@@ -625,6 +618,6 @@ def to_json(tree: WeightedTree) -> str:
 def from_json(text: str, mode: str = "rational") -> WeightedTree:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a decode error, or an over-long or deep value
         raise ParseError(f"bad JSON: {exc}") from None
     return from_json_dict(data, mode)

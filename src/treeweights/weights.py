@@ -92,7 +92,7 @@ from .numeric import (
     parse_number,
 )
 
-_DENSE_MAG_CAP = 2**55  # leaves headroom for the widest formula (14x terms)
+_DENSE_MAG_CAP = 2**55  # 256 times under the int64 limit: headroom for a few summed units (_Mirror)
 # Exact data whose common scale is longer than this keeps its Fractions:
 # data with a prime denominator per entry would otherwise make every unit
 # about as long as all the denominators together.
@@ -764,11 +764,18 @@ class _Mirror:
     slot), array, scale and kind as :meth:`DoubleWeights.dense` gives them.
 
     kind "int": ``arr / scale`` are the exact values; kind "float":
-    float64, scale None.  An int64 mirror keeps its largest unit under
-    ``_DENSE_MAG_CAP``, the container's own rule; a step whose formula
-    sums more terms (NJ's row sums, a bell mean) widens for them first.
-    Every step builds new arrays; the container's own mirror is never
-    written.
+    float64, scale None.  Every step builds new arrays; the container's own
+    mirror is never written.
+
+    Invariant: an int64 mirror's units stay under ``_DENSE_MAG_CAP``, 256
+    times below the int64 limit, so a kernel may sum a fixed few of them
+    (six at most, a prune's midrange) without a scan.
+    A mirror gets it where it is built (``dense()`` and :func:`path_sums`
+    choose ``object`` past the cap), and each step that makes larger units
+    widens for them first: NJ's selection for its 4 m terms (a join's new
+    row sums three units it has just widened for), the bell merge for its
+    4 top^2, :meth:`rescale` for its factor and :meth:`units` for the new
+    twig units.  A pruned level's midranges are settled by magnitude.
     """
 
     __slots__ = ("labels", "arr", "scale", "kind")
@@ -802,13 +809,12 @@ class _Mirror:
             self.arr = arr.astype(object)
 
     def _set(self, arr):
-        """Carry *arr*, widened for the mirror's headroom."""
+        """Carry *arr*, which keeps the invariant: each step's one carry point."""
         self.arr = arr
-        self.widen(1)
 
     def rescale(self, factor):
         """Multiply the units and the scale by *factor*, the one way an
-        exact mirror leaves its units."""
+        exact mirror leaves its units; widened for the factor first."""
         if factor != 1:
             self.widen(factor)
             self._set(self.arr * factor)

@@ -23,7 +23,8 @@ line at once, and the metric warnings' loop over the container's values,
 are kept here too, with the walk that made a CLI payload ready for
 ``json.dumps``, and the four-point test's loop over every quadruple.
 The canonical form's loop, which re-sorted every node for each degree-2
-node it suppressed, is kept here too.
+node it suppressed, is kept here too, and the Newick reader that walked the
+tree it had read twice more, once for its leaves and once for its edges.
 """
 
 import math
@@ -31,9 +32,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
 
-from treeweights.numeric import THIRD, format_number, half, midrange
+from treeweights.numeric import THIRD, format_number, half, midrange, parse_number
 from treeweights.nj import SMatrix, ScanRecord, _assemble, _scan_cost, group_bells
-from treeweights.errors import LabelError, ReconstructionError
+from treeweights.errors import LabelError, ParseError, ReconstructionError
 from treeweights.reconstruct import (
     Pseudobell,
     _expand_levels,
@@ -102,6 +103,129 @@ def canonicalize_loop(tree):
         adj[a][b] = w1 + w2
         adj[b][a] = w1 + w2
     edges = [(u, v, w) for u, nb in adj.items() for v, w in nb.items() if u < v]
+    return WeightedTree(edges)
+
+
+def parse_newick_walks(text, mode="float"):
+    """Reference Newick reader: the read loop builds the nested nodes, then
+    one walk lists the leaf names and a second numbers the groups and
+    lists the edges.  ``tree.parse_newick`` must give the same edges, or
+    the same ``ParseError`` text, for every input.
+
+    Leaf names must be positive integers; internal names (support values)
+    are ignored, as is a length on the root.  A root with one child is a
+    stem, not a leaf: the child becomes the root, and the stem's length is
+    ignored too.  Every other branch must carry a length.  ``mode``
+    selects Fraction or float lengths.
+    """
+    s = text.strip()
+    if not s.endswith(";"):
+        raise ParseError("Newick string must end with ';'")
+    s = s[:-1]
+    pos = 0
+
+    def error(msg):
+        return ParseError(f"{msg} (at char {pos})")
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(s) and s[pos] in " \t\r\n":
+            pos += 1
+
+    def read_token():
+        nonlocal pos
+        start = pos
+        while pos < len(s) and s[pos] not in "(),:;":
+            pos += 1
+        return s[start:pos].strip()
+
+    def read_length():
+        nonlocal pos
+        skip_ws()
+        if pos >= len(s) or s[pos] != ":":
+            return None
+        pos += 1
+        token = read_token()
+        if not token:
+            raise error("empty branch length")
+        try:
+            return parse_number(token, mode)
+        except ValueError:
+            raise error(f"bad branch length {token!r}") from None
+
+    # each node: (children list, name, length); leaves have no children.
+    # ``open_`` holds the children lists of the groups not yet closed.
+    open_ = []
+    root = None
+    while root is None:
+        skip_ws()
+        if pos < len(s) and s[pos] == "(":
+            pos += 1
+            open_.append([])
+            continue
+        name = read_token()
+        if not name:
+            raise error("expected a leaf name")
+        node = ([], name, read_length())
+        while True:
+            if not open_:
+                root = node
+                break
+            open_[-1].append(node)
+            skip_ws()
+            if pos < len(s) and s[pos] == ",":
+                pos += 1
+                break
+            if pos >= len(s) or s[pos] != ")":
+                raise error("unbalanced parentheses")
+            pos += 1
+            read_token()  # optional internal name / support — ignored
+            node = (open_.pop(), None, read_length())
+    skip_ws()
+    if pos != len(s):
+        raise ParseError(f"trailing characters after tree (at char {pos})")
+    # a root with one child is a stem, whose length is ignored like the root's
+    while len(root[0]) == 1:
+        root = root[0][0]
+
+    # leaves left to right, by a preorder walk
+    leaf_names = []
+    pending = [root]
+    while pending:
+        children, name, _ = pending.pop()
+        if not children:
+            leaf_names.append(name)
+        pending.extend(reversed(children))
+    labels = []
+    for name in leaf_names:
+        try:
+            lab = int(name)
+        except ValueError:
+            raise ParseError(f"leaf name {name!r} is not an integer label") from None
+        if lab <= 0:
+            raise ParseError(f"leaf label {lab} must be positive")
+        labels.append(lab)
+    if len(set(labels)) != len(labels):
+        raise ParseError("duplicate leaf labels")
+    if len(labels) < 2:
+        raise ParseError("a tree needs at least two leaves")
+
+    # internal ids in preorder after the largest label
+    next_id = max(labels) + 1
+    edges = []
+    pending = [(root, None)]
+    while pending:
+        (children, name, length), up = pending.pop()
+        if children:
+            me = next_id
+            next_id += 1
+        else:
+            me = int(name)
+        if up is not None:
+            if length is None:
+                raise ParseError("missing branch length")
+            edges.append((up, me, length))
+        pending.extend((child, me) for child in reversed(children))
     return WeightedTree(edges)
 
 

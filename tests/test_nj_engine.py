@@ -24,13 +24,17 @@ from hypothesis import strategies as st
 
 from treeweights import (
     DoubleWeights,
+    ReconstructionError,
     WeightedTree,
     doubles_of_tree,
     nj_classic,
     nj_from_triples,
     nj_pruning,
     random_tree,
+    reconstruct_from_doubles,
+    reconstruct_from_triples,
     to_newick,
+    tree_equal,
     triples_from_doubles,
     triples_of_tree,
 )
@@ -104,19 +108,29 @@ def scaled(d, factor):
 
 
 def watch_mirrors(monkeypatch):
-    """Check every mirror the engine carries: an ``object`` mirror holds no
-    numpy scalar (one would carry int64 arithmetic into its sums).  Returns
-    the list of the mirrors' max |element|, filled as the engine runs."""
+    """Check every mirror the engine carries (``_Mirror._set``) or settles
+    (``_Mirror.settle``, a pruned level's): an ``object`` mirror holds no
+    numpy scalar (one would carry int64 arithmetic into its sums), and an
+    int64 mirror's units stay under ``_DENSE_MAG_CAP``, the headroom every
+    kernel relies on.  Returns the list of the mirrors' max |element|,
+    filled as the engine runs."""
     top = []
-    carry = nj_mod._Mirror._set
 
-    def checked(state, arr):
-        carry(state, arr)
+    def check(state):
         if state.arr.dtype == object:
             assert not any(isinstance(x, np.generic) for x in state.arr.flat)
         top.append(abs(state.arr).max())
+        if state.arr.dtype == np.int64:
+            assert top[-1] < _DENSE_MAG_CAP
 
-    monkeypatch.setattr(nj_mod._Mirror, "_set", checked)
+    for name in ("_set", "settle"):
+        step = getattr(nj_mod._Mirror, name)
+
+        def checked(state, *args, step=step):
+            step(state, *args)
+            check(state)
+
+        monkeypatch.setattr(nj_mod._Mirror, name, checked)
     return top
 
 
@@ -517,3 +531,102 @@ class TestJoinTwigsInUnits:
         monkeypatch.undo()
         assert len(merges) == 22
         assert len(made) == 2 * len(merges)
+
+
+def _decided(decide, w, tol):
+    """The tree *decide* gives *w* at *tol*, or the kind of its refusal."""
+    try:
+        return decide(w, tol)[0]
+    except ReconstructionError as err:
+        return err.kind
+
+
+def _same_decision(got, want):
+    assert type(got) is type(want)
+    assert got == want if isinstance(want, str) else tree_equal(got, want, 0)
+
+
+def near_the_cap(seed, n, shape, room, step):
+    """Pair data as whole units (scale 1), the units of ``pair_case`` times
+    an odd k (so odd sums stay odd, and their halves leave the units): the
+    odd k at or below K + *step*, K the largest k for which k times the
+    largest unit times *room* stays within ``_DENSE_MAG_CAP``.  At room 4 n
+    the first selection keeps an int64 mirror at step -1 and 0 and widens
+    it at +2; at room 1 and step -1 the data is int64 just under the cap,
+    and the first selection widens it.  Returns (data, k)."""
+    d = pair_case(seed, n, shape)
+    _, arr, scale = d.dense()
+    top = int(np.abs(arr).max())
+    k = _DENSE_MAG_CAP // (room * top) + step
+    k -= 1 - k % 2
+    return scaled(d, scale * k), k
+
+
+class TestInt64Headroom:
+    """Each step widens for the units it makes, so a carried int64 mirror
+    keeps every unit under ``_DENSE_MAG_CAP`` with no scan after the step
+    (:func:`watch_mirrors` checks each mirror carried or settled)."""
+
+    @staticmethod
+    def run_all(d, tol):
+        """Classic, pruning (eps 0 and *tol*) and triple NJ against the
+        loops, and both reconstructions: (pair verdict, triple verdict)."""
+        got, ref = newicks(d, 0)
+        assert got == ref
+        assert to_newick(nj_pruning(d, tol)) == to_newick(nj_pruning_loop(d, tol)[0])
+        t = triples_from_doubles(d)
+        assert to_newick(nj_from_triples(t, tol)) == to_newick(nj_from_triples_walk(t, tol))
+        return _decided(reconstruct_from_doubles, d, tol), _decided(reconstruct_from_triples, t, tol)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_cross_path_kind(self, monkeypatch, seed):
+        watch_mirrors(monkeypatch)
+        for _, w, tol in cross_path_cases(seed, 2):
+            self.run_all(w, tol)
+        for _, t, tol in cross_path_cases(seed, 3):
+            assert to_newick(nj_from_triples(t, tol)) == to_newick(nj_from_triples_walk(t, tol))
+            _decided(reconstruct_from_triples, t, tol)
+
+    @pytest.mark.parametrize("shape", ["binary", "multifurcating", "negative", "jitter", "non-tree"])
+    @pytest.mark.parametrize("room, step", [(44, -1), (44, 0), (44, 2), (1, -1)])
+    def test_units_within_4m_of_the_cap(self, monkeypatch, shape, room, step):
+        base = pair_case(6, 11, shape)
+        d, k = near_the_cap(6, 11, shape, room, step)
+        assert d.dense()[1].dtype == np.int64
+        factor = k * base.dense()[2]  # d is base times factor
+        top = watch_mirrors(monkeypatch)
+        tol = Fraction(1, 3) if shape == "jitter" else 0
+        got = self.run_all(d, tol * factor)
+        assert max(top) >= _DENSE_MAG_CAP // 64
+        # the same decisions as the unscaled data, on the scaled trees
+        monkeypatch.undo()
+        for g, w in zip(got, self.run_all(base, tol)):
+            if not isinstance(w, str):
+                w = WeightedTree([(u, v, x * factor) for u, v, x in w.edges])
+            _same_decision(g, w)
+
+    def test_a_new_row_past_the_largest_unit(self, monkeypatch):
+        # a cherry of twigs -1 puts its stalk one unit further from leaf 4
+        # than leaf 1 is: the joined mirror's row reaches the cap, so the
+        # selection before the join must have widened the int64 mirror
+        cap = _DENSE_MAG_CAP
+        t = WeightedTree([(1, 5, -1), (2, 5, -1), (5, 6, cap - 2), (3, 6, 1), (4, 6, 2)])
+        d = doubles_of_tree(t)
+        assert d.dense()[1].dtype == np.int64 and d.value(1, 4) == cap - 1
+        top = watch_mirrors(monkeypatch)
+        for nj in (nj_classic, nj_pruning):
+            assert tree_equal(nj(d), t, 0)
+        assert max(top) == cap
+
+    def test_one_widen_per_classic_join(self, monkeypatch):
+        calls = []
+        widen = nj_mod._Mirror.widen
+
+        def counted(state, *args):
+            calls.append(args)
+            return widen(state, *args)
+
+        monkeypatch.setattr(nj_mod._Mirror, "widen", counted)
+        for seed in range(1, 13):
+            nj_classic(doubles_of_tree(random_tree(24, seed)))
+        assert len(calls) == 12 * 22

@@ -30,7 +30,20 @@ from treeweights import (
 from treeweights.tree import from_json_dict, to_json_dict
 from treeweights.weights import _preorder
 from conftest import steiner_brute
-from reference_loops import canonicalize_loop
+from reference_loops import canonicalize_loop, parse_newick_walks
+from test_bulk_reader import edited
+
+_NEWICK_EDITS = "(),:;0123456789.-/ \tx"
+
+
+def _read_or_error(parse, text, mode):
+    """The edges *parse* reads from *text* (floats by ``hex``), or its
+    ParseError text."""
+    try:
+        tree = parse(text, mode)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "tree", [(u, v, type(w), w.hex() if isinstance(w, float) else w) for u, v, w in tree.edges]
 
 
 class TestWeightQueries:
@@ -445,6 +458,35 @@ class TestNewick:
         t = random_tree(n, seed, binary_only=seed % 2 == 0)
         assert tree_equal(parse_newick(to_newick(t), "rational"), t, 0)
 
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 12),
+        st.sampled_from(["rational", "float"]),
+        st.booleans(),
+        st.lists(st.sampled_from(["", "x", "7", "0.5"]), max_size=2),
+        st.sampled_from(["", " ", "\t", " \n "]),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.sampled_from(_NEWICK_EDITS)),
+                 max_size=3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_one_walk_reads_as_the_walks_did(self, seed, n, mode, binary, stems, space, edits):
+        # a tree's Newick in stems with internal names, spaced out, then
+        # edited: the same edges, weights bit for bit, or the same error
+        text = to_newick(random_tree(n, seed, binary_only=binary, mode=mode))[:-1]
+        for name in stems:
+            text = f"({text}){name}" + (":3" if name else "")
+        text = text.replace(",", f"{space},{space}").replace("(", f"({space}") + ";"
+        text = edited(text, edits)
+        assert _read_or_error(parse_newick, text, mode) == _read_or_error(
+            parse_newick_walks, text, mode
+        )
+
+    def test_internal_names_and_stems(self):
+        t = parse_newick("(( (1:1,2:2)x:3 ,\t3:4 )y:5);", "rational")
+        assert to_newick(t) == to_newick(parse_newick("(1:1,2:2,3:7);", "rational"))
+        # groups take their ids in the order read, after the largest label
+        assert t.edges == ((1, 5, 1), (2, 5, 2), (3, 4, 4), (4, 5, 3))
+
 
 class TestJson:
     def test_round_trip(self, caterpillar):
@@ -502,6 +544,47 @@ class TestJson:
         t = random_tree(n, seed, binary_only=seed % 2 == 0, mode=mode)
         back = from_json_dict(json.loads(json.dumps(to_json_dict(t))), mode)
         assert back.edges == t.edges and to_json_dict(back) == to_json_dict(t)
+
+    @pytest.mark.parametrize(
+        "edges, why",
+        [
+            ([(1, 1)], "self-loop at node 1"),
+            ([], "a tree needs at least one edge"),
+            ([(1, 2), (2, 1)], "duplicate edge"),
+            ([(1, 4), (2, 4), (1, 2)], "not a tree"),  # a cycle
+            ([(1, 2), (3, 4), (4, 5), (3, 5)], "not connected"),
+            ([(0, 2)], "node ids must be positive"),
+            ([(-1, 2), (2, 3)], "node ids must be positive"),
+        ],
+    )
+    def test_edge_lists_that_are_no_tree_refused(self, edges, why):
+        # the constructor's refusal, as the ParseError of malformed JSON
+        text = json.dumps({"edges": [{"u": u, "v": v, "weight": 1} for u, v in edges]})
+        with pytest.raises(ParseError, match=f"malformed tree JSON: .*{why}"):
+            from_json(text)
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000])
+    def test_over_long_number_and_deep_nesting_refused(self, text):
+        # json.loads raises ValueError past Python's int digit limit and
+        # RecursionError on deep nesting, not JSONDecodeError
+        with pytest.raises(ParseError, match="bad JSON"):
+            from_json(text)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 8),
+        st.sampled_from(["rational", "float"]),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.sampled_from('{}[]":,-.0123456789 eux')),
+                 min_size=1, max_size=3),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_edited_json_is_a_tree_or_a_parse_error(self, seed, n, mode, edits):
+        text = edited(to_json(random_tree(n, seed, binary_only=seed % 2 == 0, mode=mode)), edits)
+        try:
+            tree = from_json(text, mode)
+        except ParseError:
+            return
+        assert isinstance(tree, WeightedTree)
 
     def test_from_json_dict_refuses_nan(self):
         edges = [{"u": 1, "v": 2, "weight": float("nan")}]
