@@ -55,6 +55,13 @@ def exact_fraction(value) -> Fraction:
     raise TypeError(f"cannot convert {value!r} to a Fraction")
 
 
+def plain_int(token: str) -> int:
+    """``int(token)`` for ASCII digits after an optional "-": no "+" or "_"."""
+    if token.isascii() and token.removeprefix("-").isdigit():
+        return int(token)
+    raise ValueError(f"not a plain integer: {token!r}")
+
+
 def parse_number(token: str, mode: str):
     """Parse a numeric token as ``p/q``, decimal or scientific notation.
 

@@ -4,11 +4,14 @@ Enumerates every leaf-labelled tree topology (binary counts follow the
 double factorial (2n-5)!!) and reports the first one, in enumeration
 order, whose edge weights realise a target weight set exactly.
 
-**Closed-form fit.**  On a topology, an edge weight is a fixed integer
-combination of the pairwise values: a pendant edge to leaf x weighs
-(d(x,p) + d(x,q) - d(p,q)) / 2 and an inner edge (u, v) weighs
-(d(a,b) + d(a',b') - d(a,a') - d(b,b')) / 2, where p, q (or a, a') and
-b, b' are the smallest leaves of two neighbour subtrees at the inner ends.
+**Closed-form fit.**  One rule gives every edge, pendant or inner, as a
+fixed integer combination of the pairwise values: twice its weight is
+d(a,b) + d(a',b') - d(a,a') - d(b,b'), where a and b are the smallest
+leaves on its two sides and a' (b') is the smallest other leaf on that
+side whose path to a (b) passes through the edge's end there, or a (b)
+itself when that end is a leaf (d(a,a) = 0).  Sides and leaves are read
+off the hop distances between a shape's nodes, one Floyd-Warshall pass
+per chunk of shapes: a leaf lies on the side of the end it is nearer to.
 For triples on n >= 5 labels each pairwise value is first recovered from
 the triples around it and one fixed {r, s, u}:
 
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -110,16 +113,11 @@ def _topology_list(n: int, include_multifurcating: bool):
     return tuple(current)
 
 
-@lru_cache(maxsize=32)
-def _topologies(n: int, include_multifurcating: bool):
-    return tuple(map(Topology, _topology_list(n, include_multifurcating)))
-
-
 def enumerate_topologies(n: int, include_multifurcating: bool = False):
     """Yield each isomorphism class exactly once, in a fixed order: leaf m
     is inserted on every edge, then at every inner node, of each topology
     on the labels below m, which never yields one class twice."""
-    yield from _topologies(n, include_multifurcating)
+    yield from map(Topology, _topology_list(n, include_multifurcating))
 
 
 # --------------------------------------------------------------------- #
@@ -127,87 +125,78 @@ def enumerate_topologies(n: int, include_multifurcating: bool = False):
 # --------------------------------------------------------------------- #
 
 
-def _low_leaf(mask):
-    """Position of the lowest set bit: the smallest leaf of a leaf set."""
-    return (mask & -mask).bit_length() - 1
+def _node_arrays(shapes, leaves):
+    """The shapes' edge tuples as one (T x E x 2) array over nodes 0..N-1:
+    leaves at their positions in *leaves*, inner nodes after them in id
+    order.  Padding edges are (0, 0)."""
+    e_max = max(map(len, shapes))
+    pad = ((leaves[0], leaves[0]),)
+    padded = (edges + pad * (e_max - len(edges)) for edges in shapes)
+    flat = chain.from_iterable(chain.from_iterable(padded))
+    raw = np.fromiter(flat, np.int64, 2 * e_max * len(shapes))
+    ids, at = np.unique(raw, return_inverse=True)
+    rank = np.argsort(~np.isin(ids, leaves), kind="stable")
+    return np.argsort(rank).astype(np.int32)[at].reshape(len(shapes), e_max, 2)
 
 
-def _sides_and_quartets(edges, leaves, closed: bool):
-    """Leaf bitmasks and pairwise fit terms of one shape's edges.
+def _near_pair(near, dist, leaf_hops):
+    """Per edge, the rule's a and a' on the side whose leaves *near* marks;
+    *dist* holds the hops from each leaf to that side's end."""
+    a = near.argmax(axis=2)
+    from_a = leaf_hops[np.arange(len(a))[:, None], a]
+    via = np.take_along_axis(dist, a[:, :, None], axis=2) + dist == from_a
+    via &= near & (np.arange(near.shape[2]) != a[:, :, None])
+    return a, np.where(via.any(axis=2), via.argmax(axis=2), a)
 
-    *edges* are the shape's (u, v) pairs, u < v, and *leaves* its sorted
-    leaf labels; bit i stands for ``leaves[i]``.  ``sides[e]`` holds the
-    leaves on the smaller-id end of edge e.  With ``closed``, ``terms[e]``
-    lists the (i, j, coefficient) of leaf positions whose pairwise values
-    sum to twice the weight of edge e; otherwise, or when an inner node
-    has degree 2 (no closed form), ``terms`` is None.
+
+def _splits_and_fits(edges, n, basis):
+    """Split masks and fit rows of a chunk of shapes, from hop distances.
+
+    *edges* is :func:`_node_arrays`' form.  ``sides`` (T x E) holds, as
+    bits of leaf positions, the leaves nearer each edge's first end.
+    ``fit`` (T x E x rows) holds scale times each edge's weight by the one
+    rule, with *basis* (:func:`_pair_rows`) giving each d(i, j); it is
+    None without a basis or when an inner node has degree 2.
     """
-    bit = {lab: 1 << i for i, lab in enumerate(leaves)}
-    full = (1 << len(bit)) - 1
-    adj = _adjacency(edges)
-    root = leaves[0]
-    parent = {root: None}
-    order = [root]
-    for x in order:
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-    below = {}
-    for v in reversed(order):
-        mask = bit.get(v, 0)
-        for y in adj[v]:
-            if y != parent[v]:
-                mask |= below[y]
-        below[v] = mask
-
-    def beyond(x, y):
-        """Leaves reached from x through its neighbour y."""
-        return below[y] if parent[y] == x else full ^ below[x]
-
-    sides = [beyond(v, u) for u, v in edges]
-    if not closed or any(len(nb) == 2 for nb in adj.values()):
+    count, size = len(edges), int(edges.max()) + 1
+    shape = np.arange(count)[:, None, None]
+    # size is longer than any path, and two of it fit the dtype
+    hops = np.full((count, size, size), size, np.min_scalar_type(2 * size))
+    hops[shape, edges, edges[:, :, ::-1]] = 1
+    hops[:, np.arange(size), np.arange(size)] = 0
+    for k in range(size):  # Floyd-Warshall
+        np.minimum(hops, hops[:, :, k, None] + hops[:, None, k, :], out=hops)
+    leaf_hops = hops[:, :n]
+    to_u, to_v = leaf_hops[shape, :, edges].transpose(2, 0, 1, 3)
+    near_u = to_u < to_v
+    sides = near_u @ (1 << np.arange(n))
+    if basis is None or ((hops[:, n:] == 1).sum(axis=2) == 2).any():
         return sides, None
-    # each inner node's neighbour subtrees, ordered by their smallest leaf
-    around = {
-        x: sorted((_low_leaf(beyond(x, y)), y) for y in nb)
-        for x, nb in adj.items()
-        if x not in bit
-    }
-
-    def two_reps(x, skip):
-        first, second = [leaf for leaf, y in around[x] if y != skip][:2]
-        return first, second
-
-    terms = []
-    for u, v in edges:
-        if u in bit or v in bit:
-            leaf, inner = (u, v) if u in bit else (v, u)
-            x = _low_leaf(bit[leaf])
-            p, q = two_reps(inner, leaf)
-            terms.append(((x, p, 1), (x, q, 1), (p, q, -1)))
-        else:
-            a, a2 = two_reps(u, v)
-            b, b2 = two_reps(v, u)
-            terms.append(((a, b, 1), (a2, b2, 1), (a, a2, -1), (b, b2, -1)))
-    return sides, terms
+    a, a2 = _near_pair(near_u, to_u, leaf_hops[:, :, :n])
+    b, b2 = _near_pair(to_v < to_u, to_v, leaf_hops[:, :, :n])
+    return sides, basis[a, b] + basis[a2, b2] - basis[a, a2] - basis[b, b2]
 
 
-def _derived_map(n: int):
-    """3 x (pairwise value from triples), as a (pairs x triples) int matrix.
+def _pair_rows(n: int, order: int):
+    """Half the stack's scale times each pairwise value d(i, j) over the
+    rows, as an (n x n x rows) int array, zero on the diagonal.
 
-    Row (i, j) uses the three smallest other positions as {r, s, u}.
+    Pairs are their own rows.  For triples, 3 d(i, j) uses the three
+    smallest other positions as {r, s, u}.
     """
-    triple_index = {t: k for k, t in enumerate(combinations(range(n), 3))}
-    pairs = list(combinations(range(n), 2))
-    out = np.zeros((len(pairs), len(triple_index)), dtype=np.int64)
-    for row, (i, j) in enumerate(pairs):
-        r, s, u = [g for g in range(n) if g != i and g != j][:3]
-        for trip in ((i, j, r), (i, j, s), (i, j, u), (r, s, u)):
-            out[row, triple_index[tuple(sorted(trip))]] += 2
-        for x in (i, j):
-            for trip in ((x, r, s), (x, r, u), (x, s, u)):
-                out[row, triple_index[tuple(sorted(trip))]] -= 1
+    index = {t: k for k, t in enumerate(combinations(range(n), order))}
+    out = np.zeros((n, n, len(index)), dtype=np.int16)
+    for i, j in combinations(range(n), 2):
+        if order == 2:
+            out[i, j, index[i, j]] = 1
+        else:
+            r, s, u = [g for g in range(n) if g != i and g != j][:3]
+            for trip in ((i, j, r), (i, j, s), (i, j, u), (r, s, u)):
+                out[i, j, index[tuple(sorted(trip))]] += 2
+            for x in (i, j):
+                for trip in ((x, r, s), (x, r, u), (x, s, u)):
+                    out[i, j, index[tuple(sorted(trip))]] -= 1
+        out[j, i] = out[i, j]
     return out
 
 
@@ -228,38 +217,25 @@ class _Stack:
     def __init__(self, shapes, leaves, order):
         self.shapes = shapes
         n = len(leaves)
-        closed = n >= 3 if order == 2 else n >= 5
         rows = list(combinations(range(n), order))
         row_masks = np.array([sum(1 << i for i in r) for r in rows], dtype=np.int64)
-        pair_index = {p: k for k, p in enumerate(combinations(range(n), 2))}
-        derived = _derived_map(n) if closed and order == 3 else None
-        n_edges = np.array([len(edges) for edges in shapes])
-        e_max = int(n_edges.max())
-        count = len(shapes)
+        closed = n >= 3 if order == 2 else n >= 5
+        basis = _pair_rows(n, order) if closed else None
+        edges = _node_arrays(shapes, leaves)
+        count, e_max = edges.shape[:2]
         self.scale = 2 if order == 2 else 6
         self.inc = np.zeros((count, len(rows), e_max), dtype=np.int8)
         self.inv = np.zeros((count, e_max, len(rows)), dtype=np.int8) if closed else None
-        self.pad = np.arange(e_max)[None, :] >= n_edges[:, None]
+        self.pad = edges[:, :, 0] == edges[:, :, 1]
         self.l1 = 0
-        step = max(1, CHUNK_ELEMS // (e_max * max(len(rows), len(pair_index))))
+        step = max(1, CHUNK_ELEMS // (e_max * max(len(rows), math.comb(n, 2))))
         for lo in range(0, count, step):
-            chunk = shapes[lo:lo + step]
-            sides = np.zeros((len(chunk), e_max), dtype=np.int64)
-            fit = np.zeros((len(chunk), e_max, len(pair_index) if closed else 0), np.int64)
-            for k, edges in enumerate(chunk):
-                masks, terms = _sides_and_quartets(edges, leaves, closed)
-                sides[k, : len(masks)] = masks
-                if terms is None and closed:  # a node of degree 2
-                    closed, self.inv = False, None
-                for e, quartet in enumerate(terms or ()):
-                    for i, j, coef in quartet:
-                        fit[k, e, pair_index[(i, j) if i < j else (j, i)]] = coef
+            sides, fit = _splits_and_fits(edges[lo:lo + step], n, basis)
             onside = sides[:, None, :] & row_masks[None, :, None]
             self.inc[lo:lo + step] = (onside != 0) & (onside != row_masks[None, :, None])
-            if not closed:
+            if fit is None:  # too few labels, or a node of degree 2
+                basis, self.inv = None, None
                 continue
-            if derived is not None:
-                fit = fit @ derived
             self.l1 = max(self.l1, int(np.abs(fit).sum(axis=2).max()))
             if np.abs(fit).max() > np.iinfo(np.int8).max:
                 raise AssertionError("fit coefficients outside int8")

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import LabelError, ParseError
-from .numeric import exact_fraction, format_number, half, parse_number
+from .numeric import exact_fraction, format_number, half, parse_number, plain_int
 from .weights import _preorder, doubles_of_tree, mirror_values
 
 
@@ -533,7 +533,7 @@ def parse_newick(text: str, mode: str = "float") -> WeightedTree:
     labels = []
     for name in names:
         try:
-            lab = int(name)
+            lab = plain_int(name)
         except ValueError:
             raise ParseError(f"leaf name {name!r} is not an integer label") from None
         if lab <= 0:

@@ -90,6 +90,7 @@ from .numeric import (
     format_number,
     midrange,
     parse_number,
+    plain_int,
 )
 
 _DENSE_MAG_CAP = 2**55  # 256 times under the int64 limit: headroom for a few summed units (_Mirror)
@@ -1121,7 +1122,7 @@ def _parse_weight_lines(text, order, mode):
             continue
         if n is None:
             try:
-                n = int(line)
+                n = plain_int(line)
             except ValueError:
                 raise ParseError(f"expected the label count, got {line!r}", lineno)
             if n < order:
@@ -1134,7 +1135,7 @@ def _parse_weight_lines(text, order, mode):
                 lineno,
             )
         try:
-            labs = tuple(int(x) for x in tokens[:order])
+            labs = tuple(map(plain_int, tokens[:order]))
         except ValueError:
             raise ParseError(f"bad label in {tokens[:order]}", lineno)
         if list(labs) != sorted(set(labs)):
@@ -1391,7 +1392,7 @@ def _read_bulk(text, order, mode):
     if not body or not head.isprintable():
         return None
     try:
-        n = int(head)
+        n = plain_int(head)
     except ValueError:
         return None
     if n < order:

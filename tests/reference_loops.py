@@ -25,6 +25,10 @@ are kept here too, with the walk that made a CLI payload ready for
 The canonical form's loop, which re-sorted every node for each degree-2
 node it suppressed, is kept here too, and the Newick reader that walked the
 tree it had read twice more, once for its leaves and once for its edges.
+So is the oracle's per-shape walk: a BFS, side masks and a quartet table
+per shape, with a pendant and an inner formula, filled into the fit arrays
+one term at a time, which the hop-distance rule must reproduce entry for
+entry.
 """
 
 import math
@@ -32,6 +36,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
 
+import numpy as np
+
+from treeweights.oracle import CHUNK_ELEMS, _adjacency
 from treeweights.numeric import THIRD, format_number, half, midrange, parse_number
 from treeweights.nj import SMatrix, ScanRecord, _assemble, _scan_cost, group_bells
 from treeweights.errors import LabelError, ParseError, ReconstructionError
@@ -227,6 +234,135 @@ def parse_newick_walks(text, mode="float"):
             edges.append((up, me, length))
         pending.extend((child, me) for child in reversed(children))
     return WeightedTree(edges)
+
+
+def _low_leaf(mask):
+    """Position of the lowest set bit: the smallest leaf of a leaf set."""
+    return (mask & -mask).bit_length() - 1
+
+
+def sides_and_quartets_walk(edges, leaves, closed: bool):
+    """Reference leaf bitmasks and pairwise fit terms of one shape's edges.
+
+    *edges* are the shape's (u, v) pairs, u < v, and *leaves* its sorted
+    leaf labels; bit i stands for ``leaves[i]``.  ``sides[e]`` holds the
+    leaves on the smaller-id end of edge e.  With ``closed``, ``terms[e]``
+    lists the (i, j, coefficient) of leaf positions whose pairwise values
+    sum to twice the weight of edge e; otherwise, or when an inner node
+    has degree 2 (no closed form), ``terms`` is None.
+    """
+    bit = {lab: 1 << i for i, lab in enumerate(leaves)}
+    full = (1 << len(bit)) - 1
+    adj = _adjacency(edges)
+    root = leaves[0]
+    parent = {root: None}
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    below = {}
+    for v in reversed(order):
+        mask = bit.get(v, 0)
+        for y in adj[v]:
+            if y != parent[v]:
+                mask |= below[y]
+        below[v] = mask
+
+    def beyond(x, y):
+        """Leaves reached from x through its neighbour y."""
+        return below[y] if parent[y] == x else full ^ below[x]
+
+    sides = [beyond(v, u) for u, v in edges]
+    if not closed or any(len(nb) == 2 for nb in adj.values()):
+        return sides, None
+    # each inner node's neighbour subtrees, ordered by their smallest leaf
+    around = {
+        x: sorted((_low_leaf(beyond(x, y)), y) for y in nb)
+        for x, nb in adj.items()
+        if x not in bit
+    }
+
+    def two_reps(x, skip):
+        first, second = [leaf for leaf, y in around[x] if y != skip][:2]
+        return first, second
+
+    terms = []
+    for u, v in edges:
+        if u in bit or v in bit:
+            leaf, inner = (u, v) if u in bit else (v, u)
+            x = _low_leaf(bit[leaf])
+            p, q = two_reps(inner, leaf)
+            terms.append(((x, p, 1), (x, q, 1), (p, q, -1)))
+        else:
+            a, a2 = two_reps(u, v)
+            b, b2 = two_reps(v, u)
+            terms.append(((a, b, 1), (a2, b2, 1), (a, a2, -1), (b, b2, -1)))
+    return sides, terms
+
+
+def derived_map_loop(n: int):
+    """3 x (pairwise value from triples), as a (pairs x triples) int matrix.
+
+    Row (i, j) uses the three smallest other positions as {r, s, u}.
+    """
+    triple_index = {t: k for k, t in enumerate(combinations(range(n), 3))}
+    pairs = list(combinations(range(n), 2))
+    out = np.zeros((len(pairs), len(triple_index)), dtype=np.int64)
+    for row, (i, j) in enumerate(pairs):
+        r, s, u = [g for g in range(n) if g != i and g != j][:3]
+        for trip in ((i, j, r), (i, j, s), (i, j, u), (r, s, u)):
+            out[row, triple_index[tuple(sorted(trip))]] += 2
+        for x in (i, j):
+            for trip in ((x, r, s), (x, r, u), (x, s, u)):
+                out[row, triple_index[tuple(sorted(trip))]] -= 1
+    return out
+
+
+def stack_arrays_walk(shapes, leaves, order):
+    """Reference ``oracle._Stack`` arrays: ``inc``, ``inv``, ``pad`` and
+    ``l1``, and the side masks, filled shape by shape from
+    :func:`sides_and_quartets_walk` and term by term into the fit array,
+    then mapped to triples by :func:`derived_map_loop`."""
+    n = len(leaves)
+    closed = n >= 3 if order == 2 else n >= 5
+    rows = list(combinations(range(n), order))
+    row_masks = np.array([sum(1 << i for i in r) for r in rows], dtype=np.int64)
+    pair_index = {p: k for k, p in enumerate(combinations(range(n), 2))}
+    derived = derived_map_loop(n) if closed and order == 3 else None
+    n_edges = np.array([len(edges) for edges in shapes])
+    e_max = int(n_edges.max())
+    count = len(shapes)
+    out = SimpleNamespace(
+        inc=np.zeros((count, len(rows), e_max), dtype=np.int8),
+        inv=np.zeros((count, e_max, len(rows)), dtype=np.int8) if closed else None,
+        pad=np.arange(e_max)[None, :] >= n_edges[:, None],
+        l1=0,
+        sides=np.zeros((count, e_max), dtype=np.int64),
+    )
+    step = max(1, CHUNK_ELEMS // (e_max * max(len(rows), len(pair_index))))
+    for lo in range(0, count, step):
+        chunk = shapes[lo:lo + step]
+        sides = out.sides[lo:lo + step]
+        fit = np.zeros((len(chunk), e_max, len(pair_index) if closed else 0), np.int64)
+        for k, edges in enumerate(chunk):
+            masks, terms = sides_and_quartets_walk(edges, leaves, closed)
+            sides[k, : len(masks)] = masks
+            if terms is None and closed:  # a node of degree 2
+                closed, out.inv = False, None
+            for e, quartet in enumerate(terms or ()):
+                for i, j, coef in quartet:
+                    fit[k, e, pair_index[(i, j) if i < j else (j, i)]] = coef
+        onside = sides[:, None, :] & row_masks[None, :, None]
+        out.inc[lo:lo + step] = (onside != 0) & (onside != row_masks[None, :, None])
+        if not closed:
+            continue
+        if derived is not None:
+            fit = fit @ derived
+        out.l1 = max(out.l1, int(np.abs(fit).sum(axis=2).max()))
+        out.inv[lo:lo + step] = fit
+    return out
 
 
 def verified_loop(d, base_tree, base_record, levels, tol, require_positive):

@@ -27,6 +27,7 @@ from treeweights import (
     tree_equal,
     triples_of_tree,
 )
+from reference_loops import stack_arrays_walk
 
 
 def _of_order(order):
@@ -410,3 +411,61 @@ class TestOracleAgreesWithReconstruction:
                 if bumped == 2:
                     break
             assert bumped == 2
+
+
+# Shapes a fit_weights caller may pass: odd ids, inner ids below the leaf
+# labels, interleaved ids, degree-2 nodes, and two leaves.
+_USER_SHAPES = [
+    [(3, 101), (7, 101), (101, 205), (9, 205), (11, 205)],
+    [(1, 10), (1, 11), (1, 2), (2, 12), (2, 13)],
+    [(2, 1), (4, 1), (1, 3), (6, 3), (3, 5), (8, 5), (5, 7), (10, 7), (12, 7)],
+    [(1, 9), (9, 10), (2, 10), (3, 10)],
+    [(1, 6), (2, 6), (6, 7), (7, 8), (3, 8), (8, 9), (4, 9), (5, 9)],
+    [(4, 7)],
+    [(1, 5), (5, 2)],
+]
+
+
+class TestHopDistanceFit:
+    """The one fit rule on hop distances against the per-shape walk
+    (``reference_loops.stack_arrays_walk``), array for array."""
+
+    @staticmethod
+    def _assert_same(shapes, leaves, order):
+        got = oracle_mod._Stack(shapes, leaves, order)
+        want = stack_arrays_walk(shapes, leaves, order)
+        assert np.array_equal(got.inc, want.inc)
+        assert np.array_equal(got.pad, want.pad)
+        assert got.l1 == want.l1
+        assert (got.inv is None) == (want.inv is None)
+        assert got.inv is None or np.array_equal(got.inv, want.inv)
+        sides, _ = oracle_mod._splits_and_fits(
+            oracle_mod._node_arrays(shapes, leaves), len(leaves), None
+        )
+        assert np.array_equal(sides, want.sides)
+
+    @pytest.mark.parametrize("n,order", [
+        (n, order) for n in range(2, 9) for order in (2, 3) if order <= n
+    ])
+    def test_enumerated_shapes(self, n, order):
+        # every shape up to n = 7, every 50th at n = 8
+        shapes = oracle_mod._topology_list(n, True)[:: 50 if n == 8 else 1]
+        self._assert_same(shapes, tuple(range(1, n + 1)), order)
+
+    @pytest.mark.parametrize("edges,order", [
+        (edges, order) for edges in _USER_SHAPES for order in (2, 3)
+        if Topology(edges).n >= order
+    ])
+    def test_user_shapes(self, edges, order):
+        topo = Topology(edges)
+        self._assert_same((topo.edges,), topo.leaves, order)
+
+    @pytest.mark.parametrize("edges", _USER_SHAPES)
+    def test_user_shapes_fit_their_own_weights(self, edges):
+        # the fitted weights give the target back, closed form or not
+        topo = Topology(edges)
+        wmap = {e: Fraction(2 * k + 1, 3) for k, e in enumerate(topo.edges)}
+        for of in (doubles_of_tree, triples_of_tree)[: topo.n - 1]:
+            target = of(topo.with_weights(wmap))
+            got = fit_weights(topo, target)
+            assert dict(of(topo.with_weights(got)).items()) == dict(target.items())
